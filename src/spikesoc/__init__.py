@@ -26,9 +26,6 @@ from .core import (
     InferenceResult,
     NeuronState,
     OpCounters,
-    accumulate_event_binary,
-    accumulate_event_fixed16,
-    fire_check,
     run_layer,
     run_network,
 )
@@ -49,6 +46,7 @@ from .errors import (
     ProtocolViolation,
     SpikeSocError,
     TruncatedImage,
+    UnsupportedModel,
     UnsupportedVersion,
 )
 from .model import (
@@ -76,7 +74,7 @@ from .perf import (
     memory_footprint,
     write_breakdown_csv,
 )
-from .sorter import EventQueue, SpikeEvent, sort_spikes, truncate_after
+from .sorter import sort_spikes
 
 __version__ = "0.1.0"
 
@@ -90,7 +88,6 @@ __all__ = [
     "CycleCostTable",
     "CycleReport",
     "DimensionMismatch",
-    "EventQueue",
     "Fixed16Weights",
     "InconsistentDims",
     "InferenceResult",
@@ -115,14 +112,12 @@ __all__ = [
     "Reset",
     "Run",
     "RunTrace",
-    "SpikeEvent",
     "SpikeSocError",
     "SpikeTrain",
     "TruncatedImage",
+    "UnsupportedModel",
     "UnsupportedVersion",
     "WeightMode",
-    "accumulate_event_binary",
-    "accumulate_event_fixed16",
     "cycles_to_ms",
     "decode",
     "dense_infer",
@@ -131,7 +126,6 @@ __all__ = [
     "encode_command",
     "encode_ttfs",
     "estimate_cycles",
-    "fire_check",
     "format_uart_frame",
     "memory_footprint",
     "pack_binary_row",
@@ -141,7 +135,6 @@ __all__ = [
     "run_network",
     "serialize_model",
     "sort_spikes",
-    "truncate_after",
     "unpack_binary_row",
     "write_breakdown_csv",
 ]

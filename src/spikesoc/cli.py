@@ -20,14 +20,13 @@ from .errors import (
     OracleDivergence,
     SpikeSocError,
 )
-from .model import deserialize_model, serialize_model
+from .model import deserialize_model, serialize_model, valid_t_max
 from .oracle import dense_infer
 from .perf import (
     binary_weight_bytes,
     cycles_to_ms,
     fixed16_weight_bytes,
     write_breakdown_csv,
-    CycleReport,
 )
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -97,7 +96,6 @@ def run_batch(
     oracle: bool = False,
     early_stop: bool = True,
     t_max: Optional[int] = None,
-    clock_mhz: float = 163.0,
 ) -> dict:
     """Drive the controller over every sample and assemble the JSON-ready report.
 
@@ -234,9 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.t_max is not None and (
-        not 1 <= args.t_max <= 256 or args.t_max & (args.t_max - 1)
-    ):
+    if args.t_max is not None and not valid_t_max(args.t_max):
         parser.error(f"--t-max {args.t_max} is not a power of two in [1, 256]")
     try:
         report = run_batch(
@@ -246,7 +242,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             oracle=args.oracle,
             early_stop=not args.no_early_stop,
             t_max=args.t_max,
-            clock_mhz=args.clock_mhz,
         )
     except OracleDivergence as exc:
         print(f"error: oracle divergence: {exc}", file=sys.stderr)
@@ -285,15 +280,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             json.dump(report, f, indent=2)
             f.write("\n")
     if args.breakdown_csv:
-        b = report["cycles_breakdown"]
-        aggregate = CycleReport(
-            encode_cycles=b["encode"],
-            sort_cycles=b["sort"],
-            neuron_cycles=b["neuron"],
-            decode_cycles=b["decode"],
-            total_cycles=report["total_cycles"],
-        )
-        write_breakdown_csv(aggregate, args.breakdown_csv)
+        write_breakdown_csv(report["cycles_breakdown"], args.breakdown_csv)
     return 0
 
 

@@ -32,13 +32,14 @@ from enum import Enum
 from typing import Optional, Union
 
 from .core import InferenceResult, run_network
-from .errors import DimensionMismatch, ProtocolViolation
+from .errors import DimensionMismatch, ProtocolViolation, UnsupportedModel
 from .model import NetworkModel, deserialize_model
 from .perf import CycleCostTable
 
 UART_MARKER = 0xA5
 UART_FRAME_LEN = 12
 FALLBACK_TIME_BYTE = 0xFF
+MAX_CLASSES = 256  # the UART label field is one byte
 
 CMD_LOAD_MODEL = 0x01
 CMD_LOAD_INPUT = 0x02
@@ -216,6 +217,10 @@ class Controller:
 
         if isinstance(command, LoadModel):
             model = deserialize_model(command.image)
+            if model.output_dim > MAX_CLASSES:
+                raise UnsupportedModel(
+                    f"{model.output_dim} output classes, the UART label byte holds {MAX_CLASSES}"
+                )
             self.model = model
             self.pending_input = None
             self.last_result = None

@@ -1,14 +1,14 @@
-"""Event-driven datapath: synaptic accumulation, integrate-and-fire updates,
-layer execution, and whole-network inference with event skipping.
+"""Event-driven datapath: one accumulate-and-fire loop per layer over the
+sorter's timestep groups, and whole-network inference with event skipping.
 
 Conventions fixed here and mirrored by the dense reference simulator:
 
   * firing compares potential >= the layer's effective threshold;
   * the current scale folds into the threshold in binary mode, so the
     accumulator stays add/sub only;
-  * firing is evaluated after a full timestep of accumulation, scanning
-    neurons in ascending index order (time-multiplexed update unit), so
-    same-time events commute;
+  * firing is evaluated once per timestep group, after all of the group's
+    columns are accumulated, scanning neurons in ascending index order
+    (time-multiplexed update unit), so same-time events commute;
   * a fired neuron is frozen: its potential never changes again and it
     never fires twice.
 
@@ -28,6 +28,7 @@ from .errors import AccumulatorOverflow, DimensionMismatch
 from .model import (
     INT32_MAX,
     INT32_MIN,
+    NO_SPIKE,
     BinaryWeights,
     LayerConfig,
     NetworkModel,
@@ -36,7 +37,7 @@ from .model import (
     WeightMode,
 )
 from .perf import CycleCostTable, CycleReport, LayerTally, RunTrace, estimate_cycles
-from .sorter import EventQueue, sort_spikes
+from .sorter import sort_spikes
 
 
 @dataclass
@@ -55,152 +56,74 @@ class NeuronState:
     """Membrane accumulators and firing record for one layer."""
 
     potentials: list
-    fired: list
     fire_times: list
 
-    @classmethod
-    def zeros(cls, out_dim: int) -> "NeuronState":
-        return cls(
-            potentials=[0] * out_dim,
-            fired=[False] * out_dim,
-            fire_times=[None] * out_dim,
-        )
-
-
-def accumulate_event_binary(
-    state: NeuronState,
-    layer: LayerConfig,
-    column_signs,
-    counters: OpCounters,
-) -> NeuronState:
-    """Add one presynaptic event's +-1 column into every unfired neuron.
-
-    Raw units only; the scale lives in the folded threshold. Mutates and
-    returns state.
-    """
-    potentials = state.potentials
-    fired = state.fired
-    adds = 0
-    subs = 0
-    for j in range(layer.out_dim):
-        if fired[j]:
-            continue
-        v = potentials[j] + column_signs[j]
-        if not INT32_MIN <= v <= INT32_MAX:
-            raise AccumulatorOverflow(f"neuron {j} accumulator left 32-bit range")
-        potentials[j] = v
-        if column_signs[j] > 0:
-            adds += 1
-        else:
-            subs += 1
-    counters.additions += adds
-    counters.subtractions += subs
-    return state
-
-
-def accumulate_event_fixed16(
-    state: NeuronState,
-    layer: LayerConfig,
-    column,
-    counters: OpCounters,
-) -> NeuronState:
-    """Multiply-accumulate one event's 16-bit weight column into unfired neurons.
-
-    Each touched neuron costs one multiplication (the DSP-backed path).
-    Mutates and returns state.
-    """
-    potentials = state.potentials
-    fired = state.fired
-    macs = 0
-    for j in range(layer.out_dim):
-        if fired[j]:
-            continue
-        v = potentials[j] + column[j]
-        if not INT32_MIN <= v <= INT32_MAX:
-            raise AccumulatorOverflow(f"neuron {j} accumulator left 32-bit range")
-        potentials[j] = v
-        macs += 1
-    counters.multiplications += macs
-    return state
-
-
-def fire_check(
-    state: NeuronState, layer: LayerConfig, now: int, mode: WeightMode
-) -> list:
-    """Scan neurons in ascending index order; fire any unfired neuron at or
-    above the effective threshold. Returns the newly fired indices.
-
-    Call only after all events at timestep `now` have been accumulated;
-    the non-leaky neuron cannot cross between events.
-    """
-    eff = layer.effective_threshold(mode)
-    potentials = state.potentials
-    fired = state.fired
-    newly = []
-    for j in range(layer.out_dim):
-        if not fired[j] and potentials[j] >= eff:
-            fired[j] = True
-            state.fire_times[j] = now
-            newly.append(j)
-    return newly
+    @property
+    def fired(self) -> list:
+        return [t is not NO_SPIKE for t in self.fire_times]
 
 
 def run_layer(
-    queue: EventQueue,
+    groups: list,
     layer: LayerConfig,
     weights: WeightMatrix,
     counters: OpCounters,
     *,
     stop_at_first_fire: bool = False,
-) -> tuple[SpikeTrain, NeuronState]:
-    """Consume a sorted event queue through one layer.
+) -> NeuronState:
+    """Consume one layer's timestep groups, as sort_spikes returns them.
 
-    Events are grouped by timestep; each group is fully accumulated before
-    one fire check. Events after every neuron has fired are skipped, and
-    with stop_at_first_fire the layer stops after the first timestep that
-    fires anything (the processed prefix then equals truncate_after at the
-    decision time).
+    Each event of a group adds its weight column into every unfired neuron;
+    then one fire check scans the neurons in ascending index order. Groups
+    after every neuron has fired are skipped, and with stop_at_first_fire
+    the layer stops after the first group that fires anything.
     """
-    if isinstance(weights, BinaryWeights):
-        mode = WeightMode.BINARY
-        fetch_column = weights.column_signs
-        accumulate = accumulate_event_binary
-    else:
-        mode = WeightMode.FIXED16
-        fetch_column = weights.column
-        accumulate = accumulate_event_fixed16
     if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
         raise DimensionMismatch("weight shape disagrees with layer config")
-
-    events = queue.events
-    n = len(events)
-    for ev in events:
-        if ev.neuron_index >= layer.in_dim:
+    for _, indices in groups:
+        if max(indices) >= layer.in_dim:
             raise DimensionMismatch(
-                f"event index {ev.neuron_index} >= layer in_dim {layer.in_dim}"
+                f"event index {max(indices)} >= layer in_dim {layer.in_dim}"
             )
-
-    state = NeuronState.zeros(layer.out_dim)
-    fired_count = 0
-    i = 0
-    while i < n:
-        if fired_count == layer.out_dim:
+    binary = isinstance(weights, BinaryWeights)
+    threshold = layer.effective_threshold(WeightMode.BINARY if binary else WeightMode.FIXED16)
+    columns = weights.columns
+    potentials = [0] * layer.out_dim
+    fire_times = [NO_SPIKE] * layer.out_dim
+    unfired = list(range(layer.out_dim))
+    processed = 0
+    for t, indices in groups:
+        if not unfired:
             break
-        t = events[i].time
-        g = i
-        while g < n and events[g].time == t:
-            accumulate(state, layer, fetch_column(events[g].neuron_index), counters)
-            g += 1
-        counters.events_processed += g - i
-        i = g
-        newly = fire_check(state, layer, t, mode)
-        fired_count += len(newly)
-        if stop_at_first_fire and newly:
-            break
-    counters.events_skipped += n - i
-
-    train = SpikeTrain(tuple(state.fire_times), queue.t_max)
-    return train, state
+        before = sum(potentials)
+        for i in indices:
+            column = columns[i]
+            for j in unfired:
+                potentials[j] += column[j]
+            if min(potentials) < INT32_MIN or max(potentials) > INT32_MAX:
+                raise AccumulatorOverflow(
+                    f"event {i} at time {t} took an accumulator out of 32-bit range"
+                )
+        touched = len(unfired) * len(indices)
+        if binary:
+            # Fired neurons are frozen, so the potentials' sum moved by the
+            # net of the +-1 weights added, which is adds - subs.
+            adds = (touched + sum(potentials) - before) // 2
+            counters.additions += adds
+            counters.subtractions += touched - adds
+        else:
+            counters.multiplications += touched
+        processed += len(indices)
+        newly = [j for j in unfired if potentials[j] >= threshold]
+        if newly:
+            for j in newly:
+                fire_times[j] = t
+            unfired = [j for j in unfired if fire_times[j] is NO_SPIKE]
+            if stop_at_first_fire:
+                break
+    counters.events_processed += processed
+    counters.events_skipped += sum(len(indices) for _, indices in groups) - processed
+    return NeuronState(potentials, fire_times)
 
 
 @dataclass
@@ -246,20 +169,21 @@ def run_network(
     layer_states = []
     tallies = []
     for k, (cfg, weights) in enumerate(model.layers):
-        queue = sort_spikes(train)
+        groups = sort_spikes(train)
         before = counters.events_processed
-        train, state = run_layer(
-            queue,
+        state = run_layer(
+            groups,
             cfg,
             weights,
             counters,
             stop_at_first_fire=early_stop and k == last_layer,
         )
+        train = SpikeTrain(tuple(state.fire_times), model.t_max)
         tallies.append(
             LayerTally(
                 in_dim=cfg.in_dim,
                 out_dim=cfg.out_dim,
-                events_sorted=len(queue),
+                events_sorted=sum(len(indices) for _, indices in groups),
                 events_processed=counters.events_processed - before,
             )
         )

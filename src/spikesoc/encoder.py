@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatch
-from .model import NO_SPIKE, SpikeTrain
+from .model import NO_SPIKE, SpikeTrain, valid_t_max
 
 InputFrame = Union[bytes, bytearray, Sequence[int]]
 
@@ -29,7 +29,7 @@ def encode_ttfs(
     the exact 8-bit complement (255 - pixel); smaller windows right-shift
     the intensity first so the inverted code still fits.
     """
-    if not 1 <= t_max <= 256 or t_max & (t_max - 1):
+    if not valid_t_max(t_max):
         raise ValueError(f"t_max {t_max} is not a power of two in [1, 256]")
     if expected_dim is not None and len(frame) != expected_dim:
         raise DimensionMismatch(f"frame holds {len(frame)} pixels, expected {expected_dim}")

@@ -33,6 +33,11 @@ class CorruptImage(ModelImageError):
     """A header or layer field holds an invalid value."""
 
 
+class UnsupportedModel(ModelImageError):
+    """A well-formed image the controller cannot run: more output classes
+    than the one-byte UART label field can name."""
+
+
 class InconsistentDims(SpikeSocError):
     """Consecutive layers do not chain output to input dimensions."""
 

@@ -14,7 +14,7 @@ Flash image layout (little-endian throughout):
     4       2      format version, = 1
     6       1      weight mode (0 = binary, 1 = fixed16)
     7       1      layer count L (1..255)
-    8       2      t_max (1..256)
+    8       2      t_max (a power of two in 1..256)
     10      10*L   layer records: in_dim u16, out_dim u16,
                    alpha u16 (8.8 fixed point), threshold i32
     ...            L weight blobs in layer order, row-major:
@@ -25,9 +25,10 @@ Flash image layout (little-endian throughout):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterator, Sequence, Union
 
 from .errors import (
     CorruptImage,
@@ -57,6 +58,12 @@ class WeightMode(Enum):
 
     BINARY = 0   # weights in {-1, +1}, bit-packed
     FIXED16 = 1  # 16-bit two's-complement weights
+
+
+def valid_t_max(t_max: int) -> bool:
+    """A time window is a power of two in [1, 256], so spike codes fit one byte
+    and the encoder's inversion is a plain right shift."""
+    return 1 <= t_max <= 256 and not t_max & (t_max - 1)
 
 
 def words_per_row(in_dim: int) -> int:
@@ -103,16 +110,12 @@ def unpack_binary_row(words: Sequence[int], in_dim: int) -> list[int]:
 class BinaryWeights:
     """Bit-packed {-1, +1} weight matrix; one packed row per postsynaptic neuron.
 
-    Logically immutable: the packed words are the single source of truth.
-    Column access keeps a lazily built transpose; concurrent readers may
-    build it redundantly but always observe identical values.
+    Logically immutable: the packed words are the single source of truth;
+    `columns` is a transpose of them built on first use.
     """
 
     in_dim: int
     words: list[tuple[int, ...]]
-    _columns: Optional[list[list[int]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.in_dim < 1:
@@ -153,15 +156,10 @@ class BinaryWeights:
     def row(self, j: int) -> list[int]:
         return unpack_binary_row(self.words[j], self.in_dim)
 
-    def column_signs(self, i: int) -> list[int]:
-        """Signs (+1/-1) seen by every postsynaptic neuron for presynaptic index i."""
-        if self._columns is None:
-            cols = [[0] * self.out_dim for _ in range(self.in_dim)]
-            for j, row in enumerate(self.words):
-                for i_pre in range(self.in_dim):
-                    cols[i_pre][j] = 1 if (row[i_pre >> 4] >> (i_pre & 15)) & 1 else -1
-            self._columns = cols
-        return self._columns[i]
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """columns[i][j]: the +1/-1 weight from presynaptic i to neuron j."""
+        return tuple(zip(*(self.row(j) for j in range(self.out_dim))))
 
 
 @dataclass
@@ -169,9 +167,6 @@ class Fixed16Weights:
     """Dense 16-bit signed weight matrix, one row per postsynaptic neuron."""
 
     rows: list[tuple[int, ...]]
-    _columns: Optional[list[list[int]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if not self.rows:
@@ -205,15 +200,10 @@ class Fixed16Weights:
     def row(self, j: int) -> list[int]:
         return list(self.rows[j])
 
-    def column(self, i: int) -> list[int]:
-        """Weights seen by every postsynaptic neuron for presynaptic index i."""
-        if self._columns is None:
-            cols = [[0] * self.out_dim for _ in range(self.in_dim)]
-            for j, row in enumerate(self.rows):
-                for i_pre, w in enumerate(row):
-                    cols[i_pre][j] = w
-            self._columns = cols
-        return self._columns[i]
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """columns[i][j]: the weight from presynaptic i to neuron j."""
+        return tuple(zip(*self.rows))
 
 
 WeightMatrix = Union[BinaryWeights, Fixed16Weights]
@@ -311,8 +301,8 @@ class NetworkModel:
     layers: list[tuple[LayerConfig, WeightMatrix]]
 
     def __post_init__(self):
-        if not 1 <= self.t_max <= 256:
-            raise ValueError("t_max must be in [1, 256] so spike codes fit one byte")
+        if not valid_t_max(self.t_max):
+            raise ValueError(f"t_max {self.t_max} is not a power of two in [1, 256]")
         if not self.layers:
             raise ValueError("model needs at least one layer")
         expected_kind = BinaryWeights if self.mode is WeightMode.BINARY else Fixed16Weights
@@ -377,8 +367,8 @@ def deserialize_model(data: bytes) -> NetworkModel:
         raise CorruptImage(f"weight mode byte {mode_byte} is neither 0 nor 1")
     if layer_count < 1:
         raise CorruptImage("layer count must be >= 1")
-    if not 1 <= t_max <= 256:
-        raise CorruptImage(f"t_max {t_max} outside [1, 256]")
+    if not valid_t_max(t_max):
+        raise CorruptImage(f"t_max {t_max} is not a power of two in [1, 256]")
     mode = WeightMode(mode_byte)
 
     offset = 10

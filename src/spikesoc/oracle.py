@@ -67,7 +67,6 @@ def dense_layer_sweep(
 
     state = NeuronState(
         potentials=[int(v) for v in potentials],
-        fired=[t is not NO_SPIKE for t in fire_times],
         fire_times=list(fire_times),
     )
     return SpikeTrain(tuple(fire_times), train.t_max), state

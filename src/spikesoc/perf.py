@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from .model import NetworkModel, WeightMode, words_per_row
 
@@ -181,18 +181,12 @@ def cycles_to_ms(cycles: int, clock_mhz: float = 163.0) -> float:
     return cycles / (clock_mhz * 1e3)
 
 
-def write_breakdown_csv(report: CycleReport, path) -> None:
-    """Emit the stage breakdown as CSV rows (stage, cycles, fraction)."""
-    total = report.total_cycles
-    rows = [
-        ("encode", report.encode_cycles),
-        ("sort", report.sort_cycles),
-        ("neuron", report.neuron_cycles),
-        ("decode", report.decode_cycles),
-    ]
+def write_breakdown_csv(breakdown: Mapping[str, int], path) -> None:
+    """Emit a stage -> cycles mapping as CSV rows (stage, cycles, fraction)."""
+    total = sum(breakdown.values())
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["stage", "cycles", "fraction"])
-        for stage, cycles in rows:
+        for stage, cycles in breakdown.items():
             fraction = cycles / total if total else 0.0
             writer.writerow([stage, cycles, f"{fraction:.6f}"])

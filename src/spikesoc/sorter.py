@@ -1,76 +1,21 @@
-"""Spike sorting: order active events by time before accumulation.
+"""Spike sorting: group active events by timestep before accumulation.
 
 Implemented as a counting sort over t_max fixed buckets, the hardware
 friendly form: latency is t_max + number of events regardless of input
-order, and the result is stable (equal times keep ascending neuron index).
+order. The non-empty buckets are the datapath's queue: one
+(time, neuron indices) group per timestep that carries events, in
+ascending time, with each group's indices ascending.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
-
 from .model import NO_SPIKE, SpikeTrain
 
 
-class SpikeEvent(NamedTuple):
-    neuron_index: int
-    time: int
-
-
-@dataclass(frozen=True)
-class EventQueue:
-    """Active spike events in non-decreasing time order within a t_max window.
-
-    sort_spikes additionally orders equal times by ascending neuron index;
-    the queue itself only demands time order, because the datapath's
-    accumulate-then-check discipline makes tie order immaterial.
-    """
-
-    events: tuple
-    t_max: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        prev = 0
-        for ev in self.events:
-            if not 0 <= ev.time < self.t_max:
-                raise ValueError(f"event time {ev.time} outside [0, {self.t_max - 1}]")
-            if ev.time < prev:
-                raise ValueError("events are not in non-decreasing time order")
-            prev = ev.time
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[SpikeEvent]:
-        return iter(self.events)
-
-    def __getitem__(self, i):
-        return self.events[i]
-
-
-def sort_spikes(train: SpikeTrain) -> EventQueue:
+def sort_spikes(train: SpikeTrain) -> list[tuple[int, list[int]]]:
     """Bucket the train's active spikes by time; NO_SPIKE slots are dropped."""
     buckets = [[] for _ in range(train.t_max)]
     for idx, t in enumerate(train.times):
         if t is not NO_SPIKE:
             buckets[t].append(idx)
-    events = tuple(
-        SpikeEvent(idx, t) for t, bucket in enumerate(buckets) for idx in bucket
-    )
-    return EventQueue(events=events, t_max=train.t_max)
-
-
-def truncate_after(queue: EventQueue, cutoff: int) -> EventQueue:
-    """Prefix of the queue with event times <= cutoff.
-
-    Used once a decision time is known: later events cannot change the
-    outcome and are dropped unprocessed.
-    """
-    keep = len(queue.events)
-    for i, ev in enumerate(queue.events):
-        if ev.time > cutoff:
-            keep = i
-            break
-    return EventQueue(events=queue.events[:keep], t_max=queue.t_max)
+    return [(t, bucket) for t, bucket in enumerate(buckets) if bucket]

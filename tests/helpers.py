@@ -13,6 +13,7 @@ from spikesoc import (
     SpikeTrain,
     WeightMode,
     run_network,
+    serialize_model,
 )
 
 T_MAX_CHOICES = (16, 64, 256)
@@ -70,6 +71,24 @@ def random_frame(rng, n, zero_fraction=None):
     )
 
 
+def one_hot_output_model(out_dim):
+    """1-input fixed16 net where only the last output neuron has weight +1,
+    so a bright pixel decides class out_dim - 1 at time 0."""
+    rows = [[0]] * (out_dim - 1) + [[1]]
+    return NetworkModel(
+        mode=WeightMode.FIXED16,
+        t_max=256,
+        layers=[(LayerConfig(1, out_dim, 256, 1), Fixed16Weights.from_rows(rows))],
+    )
+
+
+def image_with_t_max(model, t_max):
+    """The model's flash image with its t_max field (offset 8, u16) overwritten."""
+    image = bytearray(serialize_model(model))
+    image[8:10] = t_max.to_bytes(2, "little")
+    return bytes(image)
+
+
 @dataclass
 class Instance:
     model: NetworkModel
@@ -105,6 +124,16 @@ def reference_sort(train: SpikeTrain):
             k -= 1
         out.insert(k, (idx, t))
     return out
+
+
+def truncate_after(groups, cutoff):
+    """Timestep groups at or before cutoff.
+
+    The specification of run_layer's stop_at_first_fire: once a decision
+    time is known, later events cannot change the outcome and are dropped
+    unprocessed.
+    """
+    return [(t, indices) for t, indices in groups if t <= cutoff]
 
 
 def dense_potentials(rows, arrived_indices):

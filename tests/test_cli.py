@@ -20,7 +20,13 @@ from spikesoc.cli import (
     write_idx_images,
     write_idx_labels,
 )
-from helpers import make_rng, random_frame, random_model
+from helpers import (
+    image_with_t_max,
+    make_rng,
+    one_hot_output_model,
+    random_frame,
+    random_model,
+)
 
 
 def _write_dataset(tmp_path, rng, model, n_samples, name="set"):
@@ -195,6 +201,24 @@ class TestMainExitCodes:
         model_path, images_path, labels_path = _write_dataset(tmp_path, rng, model, 2)
         model_path.write_bytes(b"JUNKJUNKJUNKJUNK")
         rc = main([str(model_path), str(images_path), str(labels_path)])
+        assert rc == 2
+        assert "model image" in capsys.readouterr().err
+
+    def test_non_power_of_two_t_max_image_exit_2(self, tmp_path, capsys):
+        rng = make_rng(116)
+        model = random_model(rng, max_layers=1, max_dim=8)
+        model_path, images_path, labels_path = _write_dataset(tmp_path, rng, model, 2)
+        model_path.write_bytes(image_with_t_max(model, 100))
+        rc = main([str(model_path), str(images_path), str(labels_path)])
+        assert rc == 2
+        assert "model image" in capsys.readouterr().err
+
+    def test_more_than_256_classes_exit_2(self, tmp_path, capsys):
+        model_path = tmp_path / "wide-model.bin"
+        model_path.write_bytes(serialize_model(one_hot_output_model(300)))  # decides class 299
+        write_idx_images(tmp_path / "images.idx", [bytes([255])], 1, 1)
+        write_idx_labels(tmp_path / "labels.idx", [0])
+        rc = main([str(model_path), str(tmp_path / "images.idx"), str(tmp_path / "labels.idx")])
         assert rc == 2
         assert "model image" in capsys.readouterr().err
 

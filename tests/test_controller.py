@@ -2,6 +2,7 @@ import pytest
 
 from spikesoc import (
     Controller,
+    CorruptImage,
     CycleReport,
     DimensionMismatch,
     InferenceResult,
@@ -16,6 +17,7 @@ from spikesoc import (
     Reset,
     Run,
     SpikeTrain,
+    UnsupportedModel,
     WeightMode,
     encode_command,
     format_uart_frame,
@@ -24,7 +26,13 @@ from spikesoc import (
     serialize_model,
 )
 from spikesoc.controller import UART_FRAME_LEN, xor_checksum
-from helpers import make_rng, random_binary_weights, random_frame
+from helpers import (
+    image_with_t_max,
+    make_rng,
+    one_hot_output_model,
+    random_binary_weights,
+    random_frame,
+)
 
 
 def _small_model(in_dim=16, out_dim=4, seed=91):
@@ -39,6 +47,10 @@ def _small_model(in_dim=16, out_dim=4, seed=91):
             )
         ],
     )
+
+
+def _snapshot(c):
+    return (c.phase, c.model, c.pending_input, c.last_result, c.sample_index, list(c.phase_log))
 
 
 def _result(predicted, decision_time, total_cycles):
@@ -145,6 +157,33 @@ class TestStateMachine:
             c.handle(LoadModel(image=b"JUNK" + bytes(20)))
         assert c.phase is Phase.IDLE
         assert c.model is None
+
+    def test_non_power_of_two_t_max_rejected_at_load(self):
+        c = Controller()
+        c.handle(LoadModel(image=serialize_model(_small_model())))
+        c.handle(LoadInput(pixels=bytes([200] * 16)))
+        before = _snapshot(c)
+        with pytest.raises(CorruptImage):
+            c.handle(LoadModel(image=image_with_t_max(_small_model(), 100)))
+        assert _snapshot(c) == before
+        assert c.phase is Phase.INPUT_LOADED
+
+    def test_more_than_256_classes_rejected_at_load(self):
+        c = Controller()
+        c.handle(LoadModel(image=serialize_model(_small_model())))
+        c.handle(LoadInput(pixels=bytes([200] * 16)))
+        before = _snapshot(c)
+        with pytest.raises(UnsupportedModel):
+            c.handle(LoadModel(image=serialize_model(one_hot_output_model(300))))
+        assert _snapshot(c) == before
+        assert c.phase is Phase.INPUT_LOADED
+
+    def test_256_classes_load_and_run(self):
+        c = Controller()
+        c.handle(LoadModel(image=serialize_model(one_hot_output_model(256))))
+        c.handle(LoadInput(pixels=bytes([255])))
+        _, uart = c.handle(Run())
+        assert parse_uart_frame(uart)["predicted"] == 255
 
     def test_wrong_input_length_rejected(self):
         c = Controller()

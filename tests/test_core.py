@@ -8,21 +8,14 @@ from spikesoc import (
     Fixed16Weights,
     LayerConfig,
     NetworkModel,
-    NeuronState,
     OpCounters,
-    SpikeEvent,
     SpikeTrain,
     WeightMode,
-    accumulate_event_binary,
-    accumulate_event_fixed16,
     dense_layer_sweep,
-    fire_check,
     run_layer,
     run_network,
     sort_spikes,
-    truncate_after,
 )
-from spikesoc.sorter import EventQueue
 from helpers import (
     dense_potentials,
     make_rng,
@@ -31,70 +24,67 @@ from helpers import (
     random_frame,
     random_instance,
     random_model,
+    truncate_after,
 )
+
+
+def _one_event_per_timestep(indices):
+    return [(t, [i]) for t, i in enumerate(indices)]
 
 
 class TestAccumulateBinary:
     def test_three_events_net_plus_one(self):
         cfg = LayerConfig(3, 1, threshold=100)
         w = BinaryWeights.from_rows([[1, -1, 1]])
-        state = NeuronState.zeros(1)
         counters = OpCounters()
-        for i in range(3):
-            accumulate_event_binary(state, cfg, w.column_signs(i), counters)
+        state = run_layer(_one_event_per_timestep(range(3)), cfg, w, counters)
         assert state.potentials == [1]
         assert counters.additions == 2
         assert counters.subtractions == 1
         assert counters.multiplications == 0
 
     def test_fired_neuron_is_frozen(self):
-        cfg = LayerConfig(2, 1, threshold=100)
-        w = BinaryWeights.from_rows([[1, 1]])
-        state = NeuronState.zeros(1)
-        state.fired[0] = True
-        state.fire_times[0] = 0
-        state.potentials[0] = 7
-        accumulate_event_binary(state, cfg, w.column_signs(0), OpCounters())
-        assert state.potentials == [7]
+        # neuron 0 fires at 7 after timestep 0; the timestep-1 event then
+        # reaches only neuron 1
+        cfg = LayerConfig(8, 2, threshold=7)
+        w = BinaryWeights.from_rows([[1] * 8, [-1] * 7 + [1]])
+        state = run_layer([(0, list(range(7))), (1, [7])], cfg, w, OpCounters())
+        assert state.fire_times == [0, NO_SPIKE]
+        assert state.potentials == [7, -6]
 
     def test_matches_dense_accumulation_64x8(self):
         rng = make_rng(51)
         rows = [[rng.choice((-1, 1)) for _ in range(64)] for _ in range(8)]
         w = BinaryWeights.from_rows(rows)
         cfg = LayerConfig(64, 8, threshold=10**6)  # never fires
-        state = NeuronState.zeros(8)
         counters = OpCounters()
         arrived = [rng.randrange(64) for _ in range(100)]
-        for i in arrived:
-            accumulate_event_binary(state, cfg, w.column_signs(i), counters)
+        state = run_layer(_one_event_per_timestep(arrived), cfg, w, counters)
         assert state.potentials == dense_potentials(rows, arrived)
 
     def test_overflow_is_diagnosed(self):
-        cfg = LayerConfig(1, 1, threshold=100)
-        w = BinaryWeights.from_rows([[1]])
-        state = NeuronState.zeros(1)
-        state.potentials[0] = (1 << 31) - 1
+        # A +-1 column cannot leave the 32-bit range in any layer an image
+        # can hold; the one accumulate loop is checked through 16-bit
+        # weights crossing the upper bound: 65539 * 32767 > 2**31 - 1.
+        cfg = LayerConfig(65539, 1, threshold=2**31 - 1)
+        w = Fixed16Weights.from_rows([[32767] * 65539])
         with pytest.raises(AccumulatorOverflow):
-            accumulate_event_binary(state, cfg, w.column_signs(0), OpCounters())
+            run_layer([(0, list(range(65539)))], cfg, w, OpCounters())
 
 
 class TestAccumulateFixed16:
     def test_single_event_weight_300(self):
         cfg = LayerConfig(1, 1, threshold=10**6)
         w = Fixed16Weights.from_rows([[300]])
-        state = NeuronState.zeros(1)
         counters = OpCounters()
-        accumulate_event_fixed16(state, cfg, w.column(0), counters)
+        state = run_layer([(0, [0])], cfg, w, counters)
         assert state.potentials == [300]
         assert counters.multiplications == 1
 
     def test_twos_complement_extremes(self):
         cfg = LayerConfig(2, 1, threshold=10**6)
         w = Fixed16Weights.from_rows([[-32768, 32767]])
-        state = NeuronState.zeros(1)
-        counters = OpCounters()
-        accumulate_event_fixed16(state, cfg, w.column(0), counters)
-        accumulate_event_fixed16(state, cfg, w.column(1), counters)
+        state = run_layer(_one_event_per_timestep([0, 1]), cfg, w, OpCounters())
         assert state.potentials == [-1]
 
     def test_matches_dense_accumulation_128x10(self):
@@ -102,90 +92,83 @@ class TestAccumulateFixed16:
         rows = [[rng.randint(-2000, 2000) for _ in range(128)] for _ in range(10)]
         w = Fixed16Weights.from_rows(rows)
         cfg = LayerConfig(128, 10, threshold=10**8)
-        state = NeuronState.zeros(10)
         arrived = [rng.randrange(128) for _ in range(200)]
-        for i in arrived:
-            accumulate_event_fixed16(state, cfg, w.column(i), OpCounters())
+        state = run_layer(_one_event_per_timestep(arrived), cfg, w, OpCounters())
         assert state.potentials == dense_potentials(rows, arrived)
 
     def test_overflow_is_diagnosed(self):
-        cfg = LayerConfig(1, 1, threshold=0)
-        w = Fixed16Weights.from_rows([[-32768]])
-        state = NeuronState.zeros(1)
-        state.fired[0] = False
-        state.potentials[0] = -(1 << 31)
+        # 65537 * -32768 < -2**31, all in one timestep
+        cfg = LayerConfig(65537, 1, threshold=0)
+        w = Fixed16Weights.from_rows([[-32768] * 65537])
         with pytest.raises(AccumulatorOverflow):
-            accumulate_event_fixed16(state, cfg, w.column(0), OpCounters())
+            run_layer([(0, list(range(65537)))], cfg, w, OpCounters())
 
 
 class TestFireCheck:
     def test_fires_at_threshold(self):
         cfg = LayerConfig(4, 1, threshold=2)
-        state = NeuronState.zeros(1)
-        state.potentials[0] = 2
-        assert fire_check(state, cfg, 7, WeightMode.BINARY) == [0]
+        w = BinaryWeights.from_rows([[1, 1, 1, 1]])
+        state = run_layer([(7, [0, 1])], cfg, w, OpCounters())
+        assert state.potentials == [2]
+        assert state.fired == [True]
         assert state.fire_times == [7]
 
     def test_zero_threshold_uses_geq(self):
         cfg = LayerConfig(2, 1, threshold=0)
         w = BinaryWeights.from_rows([[-1, 1]])
-        state = NeuronState.zeros(1)
-        counters = OpCounters()
-        accumulate_event_binary(state, cfg, w.column_signs(0), counters)
-        assert fire_check(state, cfg, 3, WeightMode.BINARY) == []
-        accumulate_event_binary(state, cfg, w.column_signs(1), counters)
-        assert fire_check(state, cfg, 5, WeightMode.BINARY) == [0]
+        state = run_layer([(3, [0])], cfg, w, OpCounters())
+        assert state.fire_times == [NO_SPIKE]
+        state = run_layer([(3, [0]), (5, [1])], cfg, w, OpCounters())
+        assert state.potentials == [0]
         assert state.fire_times == [5]
 
     def test_alpha_fold_identity(self):
         # alpha 2.0 with raw threshold 4 behaves like alpha 1 with threshold 2
         folded = LayerConfig(4, 1, alpha_raw=512, threshold=4)
         plain = LayerConfig(4, 1, alpha_raw=256, threshold=2)
-        for potential in (-1, 0, 1, 2, 3):
-            a = NeuronState.zeros(1)
-            b = NeuronState.zeros(1)
-            a.potentials[0] = potential
-            b.potentials[0] = potential
-            assert fire_check(a, folded, 0, WeightMode.BINARY) == fire_check(
-                b, plain, 0, WeightMode.BINARY
-            )
+        w = BinaryWeights.from_rows([[1, 1, 1, -1]])
+        events_for = {-1: [3], 0: [0, 3], 1: [0], 2: [0, 1], 3: [0, 1, 2]}
+        for potential, events in events_for.items():
+            a = run_layer([(0, events)], folded, w, OpCounters())
+            b = run_layer([(0, events)], plain, w, OpCounters())
+            assert a.potentials == b.potentials == [potential]
+            assert a.fire_times == b.fire_times == [0 if potential >= 2 else NO_SPIKE]
 
     def test_scan_order_is_ascending(self):
         cfg = LayerConfig(1, 4, threshold=0)
-        state = NeuronState.zeros(4)
-        assert fire_check(state, cfg, 0, WeightMode.BINARY) == [0, 1, 2, 3]
+        w = BinaryWeights.from_rows([[1]] * 4)
+        state = run_layer([(0, [0])], cfg, w, OpCounters())
+        assert [j for j, t in enumerate(state.fire_times) if t == 0] == [0, 1, 2, 3]
 
 
 class TestRunLayer:
     def test_empty_queue_leaves_layer_silent(self):
         cfg = LayerConfig(4, 3, threshold=0)
         w = BinaryWeights.from_rows([[1] * 4] * 3)
-        queue = EventQueue(events=(), t_max=16)
-        train, state = run_layer(queue, cfg, w, OpCounters())
-        assert train.times == (NO_SPIKE,) * 3
+        state = run_layer([], cfg, w, OpCounters())
+        assert state.fire_times == [NO_SPIKE] * 3
         assert state.potentials == [0, 0, 0]
 
     def test_crosses_on_second_event(self):
         cfg = LayerConfig(2, 1, threshold=2)
         w = BinaryWeights.from_rows([[1, 1]])
-        queue = sort_spikes(SpikeTrain((3, 9), 16))
-        train, state = run_layer(queue, cfg, w, OpCounters())
-        assert train.times == (9,)
+        groups = sort_spikes(SpikeTrain((3, 9), 16))
+        state = run_layer(groups, cfg, w, OpCounters())
+        assert state.fire_times == [9]
 
     def test_event_index_out_of_range(self):
         cfg = LayerConfig(2, 1, threshold=2)
         w = BinaryWeights.from_rows([[1, 1]])
-        queue = EventQueue(events=(SpikeEvent(5, 0),), t_max=16)
         with pytest.raises(DimensionMismatch):
-            run_layer(queue, cfg, w, OpCounters())
+            run_layer([(0, [5])], cfg, w, OpCounters())
 
     def test_events_after_all_fired_are_skipped(self):
         cfg = LayerConfig(3, 1, threshold=1)
         w = BinaryWeights.from_rows([[1, 1, 1]])
-        queue = sort_spikes(SpikeTrain((0, 4, 8), 16))
+        groups = sort_spikes(SpikeTrain((0, 4, 8), 16))
         counters = OpCounters()
-        train, state = run_layer(queue, cfg, w, counters)
-        assert train.times == (0,)
+        state = run_layer(groups, cfg, w, counters)
+        assert state.fire_times == [0]
         assert counters.events_processed == 1
         assert counters.events_skipped == 2
         assert state.potentials == [1]  # frozen at fire
@@ -198,16 +181,11 @@ class TestRunLayer:
             cfg = LayerConfig(in_dim, out_dim, threshold=rng.randint(-2, 3))
             w = random_binary_weights(rng, in_dim, out_dim)
             indices = list(range(in_dim))
-            base = EventQueue(
-                events=tuple(SpikeEvent(i, 5) for i in indices), t_max=16
-            )
-            rng.shuffle(indices)
-            shuffled = EventQueue(
-                events=tuple(SpikeEvent(i, 5) for i in indices), t_max=16
-            )
-            train_a, state_a = run_layer(base, cfg, w, OpCounters())
-            train_b, state_b = run_layer(shuffled, cfg, w, OpCounters())
-            assert train_a.times == train_b.times
+            shuffled = indices[:]
+            rng.shuffle(shuffled)
+            state_a = run_layer([(5, indices)], cfg, w, OpCounters())
+            state_b = run_layer([(5, shuffled)], cfg, w, OpCounters())
+            assert state_a.fire_times == state_b.fire_times
             assert state_a.potentials == state_b.potentials
 
     def test_stop_at_first_fire_equals_truncation_at_decision_time(self):
@@ -222,17 +200,17 @@ class TestRunLayer:
                 NO_SPIKE if rng.random() < 0.2 else rng.randint(0, t_max - 1)
                 for _ in range(in_dim)
             ]
-            queue = sort_spikes(SpikeTrain(tuple(times), t_max))
-            train_stop, state_stop = run_layer(
-                queue, cfg, w, OpCounters(), stop_at_first_fire=True
+            groups = sort_spikes(SpikeTrain(tuple(times), t_max))
+            state_stop = run_layer(
+                groups, cfg, w, OpCounters(), stop_at_first_fire=True
             )
-            fired = [t for t in train_stop.times if t is not NO_SPIKE]
+            fired = [t for t in state_stop.fire_times if t is not NO_SPIKE]
             if fired:
-                cut = truncate_after(queue, min(fired))
+                cut = truncate_after(groups, min(fired))
             else:
-                cut = queue
-            train_cut, state_cut = run_layer(cut, cfg, w, OpCounters())
-            assert train_stop.times == train_cut.times
+                cut = groups
+            state_cut = run_layer(cut, cfg, w, OpCounters())
+            assert state_stop.fire_times == state_cut.fire_times
             assert state_stop.potentials == state_cut.potentials
 
     def test_matches_dense_sweep_on_1000_random_layers(self):
@@ -257,9 +235,9 @@ class TestRunLayer:
                 for _ in range(in_dim)
             )
             train = SpikeTrain(times, t_max)
-            got_train, got_state = run_layer(sort_spikes(train), cfg, w, OpCounters())
+            got_state = run_layer(sort_spikes(train), cfg, w, OpCounters())
             ref_train, ref_state = dense_layer_sweep(train, cfg, w)
-            assert got_train.times == ref_train.times
+            assert tuple(got_state.fire_times) == ref_train.times
             assert got_state.potentials == ref_state.potentials
             assert got_state.fire_times == ref_state.fire_times
 

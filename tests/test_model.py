@@ -19,7 +19,7 @@ from spikesoc import (
     serialize_model,
     unpack_binary_row,
 )
-from helpers import make_rng, random_model
+from helpers import image_with_t_max, make_rng, random_model
 
 
 class TestPackBinaryRow:
@@ -104,14 +104,14 @@ class TestWeightMatrices:
         rows = [[rng.choice((-1, 1)) for _ in range(21)] for _ in range(5)]
         w = BinaryWeights.from_rows(rows)
         for i in range(21):
-            assert w.column_signs(i) == [rows[j][i] for j in range(5)]
+            assert list(w.columns[i]) == [rows[j][i] for j in range(5)]
 
     def test_fixed_column_matches_rows(self):
         rng = make_rng(15)
         rows = [[rng.randint(-32768, 32767) for _ in range(9)] for _ in range(4)]
         w = Fixed16Weights.from_rows(rows)
         for i in range(9):
-            assert w.column(i) == [rows[j][i] for j in range(4)]
+            assert list(w.columns[i]) == [rows[j][i] for j in range(4)]
 
     def test_fixed_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -187,8 +187,9 @@ class TestNetworkModel:
 
     def test_t_max_cap(self):
         layers = [(LayerConfig(4, 1), BinaryWeights.from_rows([[1] * 4]))]
-        with pytest.raises(ValueError):
-            NetworkModel(mode=WeightMode.BINARY, t_max=257, layers=layers)
+        for t_max in (257, 3, 100, 255):  # above the cap, or not a power of two
+            with pytest.raises(ValueError):
+                NetworkModel(mode=WeightMode.BINARY, t_max=t_max, layers=layers)
 
 
 def _minimal_model():
@@ -236,6 +237,11 @@ class TestFlashImage:
         blob[7] = 0
         with pytest.raises(CorruptImage):
             deserialize_model(bytes(blob))
+
+    def test_non_power_of_two_t_max_rejected(self):
+        for t_max in (3, 100, 255):
+            with pytest.raises(CorruptImage):
+                deserialize_model(image_with_t_max(_minimal_model(), t_max))
 
     def test_truncations_rejected(self):
         blob = serialize_model(_minimal_model())

@@ -177,7 +177,15 @@ class TestReporting:
     def test_breakdown_csv(self, tmp_path):
         report = estimate_cycles(_trace_600_10())
         path = tmp_path / "breakdown.csv"
-        write_breakdown_csv(report, path)
+        write_breakdown_csv(
+            {
+                "encode": report.encode_cycles,
+                "sort": report.sort_cycles,
+                "neuron": report.neuron_cycles,
+                "decode": report.decode_cycles,
+            },
+            path,
+        )
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["stage", "cycles", "fraction"]

@@ -1,21 +1,24 @@
-import pytest
-
-from spikesoc import NO_SPIKE, SpikeEvent, SpikeTrain, sort_spikes, truncate_after
-from spikesoc.sorter import EventQueue
-from helpers import make_rng, reference_sort
+from spikesoc import NO_SPIKE, SpikeTrain, sort_spikes
+from helpers import make_rng, reference_sort, truncate_after
 
 
 def _train(times, t_max=16):
     return SpikeTrain(tuple(times), t_max)
 
 
+def _events(groups):
+    """(neuron index, time) pairs in queue order."""
+    return [(i, t) for t, indices in groups for i in indices]
+
+
 def test_stable_tie_break_by_index():
-    queue = sort_spikes(_train([5, 2, NO_SPIKE, 2]))
-    assert queue.events == ((1, 2), (3, 2), (0, 5))
+    groups = sort_spikes(_train([5, 2, NO_SPIKE, 2]))
+    assert groups == [(2, [1, 3]), (5, [0])]
+    assert _events(groups) == [(1, 2), (3, 2), (0, 5)]
 
 
 def test_all_silent_gives_empty_queue():
-    assert sort_spikes(_train([NO_SPIKE] * 8)).events == ()
+    assert sort_spikes(_train([NO_SPIKE] * 8)) == []
 
 
 def test_matches_reference_sort_on_1000_random_trains():
@@ -28,8 +31,10 @@ def test_matches_reference_sort_on_1000_random_trains():
             for _ in range(n)
         ]
         train = _train(times, t_max)
-        got = [(ev.neuron_index, ev.time) for ev in sort_spikes(train)]
-        assert got == reference_sort(train)
+        groups = sort_spikes(train)
+        assert _events(groups) == reference_sort(train)
+        assert all(indices for _, indices in groups)  # only non-empty buckets
+        assert len({t for t, _ in groups}) == len(groups)  # one group per timestep
 
 
 def test_output_is_permutation_of_active_events():
@@ -40,35 +45,25 @@ def test_output_is_permutation_of_active_events():
         active = sorted(
             (i, t) for i, t in enumerate(times) if t is not NO_SPIKE
         )
-        got = sorted((ev.neuron_index, ev.time) for ev in sort_spikes(train))
+        got = sorted(_events(sort_spikes(train)))
         assert got == active
 
 
 def test_event_count_matches_active_count():
     train = _train([1, NO_SPIKE, 3, NO_SPIKE, 3])
-    assert len(sort_spikes(train)) == train.active_count == 3
+    assert len(_events(sort_spikes(train))) == train.active_count == 3
 
 
 def test_truncate_keeps_prefix_at_cutoff():
-    queue = sort_spikes(_train([5, 2]))
-    assert truncate_after(queue, 2).events == ((1, 2),)
+    groups = sort_spikes(_train([5, 2]))
+    assert _events(truncate_after(groups, 2)) == [(1, 2)]
 
 
 def test_truncate_at_window_end_is_identity():
-    queue = sort_spikes(_train([5, 2, 9]))
-    assert truncate_after(queue, 15).events == queue.events
+    groups = sort_spikes(_train([5, 2, 9]))
+    assert truncate_after(groups, 15) == groups
 
 
 def test_truncate_below_first_event_empties_queue():
-    queue = sort_spikes(_train([5, 7]))
-    assert truncate_after(queue, 4).events == ()
-
-
-def test_queue_rejects_decreasing_times():
-    with pytest.raises(ValueError):
-        EventQueue(events=(SpikeEvent(0, 5), SpikeEvent(1, 2)), t_max=16)
-
-
-def test_queue_rejects_time_outside_window():
-    with pytest.raises(ValueError):
-        EventQueue(events=(SpikeEvent(0, 16),), t_max=16)
+    groups = sort_spikes(_train([5, 7]))
+    assert truncate_after(groups, 4) == []
