@@ -20,14 +20,15 @@ from .errors import (
     OracleDivergence,
     SpikeSocError,
 )
-from .model import deserialize_model, serialize_model, valid_t_max
-from .oracle import dense_infer
-from .perf import (
+from .model import (
     binary_weight_bytes,
-    cycles_to_ms,
+    deserialize_model,
     fixed16_weight_bytes,
-    write_breakdown_csv,
+    serialize_model,
+    valid_t_max,
 )
+from .oracle import dense_infer
+from .perf import cycles_to_ms, write_breakdown_csv
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -49,6 +50,8 @@ def load_idx_images(path) -> list:
     rows = _read_be32(data, 8, "row count")
     cols = _read_be32(data, 12, "column count")
     frame_len = rows * cols
+    if frame_len == 0:
+        raise CorruptDataset(f"{path}: header declares {rows}x{cols} frames")
     expected = 16 + count * frame_len
     if len(data) != expected:
         raise CorruptDataset(

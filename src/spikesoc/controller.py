@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Optional, Union
 
 from .core import InferenceResult, run_network
-from .errors import DimensionMismatch, ProtocolViolation, UnsupportedModel
+from .errors import DimensionMismatch, FrameFieldOverflow, ProtocolViolation, UnsupportedModel
 from .model import NetworkModel, deserialize_model
 from .perf import CycleCostTable
 
@@ -98,16 +98,16 @@ def xor_checksum(data: bytes) -> int:
 def format_uart_frame(sample_index: int, result: InferenceResult) -> bytes:
     """Fixed 12-byte result record (layout in the module docstring)."""
     if not 0 <= sample_index <= 0xFFFFFFFF:
-        raise ValueError("sample index outside u32 range")
+        raise FrameFieldOverflow("sample index outside u32 range")
     if result.decision_time is None:
         time_byte = FALLBACK_TIME_BYTE
     else:
         if result.decision_time >= FALLBACK_TIME_BYTE:
-            raise ValueError("decision time collides with the fallback sentinel")
+            raise FrameFieldOverflow("decision time collides with the fallback sentinel")
         time_byte = result.decision_time
     total_cycles = result.cycles.total_cycles if result.cycles is not None else 0
     if total_cycles > 0xFFFFFFFF:
-        raise ValueError("cycle count outside u32 range")
+        raise FrameFieldOverflow("cycle count outside u32 range")
     body = struct.pack(
         "<BIBBI", UART_MARKER, sample_index, result.predicted, time_byte, total_cycles
     )
@@ -243,15 +243,16 @@ class Controller:
         if isinstance(command, Run):
             if self.phase is not Phase.INPUT_LOADED or self.pending_input is None:
                 raise ProtocolViolation(f"Run is illegal in phase {self.phase.value}")
-            self._enter(Phase.RUNNING)
             result = run_network(
                 self.model,
                 self.pending_input,
                 early_stop=self.early_stop,
                 costs=self.costs,
             )
-            self._enter(Phase.DONE)
             frame = format_uart_frame(self.sample_index, result)
+            # Only a run that produced its frame changes state.
+            self._enter(Phase.RUNNING)
+            self._enter(Phase.DONE)
             self.last_result = result
             self.sample_index += 1
             self.pending_input = None

@@ -29,7 +29,6 @@ from .model import (
     INT32_MAX,
     INT32_MIN,
     NO_SPIKE,
-    BinaryWeights,
     LayerConfig,
     NetworkModel,
     SpikeTrain,
@@ -85,8 +84,8 @@ def run_layer(
             raise DimensionMismatch(
                 f"event index {max(indices)} >= layer in_dim {layer.in_dim}"
             )
-    binary = isinstance(weights, BinaryWeights)
-    threshold = layer.effective_threshold(WeightMode.BINARY if binary else WeightMode.FIXED16)
+    binary = weights.mode is WeightMode.BINARY
+    threshold = layer.effective_threshold(weights.mode)
     columns = weights.columns
     potentials = [0] * layer.out_dim
     fire_times = [NO_SPIKE] * layer.out_dim

@@ -9,10 +9,6 @@ class InvalidWeight(SpikeSocError):
     """A binary weight was outside {-1, +1}."""
 
 
-class CorruptWeightWord(SpikeSocError):
-    """Padding bits of a packed weight row were nonzero."""
-
-
 class ModelImageError(SpikeSocError):
     """Base class for flash model image errors."""
 
@@ -33,13 +29,17 @@ class CorruptImage(ModelImageError):
     """A header or layer field holds an invalid value."""
 
 
+class CorruptWeightWord(CorruptImage):
+    """Padding bits of a packed weight row were nonzero."""
+
+
+class InconsistentDims(CorruptImage):
+    """Consecutive layers do not chain output to input dimensions."""
+
+
 class UnsupportedModel(ModelImageError):
     """A well-formed image the controller cannot run: more output classes
     than the one-byte UART label field can name."""
-
-
-class InconsistentDims(SpikeSocError):
-    """Consecutive layers do not chain output to input dimensions."""
 
 
 class DimensionMismatch(SpikeSocError):
@@ -52,6 +52,10 @@ class AccumulatorOverflow(SpikeSocError):
 
 class ProtocolViolation(SpikeSocError):
     """Controller command issued from an illegal state, or an unreadable command stream."""
+
+
+class FrameFieldOverflow(SpikeSocError):
+    """A run's result does not fit a field of the UART result frame."""
 
 
 class NotIdx(SpikeSocError):

@@ -28,7 +28,9 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Sequence, Union
+from typing import ClassVar, Iterator, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     CorruptImage,
@@ -70,6 +72,14 @@ def words_per_row(in_dim: int) -> int:
     return (in_dim + _WORDS_PER_CELL - 1) // _WORDS_PER_CELL
 
 
+def binary_weight_bytes(in_dim: int, out_dim: int) -> int:
+    return out_dim * words_per_row(in_dim) * 2
+
+
+def fixed16_weight_bytes(in_dim: int, out_dim: int) -> int:
+    return out_dim * in_dim * 2
+
+
 def pack_binary_row(weights: Sequence[int]) -> list[int]:
     """Pack a row of {-1, +1} weights into 16-bit words (LSB-first, +1 -> 1).
 
@@ -87,23 +97,9 @@ def pack_binary_row(weights: Sequence[int]) -> list[int]:
 
 
 def unpack_binary_row(words: Sequence[int], in_dim: int) -> list[int]:
-    """Inverse of pack_binary_row. Rejects nonzero padding bits."""
-    if in_dim < 1:
-        raise ValueError("in_dim must be >= 1")
-    if len(words) != words_per_row(in_dim):
-        raise ValueError(
-            f"row of {len(words)} words cannot hold {in_dim} weights "
-            f"(expected {words_per_row(in_dim)})"
-        )
-    for w in words:
-        if not 0 <= w <= 0xFFFF:
-            raise ValueError(f"word {w:#x} outside 16-bit range")
-    tail_bits = in_dim & 15
-    if tail_bits and words[-1] >> tail_bits:
-        raise CorruptWeightWord(
-            f"nonzero padding above bit {tail_bits - 1} in final word {words[-1]:#06x}"
-        )
-    return [1 if (words[i >> 4] >> (i & 15)) & 1 else -1 for i in range(in_dim)]
+    """Inverse of pack_binary_row. Rejects a wrong word count, words outside
+    16 bits and nonzero padding bits, as the BinaryWeights constructor does."""
+    return BinaryWeights(in_dim=in_dim, words=[tuple(words)]).matrix()[0].tolist()
 
 
 @dataclass
@@ -114,6 +110,7 @@ class BinaryWeights:
     `columns` is a transpose of them built on first use.
     """
 
+    mode: ClassVar[WeightMode] = WeightMode.BINARY
     in_dim: int
     words: list[tuple[int, ...]]
 
@@ -151,21 +148,27 @@ class BinaryWeights:
 
     @property
     def weight_bytes(self) -> int:
-        return self.out_dim * words_per_row(self.in_dim) * 2
+        return binary_weight_bytes(self.in_dim, self.out_dim)
 
-    def row(self, j: int) -> list[int]:
-        return unpack_binary_row(self.words[j], self.in_dim)
+    def matrix(self) -> np.ndarray:
+        """(out_dim, in_dim) int64 matrix of +1/-1 weights, decoded from the words."""
+        # Little-endian words viewed as bytes, unpacked LSB first, give bit b
+        # of word w at column 16*w + b; uint8 keeps the temporaries small.
+        words = np.array(self.words, dtype="<u2").view(np.uint8)
+        bits = np.unpackbits(words, axis=1, bitorder="little")[:, : self.in_dim]
+        return np.where(bits, np.int64(1), np.int64(-1))
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """columns[i][j]: the +1/-1 weight from presynaptic i to neuron j."""
-        return tuple(zip(*(self.row(j) for j in range(self.out_dim))))
+        return tuple(map(tuple, self.matrix().T.tolist()))
 
 
 @dataclass
 class Fixed16Weights:
     """Dense 16-bit signed weight matrix, one row per postsynaptic neuron."""
 
+    mode: ClassVar[WeightMode] = WeightMode.FIXED16
     rows: list[tuple[int, ...]]
 
     def __post_init__(self):
@@ -195,10 +198,11 @@ class Fixed16Weights:
 
     @property
     def weight_bytes(self) -> int:
-        return self.out_dim * self.in_dim * 2
+        return fixed16_weight_bytes(self.in_dim, self.out_dim)
 
-    def row(self, j: int) -> list[int]:
-        return list(self.rows[j])
+    def matrix(self) -> np.ndarray:
+        """(out_dim, in_dim) int64 weight matrix."""
+        return np.array(self.rows, dtype=np.int64)
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -305,10 +309,9 @@ class NetworkModel:
             raise ValueError(f"t_max {self.t_max} is not a power of two in [1, 256]")
         if not self.layers:
             raise ValueError("model needs at least one layer")
-        expected_kind = BinaryWeights if self.mode is WeightMode.BINARY else Fixed16Weights
         prev_out = None
         for k, (cfg, weights) in enumerate(self.layers):
-            if not isinstance(weights, expected_kind):
+            if weights.mode is not self.mode:
                 raise ValueError(f"layer {k} weights do not match mode {self.mode.name}")
             if weights.in_dim != cfg.in_dim or weights.out_dim != cfg.out_dim:
                 raise ValueError(f"layer {k} weight shape disagrees with its config")
@@ -390,28 +393,17 @@ def deserialize_model(data: bytes) -> NetworkModel:
                 f"emits {configs[k - 1].out_dim}"
             )
 
+    binary = mode is WeightMode.BINARY
     layers = []
     for k, cfg in enumerate(configs):
-        if mode is WeightMode.BINARY:
-            n = words_per_row(cfg.in_dim)
-            blob = cfg.out_dim * n * 2
-            if offset + blob > len(data):
-                raise TruncatedImage(f"weight blob {k} ends early")
-            rows = []
-            for j in range(cfg.out_dim):
-                rows.append(struct.unpack_from(f"<{n}H", data, offset))
-                offset += n * 2
-            weights: WeightMatrix = BinaryWeights(in_dim=cfg.in_dim, words=rows)
-        else:
-            blob = cfg.out_dim * cfg.in_dim * 2
-            if offset + blob > len(data):
-                raise TruncatedImage(f"weight blob {k} ends early")
-            rows = []
-            for j in range(cfg.out_dim):
-                rows.append(struct.unpack_from(f"<{cfg.in_dim}h", data, offset))
-                offset += cfg.in_dim * 2
-            weights = Fixed16Weights(rows=rows)
-        layers.append((cfg, weights))
+        n = words_per_row(cfg.in_dim) if binary else cfg.in_dim  # 16-bit cells per row
+        end = offset + cfg.out_dim * n * 2
+        if end > len(data):
+            raise TruncatedImage(f"weight blob {k} ends early")
+        cell = "H" if binary else "h"
+        rows = list(struct.iter_unpack(f"<{n}{cell}", memoryview(data)[offset:end]))
+        layers.append((cfg, BinaryWeights(cfg.in_dim, rows) if binary else Fixed16Weights(rows)))
+        offset = end
 
     if offset != len(data):
         raise CorruptImage(f"{len(data) - offset} trailing bytes after last weight blob")

@@ -17,20 +17,7 @@ from .core import InferenceResult, NeuronState
 from .decoder import decode
 from .encoder import InputFrame, encode_ttfs
 from .errors import DimensionMismatch
-from .model import (
-    NO_SPIKE,
-    BinaryWeights,
-    LayerConfig,
-    NetworkModel,
-    SpikeTrain,
-    WeightMatrix,
-    WeightMode,
-)
-
-
-def dense_weight_matrix(weights: WeightMatrix) -> np.ndarray:
-    """Unpacked (out_dim, in_dim) int64 weight matrix."""
-    return np.array([weights.row(j) for j in range(weights.out_dim)], dtype=np.int64)
+from .model import NO_SPIKE, LayerConfig, NetworkModel, SpikeTrain, WeightMatrix
 
 
 def dense_layer_sweep(
@@ -46,9 +33,8 @@ def dense_layer_sweep(
     """
     if len(train) != layer.in_dim:
         raise DimensionMismatch(f"train length {len(train)} != layer in_dim {layer.in_dim}")
-    mode = WeightMode.BINARY if isinstance(weights, BinaryWeights) else WeightMode.FIXED16
-    eff = layer.effective_threshold(mode)
-    w = dense_weight_matrix(weights)
+    eff = layer.effective_threshold(weights.mode)
+    w = weights.matrix()
     times = np.array([-1 if t is NO_SPIKE else t for t in train.times], dtype=np.int64)
 
     potentials = np.zeros(layer.out_dim, dtype=np.int64)

@@ -23,7 +23,8 @@ import csv
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .model import NetworkModel, WeightMode, words_per_row
+# The byte helpers live with the weight format; perf re-exports them.
+from .model import NetworkModel, binary_weight_bytes, fixed16_weight_bytes  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -122,14 +123,6 @@ def estimate_cycles(trace: RunTrace, costs: Optional[CycleCostTable] = None) -> 
     )
 
 
-def binary_weight_bytes(in_dim: int, out_dim: int) -> int:
-    return out_dim * words_per_row(in_dim) * 2
-
-
-def fixed16_weight_bytes(in_dim: int, out_dim: int) -> int:
-    return out_dim * in_dim * 2
-
-
 @dataclass(frozen=True)
 class LayerMemory:
     weight_bytes: int
@@ -158,10 +151,7 @@ def memory_footprint(model: NetworkModel) -> MemoryReport:
     weight_total = 0
     spike_total = 0
     for k, (cfg, weights) in enumerate(model.layers):
-        if model.mode is WeightMode.BINARY:
-            wb = binary_weight_bytes(cfg.in_dim, cfg.out_dim)
-        else:
-            wb = fixed16_weight_bytes(cfg.in_dim, cfg.out_dim)
+        wb = weights.weight_bytes
         sb = cfg.out_dim + (cfg.in_dim if k == 0 else 0)
         layers.append(LayerMemory(weight_bytes=wb, spike_bytes=sb, total_bytes=wb + sb))
         weight_total += wb

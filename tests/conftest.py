@@ -1,12 +1,29 @@
+import tempfile
 from dataclasses import dataclass
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from spikesoc import InferenceResult, dense_infer, run_network
 from helpers import Instance, conditioned_instance, make_rng
 
 CORPUS_SEED = 0x5C0FFEE
 CORPUS_SIZE = 1000
+
+_hypothesis_home = None
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants it finds in local modules under its
+    # home directory, ./.hypothesis by default, while collecting the tests.
+    global _hypothesis_home
+    _hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(_hypothesis_home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    _hypothesis_home.cleanup()
 
 
 @dataclass

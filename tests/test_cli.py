@@ -5,11 +5,15 @@ import sys
 import pytest
 
 from spikesoc import (
+    BinaryWeights,
     CorruptDataset,
     InferenceResult,
+    LayerConfig,
     NO_SPIKE,
+    NetworkModel,
     NotIdx,
     SpikeTrain,
+    WeightMode,
     serialize_model,
 )
 from spikesoc.cli import (
@@ -65,6 +69,13 @@ class TestIdxFiles:
         path = tmp_path / "short.idx"
         write_idx_images(path, [bytes(4)], 2, 2)
         path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CorruptDataset):
+            load_idx_images(path)
+
+    def test_zero_size_frames_rejected(self, tmp_path):
+        # A header-only file declaring 2^20 images of 0 rows, 28 columns.
+        path = tmp_path / "empty-frames.idx"
+        path.write_bytes(bytes.fromhex("00000803 00100000 00000000 0000001c".replace(" ", "")))
         with pytest.raises(CorruptDataset):
             load_idx_images(path)
 
@@ -209,6 +220,37 @@ class TestMainExitCodes:
         model = random_model(rng, max_layers=1, max_dim=8)
         model_path, images_path, labels_path = _write_dataset(tmp_path, rng, model, 2)
         model_path.write_bytes(image_with_t_max(model, 100))
+        rc = main([str(model_path), str(images_path), str(labels_path)])
+        assert rc == 2
+        assert "model image" in capsys.readouterr().err
+
+    def test_padding_bit_image_exit_2(self, tmp_path, capsys):
+        model = NetworkModel(
+            mode=WeightMode.BINARY,
+            t_max=64,
+            layers=[(LayerConfig(4, 1), BinaryWeights.from_rows([[1, 1, -1, -1]]))],
+        )
+        model_path, images_path, labels_path = _write_dataset(tmp_path, make_rng(117), model, 2)
+        image = bytearray(serialize_model(model))
+        image[-1] |= 0x80  # bit 15 of the only weight word, beyond in_dim 4
+        model_path.write_bytes(bytes(image))
+        rc = main([str(model_path), str(images_path), str(labels_path)])
+        assert rc == 2
+        assert "model image" in capsys.readouterr().err
+
+    def test_chain_mismatch_image_exit_2(self, tmp_path, capsys):
+        model = NetworkModel(
+            mode=WeightMode.BINARY,
+            t_max=64,
+            layers=[
+                (LayerConfig(4, 2), BinaryWeights.from_rows([[1] * 4, [-1] * 4])),
+                (LayerConfig(2, 1), BinaryWeights.from_rows([[1, -1]])),
+            ],
+        )
+        model_path, images_path, labels_path = _write_dataset(tmp_path, make_rng(118), model, 2)
+        image = bytearray(serialize_model(model))
+        image[20] = 3  # in_dim of the second layer record
+        model_path.write_bytes(bytes(image))
         rc = main([str(model_path), str(images_path), str(labels_path)])
         assert rc == 2
         assert "model image" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from spikesoc import (
     Controller,
     CorruptImage,
     CycleReport,
+    CycleCostTable,
     DimensionMismatch,
     InferenceResult,
     InterruptKind,
@@ -26,6 +27,7 @@ from spikesoc import (
     serialize_model,
 )
 from spikesoc.controller import UART_FRAME_LEN, xor_checksum
+from spikesoc.errors import FrameFieldOverflow
 from helpers import (
     image_with_t_max,
     make_rng,
@@ -175,6 +177,17 @@ class TestStateMachine:
         before = _snapshot(c)
         with pytest.raises(UnsupportedModel):
             c.handle(LoadModel(image=serialize_model(one_hot_output_model(300))))
+        assert _snapshot(c) == before
+        assert c.phase is Phase.INPUT_LOADED
+
+    def test_failed_run_leaves_state_untouched(self):
+        # The cost table pushes the cycle count past the frame's u32 field.
+        c = Controller(costs=CycleCostTable(scc_per_event_per_neuron=10**9))
+        c.handle(LoadModel(image=serialize_model(_small_model())))
+        c.handle(LoadInput(pixels=bytes([200] * 16)))
+        before = _snapshot(c)
+        with pytest.raises(FrameFieldOverflow):
+            c.handle(Run())
         assert _snapshot(c) == before
         assert c.phase is Phase.INPUT_LOADED
 

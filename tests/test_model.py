@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from spikesoc import (
@@ -101,10 +102,13 @@ class TestWeightMatrices:
 
     def test_column_signs_match_rows(self):
         rng = make_rng(14)
-        rows = [[rng.choice((-1, 1)) for _ in range(21)] for _ in range(5)]
-        w = BinaryWeights.from_rows(rows)
-        for i in range(21):
-            assert list(w.columns[i]) == [rows[j][i] for j in range(5)]
+        for in_dim in (21, 1, 15, 16, 17):
+            rows = [[rng.choice((-1, 1)) for _ in range(in_dim)] for _ in range(5)]
+            w = BinaryWeights.from_rows(rows)
+            for i in range(in_dim):
+                assert list(w.columns[i]) == [rows[j][i] for j in range(5)]
+            assert w.matrix().dtype == np.int64
+            assert w.matrix().tolist() == rows
 
     def test_fixed_column_matches_rows(self):
         rng = make_rng(15)
@@ -112,6 +116,8 @@ class TestWeightMatrices:
         w = Fixed16Weights.from_rows(rows)
         for i in range(9):
             assert list(w.columns[i]) == [rows[j][i] for j in range(4)]
+        assert w.matrix().dtype == np.int64
+        assert w.matrix().tolist() == rows
 
     def test_fixed_rejects_out_of_range(self):
         with pytest.raises(ValueError):
