@@ -32,7 +32,13 @@ from enum import Enum
 from typing import Optional, Union
 
 from .core import InferenceResult, run_network
-from .errors import DimensionMismatch, FrameFieldOverflow, ProtocolViolation, UnsupportedModel
+from .errors import (
+    CorruptFrame,
+    DimensionMismatch,
+    FrameFieldOverflow,
+    ProtocolViolation,
+    UnsupportedModel,
+)
 from .model import NetworkModel, deserialize_model
 from .perf import CycleCostTable
 
@@ -51,8 +57,6 @@ class Phase(Enum):
     IDLE = "Idle"
     MODEL_LOADED = "ModelLoaded"
     INPUT_LOADED = "InputLoaded"
-    RUNNING = "Running"
-    DONE = "Done"
 
 
 class InterruptKind(Enum):
@@ -115,13 +119,13 @@ def format_uart_frame(sample_index: int, result: InferenceResult) -> bytes:
 
 
 def parse_uart_frame(frame: bytes) -> dict:
-    """Validate and unpack one result frame; raises ValueError on damage."""
+    """Validate and unpack one result frame; raises CorruptFrame on damage."""
     if len(frame) != UART_FRAME_LEN:
-        raise ValueError(f"frame is {len(frame)} bytes, expected {UART_FRAME_LEN}")
+        raise CorruptFrame(f"frame is {len(frame)} bytes, expected {UART_FRAME_LEN}")
     if frame[0] != UART_MARKER:
-        raise ValueError(f"bad marker {frame[0]:#04x}")
+        raise CorruptFrame(f"bad marker {frame[0]:#04x}")
     if frame[-1] != xor_checksum(frame[1:-1]):
-        raise ValueError("checksum mismatch")
+        raise CorruptFrame("checksum mismatch")
     _, sample_index, label, time_byte, cycles = struct.unpack("<BIBBI", frame[:-1])
     return {
         "sample_index": sample_index,
@@ -199,11 +203,6 @@ class Controller:
         self.pending_input: Optional[bytes] = None
         self.last_result: Optional[InferenceResult] = None
         self.sample_index = 0
-        self.phase_log = [Phase.IDLE]
-
-    def _enter(self, phase: Phase) -> None:
-        self.phase = phase
-        self.phase_log.append(phase)
 
     def handle(self, command: Command) -> tuple[list, bytes]:
         """Apply one command; returns (interrupts in emission order, UART bytes)."""
@@ -212,7 +211,7 @@ class Controller:
             self.pending_input = None
             self.last_result = None
             self.sample_index = 0
-            self._enter(Phase.IDLE)
+            self.phase = Phase.IDLE
             return [], b""
 
         if isinstance(command, LoadModel):
@@ -225,7 +224,7 @@ class Controller:
             self.pending_input = None
             self.last_result = None
             self.sample_index = 0
-            self._enter(Phase.MODEL_LOADED)
+            self.phase = Phase.MODEL_LOADED
             return [], b""
 
         if isinstance(command, LoadInput):
@@ -237,7 +236,7 @@ class Controller:
                     f"model expects {self.model.input_dim}"
                 )
             self.pending_input = bytes(command.pixels)
-            self._enter(Phase.INPUT_LOADED)
+            self.phase = Phase.INPUT_LOADED
             return [], b""
 
         if isinstance(command, Run):
@@ -251,12 +250,10 @@ class Controller:
             )
             frame = format_uart_frame(self.sample_index, result)
             # Only a run that produced its frame changes state.
-            self._enter(Phase.RUNNING)
-            self._enter(Phase.DONE)
             self.last_result = result
             self.sample_index += 1
             self.pending_input = None
-            self._enter(Phase.MODEL_LOADED)
+            self.phase = Phase.MODEL_LOADED
             return (
                 [Interrupt(InterruptKind.INFERENCE_DONE), Interrupt(InterruptKind.LOAD_NEXT_SAMPLE)],
                 frame,

@@ -58,6 +58,10 @@ class FrameFieldOverflow(SpikeSocError):
     """A run's result does not fit a field of the UART result frame."""
 
 
+class CorruptFrame(SpikeSocError):
+    """A UART result frame has the wrong length, marker or checksum."""
+
+
 class NotIdx(SpikeSocError):
     """File does not start with a recognized IDX magic."""
 

@@ -1,7 +1,8 @@
 """Network model types, bit-exact weight packing, and the flash image format.
 
-Weight storage mirrors the on-chip memories: binary weights pack 16 synapses
-per 16-bit word, fixed-point weights are plain 16-bit two's complement.
+Weight storage mirrors the on-chip memories: each layer's weights are one
+read-only array of 16-bit cells. Binary weights pack 16 synapses per
+unsigned word, fixed-point weights are plain 16-bit two's complement.
 Within a packed word, bit b of word w holds presynaptic index i = 16*w + b
 (bit 0 is the least significant); bit value 1 encodes +1, bit value 0
 encodes -1. Padding bits past in_dim in the final word of a row must be
@@ -28,6 +29,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import ClassVar, Iterator, Sequence, Union
 
 import numpy as np
@@ -99,36 +101,71 @@ def pack_binary_row(weights: Sequence[int]) -> list[int]:
 def unpack_binary_row(words: Sequence[int], in_dim: int) -> list[int]:
     """Inverse of pack_binary_row. Rejects a wrong word count, words outside
     16 bits and nonzero padding bits, as the BinaryWeights constructor does."""
-    return BinaryWeights(in_dim=in_dim, words=[tuple(words)]).matrix()[0].tolist()
+    return BinaryWeights(in_dim=in_dim, words=[words]).matrix()[0].tolist()
 
 
-@dataclass
-class BinaryWeights:
-    """Bit-packed {-1, +1} weight matrix; one packed row per postsynaptic neuron.
+def _cell_array(cells, dtype: str) -> np.ndarray:
+    """cells as a private read-only 2-D array of 16-bit dtype. The one cell
+    check: a non-empty rectangular integer matrix inside dtype's range."""
+    array = np.array(cells, order="C")
+    if array.ndim != 2 or array.size == 0:
+        raise ValueError(f"weight matrix must be 2-D and non-empty, got shape {array.shape}")
+    if array.dtype != dtype:
+        if array.dtype.kind not in "iu":
+            raise ValueError(f"weights must be 16-bit integers, got {array.dtype}")
+        info = np.iinfo(dtype)
+        out_of_range = np.argwhere((array < info.min) | (array > info.max))
+        if out_of_range.size:
+            j, i = out_of_range[0]
+            raise ValueError(f"row {j} holds {array[j, i]} outside [{info.min}, {info.max}]")
+        array = array.astype(dtype)
+    array.flags.writeable = False
+    return array
 
-    Logically immutable: the packed words are the single source of truth;
-    `columns` is a transpose of them built on first use.
-    """
+
+class _CellMatrix:
+    """What both weight formats share: `cells`, the read-only 16-bit memory
+    cells, one row per postsynaptic neuron, as the flash image stores them."""
+
+    def __eq__(self, other):
+        same_type = type(other) is type(self)
+        return same_type and self.in_dim == other.in_dim and np.array_equal(self.cells, other.cells)
+
+    @property
+    def out_dim(self) -> int:
+        return len(self.cells)
+
+    @property
+    def weight_bytes(self) -> int:
+        """Bytes of the flash weight blob, which is `cells.tobytes()`."""
+        return self.cells.nbytes
+
+    @cached_property
+    def columns(self) -> list[list[int]]:
+        """columns[i][j]: the weight from presynaptic i to neuron j."""
+        return self.matrix().T.tolist()
+
+
+@dataclass(frozen=True, eq=False)
+class BinaryWeights(_CellMatrix):
+    """Bit-packed {-1, +1} weight matrix: words[j] is neuron j's packed row,
+    a `<u2` array of shape (out_dim, words_per_row(in_dim))."""
 
     mode: ClassVar[WeightMode] = WeightMode.BINARY
     in_dim: int
-    words: list[tuple[int, ...]]
+    words: np.ndarray
+    cells = property(attrgetter("words"))
 
     def __post_init__(self):
-        if self.in_dim < 1:
-            raise ValueError("in_dim must be >= 1")
-        if not self.words:
-            raise ValueError("weight matrix needs at least one row")
+        object.__setattr__(self, "words", _cell_array(self.words, "<u2"))
         per_row = words_per_row(self.in_dim)
+        if self.words.shape[1] != per_row:
+            raise ValueError(f"rows hold {self.words.shape[1]} words, expected {per_row}")
         tail_bits = self.in_dim & 15
-        for j, row in enumerate(self.words):
-            if len(row) != per_row:
-                raise ValueError(f"row {j} has {len(row)} words, expected {per_row}")
-            for w in row:
-                if not 0 <= w <= 0xFFFF:
-                    raise ValueError(f"row {j} holds word {w:#x} outside 16-bit range")
-            if tail_bits and row[-1] >> tail_bits:
-                raise CorruptWeightWord(f"row {j} has nonzero padding bits")
+        if tail_bits:
+            padded = np.flatnonzero(self.words[:, -1] >> tail_bits)
+            if padded.size:
+                raise CorruptWeightWord(f"row {padded[0]} has nonzero padding bits")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BinaryWeights":
@@ -139,75 +176,40 @@ class BinaryWeights:
         for j, row in enumerate(rows):
             if len(row) != in_dim:
                 raise ValueError(f"row {j} length {len(row)} != {in_dim}")
-            packed.append(tuple(pack_binary_row(row)))
+            packed.append(pack_binary_row(row))
         return cls(in_dim=in_dim, words=packed)
-
-    @property
-    def out_dim(self) -> int:
-        return len(self.words)
-
-    @property
-    def weight_bytes(self) -> int:
-        return binary_weight_bytes(self.in_dim, self.out_dim)
 
     def matrix(self) -> np.ndarray:
         """(out_dim, in_dim) int64 matrix of +1/-1 weights, decoded from the words."""
         # Little-endian words viewed as bytes, unpacked LSB first, give bit b
         # of word w at column 16*w + b; uint8 keeps the temporaries small.
-        words = np.array(self.words, dtype="<u2").view(np.uint8)
-        bits = np.unpackbits(words, axis=1, bitorder="little")[:, : self.in_dim]
-        return np.where(bits, np.int64(1), np.int64(-1))
-
-    @cached_property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """columns[i][j]: the +1/-1 weight from presynaptic i to neuron j."""
-        return tuple(map(tuple, self.matrix().T.tolist()))
+        bits = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
+        return np.where(bits[:, : self.in_dim], np.int64(1), np.int64(-1))
 
 
-@dataclass
-class Fixed16Weights:
-    """Dense 16-bit signed weight matrix, one row per postsynaptic neuron."""
+@dataclass(frozen=True, eq=False)
+class Fixed16Weights(_CellMatrix):
+    """Dense 16-bit signed weight matrix: rows[j] is neuron j's weights, a
+    `<i2` array of shape (out_dim, in_dim)."""
 
     mode: ClassVar[WeightMode] = WeightMode.FIXED16
-    rows: list[tuple[int, ...]]
+    rows: np.ndarray
+    cells = property(attrgetter("rows"))
 
     def __post_init__(self):
-        if not self.rows:
-            raise ValueError("weight matrix needs at least one row")
-        in_dim = len(self.rows[0])
-        if in_dim < 1:
-            raise ValueError("in_dim must be >= 1")
-        for j, row in enumerate(self.rows):
-            if len(row) != in_dim:
-                raise ValueError(f"row {j} length {len(row)} != {in_dim}")
-            for w in row:
-                if not -0x8000 <= w <= 0x7FFF:
-                    raise ValueError(f"row {j} holds weight {w} outside 16-bit signed range")
+        object.__setattr__(self, "rows", _cell_array(self.rows, "<i2"))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Fixed16Weights":
-        return cls(rows=[tuple(r) for r in rows])
+        return cls(rows=rows)
 
     @property
     def in_dim(self) -> int:
-        return len(self.rows[0])
-
-    @property
-    def out_dim(self) -> int:
-        return len(self.rows)
-
-    @property
-    def weight_bytes(self) -> int:
-        return fixed16_weight_bytes(self.in_dim, self.out_dim)
+        return self.rows.shape[1]
 
     def matrix(self) -> np.ndarray:
         """(out_dim, in_dim) int64 weight matrix."""
-        return np.array(self.rows, dtype=np.int64)
-
-    @cached_property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """columns[i][j]: the weight from presynaptic i to neuron j."""
-        return tuple(zip(*self.rows))
+        return self.rows.astype(np.int64)
 
 
 WeightMatrix = Union[BinaryWeights, Fixed16Weights]
@@ -274,8 +276,8 @@ class SpikeTrain:
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(self.times))
-        if not 1 <= self.t_max <= 256:
-            raise ValueError("t_max must be in [1, 256]")
+        if not valid_t_max(self.t_max):
+            raise ValueError(f"t_max {self.t_max} is not a power of two in [1, 256]")
         for i, t in enumerate(self.times):
             if t is NO_SPIKE:
                 continue
@@ -346,14 +348,7 @@ def serialize_model(model: NetworkModel) -> bytes:
             raise ValueError("flash image caps layer dimensions at 65535")
         out += struct.pack("<HHHi", cfg.in_dim, cfg.out_dim, cfg.alpha_raw, cfg.threshold)
     for _, weights in model.layers:
-        if isinstance(weights, BinaryWeights):
-            n = words_per_row(weights.in_dim)
-            for row in weights.words:
-                out += struct.pack(f"<{n}H", *row)
-        else:
-            n = weights.in_dim
-            for row in weights.rows:
-                out += struct.pack(f"<{n}h", *row)
+        out += weights.cells.tobytes()
     return bytes(out)
 
 
@@ -394,15 +389,15 @@ def deserialize_model(data: bytes) -> NetworkModel:
             )
 
     binary = mode is WeightMode.BINARY
+    dtype = "<u2" if binary else "<i2"
     layers = []
     for k, cfg in enumerate(configs):
         n = words_per_row(cfg.in_dim) if binary else cfg.in_dim  # 16-bit cells per row
         end = offset + cfg.out_dim * n * 2
         if end > len(data):
             raise TruncatedImage(f"weight blob {k} ends early")
-        cell = "H" if binary else "h"
-        rows = list(struct.iter_unpack(f"<{n}{cell}", memoryview(data)[offset:end]))
-        layers.append((cfg, BinaryWeights(cfg.in_dim, rows) if binary else Fixed16Weights(rows)))
+        cells = np.frombuffer(data, dtype, cfg.out_dim * n, offset).reshape(cfg.out_dim, n)
+        layers.append((cfg, BinaryWeights(cfg.in_dim, cells) if binary else Fixed16Weights(cells)))
         offset = end
 
     if offset != len(data):

@@ -109,6 +109,8 @@ class TestWeightMatrices:
                 assert list(w.columns[i]) == [rows[j][i] for j in range(5)]
             assert w.matrix().dtype == np.int64
             assert w.matrix().tolist() == rows
+            fortran = BinaryWeights(in_dim=in_dim, words=np.asfortranarray(w.words))
+            assert fortran.matrix().tolist() == rows
 
     def test_fixed_column_matches_rows(self):
         rng = make_rng(15)
@@ -120,8 +122,20 @@ class TestWeightMatrices:
         assert w.matrix().tolist() == rows
 
     def test_fixed_rejects_out_of_range(self):
+        for rows in ([[40000]], [[1.5, 2]], [[-32769]]):
+            with pytest.raises(ValueError):
+                Fixed16Weights.from_rows(rows)
+        w = Fixed16Weights.from_rows([[1, 2]])
         with pytest.raises(ValueError):
-            Fixed16Weights.from_rows([[40000]])
+            w.rows[0, 0] = 3
+
+    def test_binary_rejects_out_of_range(self):
+        for words in ([(0x10000,)], [(-1,)], [(1.5,)]):
+            with pytest.raises(ValueError):
+                BinaryWeights(in_dim=4, words=words)
+        w = BinaryWeights(in_dim=16, words=[(0x00FF,)])
+        with pytest.raises(ValueError):
+            w.words[0, 0] = 0
 
     def test_binary_constructor_rejects_padding(self):
         with pytest.raises(CorruptWeightWord):
@@ -175,6 +189,8 @@ class TestSpikeTrain:
             SpikeTrain((), 0)
         with pytest.raises(ValueError):
             SpikeTrain((), 257)
+        with pytest.raises(ValueError):
+            SpikeTrain((0, 1), 100)
 
 
 class TestNetworkModel:

@@ -2,6 +2,7 @@
 or fails with the parser's documented error type."""
 
 import struct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,14 @@ from spikesoc import (
     WeightMode,
     deserialize_model,
     encode_command,
+    format_uart_frame,
     parse_command_stream,
+    parse_uart_frame,
     serialize_model,
 )
 from spikesoc.cli import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_idx_images, load_idx_labels
+from spikesoc.controller import UART_MARKER, xor_checksum
+from spikesoc.errors import CorruptFrame
 from helpers import make_rng, random_model
 
 # Deterministic, and no example database (conftest.py moves the rest of
@@ -79,6 +84,26 @@ def test_command_stream_reencodes_or_raises_protocol_violation(stream):
     except ProtocolViolation:
         return
     assert b"".join(map(encode_command, commands)) == stream
+
+
+def _sealed(frame: bytes) -> bytes:
+    """frame's ten field bytes between a valid marker and checksum."""
+    return bytes([UART_MARKER]) + frame[1:11] + bytes([xor_checksum(frame[1:11])])
+
+
+@PROPERTY
+@given(mutated(st.binary(min_size=12, max_size=12).map(_sealed)) | st.binary(max_size=16))
+def test_uart_frame_formats_back_or_raises_corrupt_frame(frame):
+    try:
+        fields = parse_uart_frame(frame)
+    except CorruptFrame:
+        return
+    result = SimpleNamespace(
+        predicted=fields["predicted"],
+        decision_time=fields["decision_time"],
+        cycles=SimpleNamespace(total_cycles=fields["total_cycles"]),
+    )
+    assert format_uart_frame(fields["sample_index"], result) == frame
 
 
 @st.composite
