@@ -1,5 +1,5 @@
-"""Event-driven datapath: one accumulate-and-fire loop per layer over the
-sorter's timestep groups, and whole-network inference with event skipping.
+"""Event-driven datapath: one prefix sum per layer over the sorter's
+timestep groups, and whole-network inference with event skipping.
 
 Conventions fixed here and mirrored by the dense reference simulator:
 
@@ -12,6 +12,11 @@ Conventions fixed here and mirrored by the dense reference simulator:
   * a fired neuron is frozen: its potential never changes again and it
     never fires twice.
 
+A neuron's potential depends only on its own weight column, and freezing
+stops only the neuron that fired, so run_layer is one prefix sum over the
+layer's gathered event columns, read for each neuron up to the group it
+fires in (or, with early stop, the first group that fires anything).
+
 Non-informative events are skipped, never processed: events into a layer
 whose neurons have all fired, and events behind the output layer's
 decision time when early termination is on.
@@ -20,7 +25,10 @@ decision time when early termination is on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
+
+import numpy as np
 
 from .decoder import decode
 from .encoder import InputFrame, encode_ttfs
@@ -79,50 +87,49 @@ def run_layer(
     """
     if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
         raise DimensionMismatch("weight shape disagrees with layer config")
-    for _, indices in groups:
-        if max(indices) >= layer.in_dim:
-            raise DimensionMismatch(
-                f"event index {max(indices)} >= layer in_dim {layer.in_dim}"
+    if not groups:
+        return NeuronState([0] * layer.out_dim, [NO_SPIKE] * layer.out_dim)
+    times, index_lists = zip(*groups)
+    ends = np.cumsum(np.fromiter(map(len, index_lists), np.intp, len(groups))) - 1
+    events = np.fromiter(chain.from_iterable(index_lists), np.intp, ends[-1] + 1)
+    too_big = np.flatnonzero(events >= layer.in_dim)
+    if too_big.size:
+        indices = index_lists[np.searchsorted(ends, too_big[0])]
+        raise DimensionMismatch(f"event index {max(indices)} >= layer in_dim {layer.in_dim}")
+
+    # prefix[r, j]: neuron j's potential after event r, had it never frozen.
+    prefix = weights.columns[events].astype(np.int64)
+    np.cumsum(prefix, axis=0, out=prefix)  # in place: 2x faster than into a new array
+    crossed = prefix[ends] >= layer.effective_threshold(weights.mode)
+    fires = crossed.any(axis=0)
+    stop = np.where(fires, crossed.argmax(axis=0), len(groups) - 1)  # each neuron's last group
+    if stop_at_first_fire and fires.any():
+        first = stop[fires].min()
+        stop, fires = np.minimum(stop, first), crossed[first]
+    stop_rows = ends[stop]
+    if prefix.min() < INT32_MIN or prefix.max() > INT32_MAX:
+        live = np.arange(len(events))[:, None] <= stop_rows
+        bad = np.flatnonzero((live & ((prefix < INT32_MIN) | (prefix > INT32_MAX))).any(axis=1))
+        if bad.size:
+            raise AccumulatorOverflow(
+                f"event {events[bad[0]]} at time {times[np.searchsorted(ends, bad[0])]} "
+                "took an accumulator out of 32-bit range"
             )
-    binary = weights.mode is WeightMode.BINARY
-    threshold = layer.effective_threshold(weights.mode)
-    columns = weights.columns
-    potentials = [0] * layer.out_dim
-    fire_times = [NO_SPIKE] * layer.out_dim
-    unfired = list(range(layer.out_dim))
-    processed = 0
-    for t, indices in groups:
-        if not unfired:
-            break
-        before = sum(potentials)
-        for i in indices:
-            column = columns[i]
-            for j in unfired:
-                potentials[j] += column[j]
-            if min(potentials) < INT32_MIN or max(potentials) > INT32_MAX:
-                raise AccumulatorOverflow(
-                    f"event {i} at time {t} took an accumulator out of 32-bit range"
-                )
-        touched = len(unfired) * len(indices)
-        if binary:
-            # Fired neurons are frozen, so the potentials' sum moved by the
-            # net of the +-1 weights added, which is adds - subs.
-            adds = (touched + sum(potentials) - before) // 2
-            counters.additions += adds
-            counters.subtractions += touched - adds
-        else:
-            counters.multiplications += touched
-        processed += len(indices)
-        newly = [j for j in unfired if potentials[j] >= threshold]
-        if newly:
-            for j in newly:
-                fire_times[j] = t
-            unfired = [j for j in unfired if fire_times[j] is NO_SPIKE]
-            if stop_at_first_fire:
-                break
+
+    potentials = prefix[stop_rows, np.arange(layer.out_dim)]
+    touched = int(stop_rows.sum()) + layer.out_dim
+    if weights.mode is WeightMode.BINARY:
+        # Every touch adds or subtracts 1, so the potentials' sum is adds - subs.
+        adds = (touched + int(potentials.sum())) // 2
+        counters.additions += adds
+        counters.subtractions += touched - adds
+    else:
+        counters.multiplications += touched
+    processed = int(stop_rows.max()) + 1
     counters.events_processed += processed
-    counters.events_skipped += sum(len(indices) for _, indices in groups) - processed
-    return NeuronState(potentials, fire_times)
+    counters.events_skipped += len(events) - processed
+    fire_times = np.where(fires, np.take(times, stop), NO_SPIKE)
+    return NeuronState(potentials.tolist(), fire_times.tolist())
 
 
 @dataclass

@@ -83,19 +83,23 @@ def fixed16_weight_bytes(in_dim: int, out_dim: int) -> int:
 
 
 def pack_binary_row(weights: Sequence[int]) -> list[int]:
-    """Pack a row of {-1, +1} weights into 16-bit words (LSB-first, +1 -> 1).
+    """Pack a row of {-1, +1} weights into 16-bit words (LSB-first, +1 -> 1);
+    padding bits beyond the row length stay zero."""
+    return _pack_signs([weights])[0].tolist()
 
-    Padding bits beyond the row length stay zero.
-    """
-    if len(weights) < 1:
+
+def _pack_signs(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Equal-length rows of {-1, +1} weights as a `<u2` array of packed words,
+    the inverse of BinaryWeights.matrix()."""
+    if len(rows[0]) < 1:
         raise ValueError("weight row must hold at least one weight")
-    words = [0] * words_per_row(len(weights))
-    for i, w in enumerate(weights):
-        if w == 1:
-            words[i >> 4] |= 1 << (i & 15)
-        elif w != -1:
-            raise InvalidWeight(f"weight at index {i} is {w!r}, expected -1 or +1")
-    return words
+    signs = np.array(rows, dtype=object)  # compares each cell as given
+    plus = signs == 1
+    if signs.ndim != 2 or not (plus | (signs == -1)).all():
+        i, w = next((i, w) for row in rows for i, w in enumerate(row) if w not in (1, -1))
+        raise InvalidWeight(f"weight at index {i} is {w!r}, expected -1 or +1")
+    packed = np.packbits(plus, axis=1, bitorder="little")
+    return np.pad(packed, ((0, 0), (0, packed.shape[1] % 2))).view("<u2")
 
 
 def unpack_binary_row(words: Sequence[int], in_dim: int) -> list[int]:
@@ -141,9 +145,12 @@ class _CellMatrix:
         return self.cells.nbytes
 
     @cached_property
-    def columns(self) -> list[list[int]]:
-        """columns[i][j]: the weight from presynaptic i to neuron j."""
-        return self.matrix().T.tolist()
+    def columns(self) -> np.ndarray:
+        """`matrix().T` as a read-only C-ordered (in_dim, out_dim) int16 array:
+        columns[i][j] is the weight from presynaptic i to neuron j."""
+        columns = self.matrix().T.astype(np.int16, order="C")
+        columns.flags.writeable = False
+        return columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,12 +179,10 @@ class BinaryWeights(_CellMatrix):
         if not rows:
             raise ValueError("weight matrix needs at least one row")
         in_dim = len(rows[0])
-        packed = []
         for j, row in enumerate(rows):
             if len(row) != in_dim:
                 raise ValueError(f"row {j} length {len(row)} != {in_dim}")
-            packed.append(pack_binary_row(row))
-        return cls(in_dim=in_dim, words=packed)
+        return cls(in_dim=in_dim, words=_pack_signs(rows))
 
     def matrix(self) -> np.ndarray:
         """(out_dim, in_dim) int64 matrix of +1/-1 weights, decoded from the words."""

@@ -5,16 +5,20 @@ from dataclasses import dataclass
 
 from spikesoc import (
     NO_SPIKE,
+    AccumulatorOverflow,
     BinaryWeights,
+    DimensionMismatch,
     Fixed16Weights,
     InferenceResult,
     LayerConfig,
     NetworkModel,
+    NeuronState,
     SpikeTrain,
     WeightMode,
     run_network,
     serialize_model,
 )
+from spikesoc.model import INT32_MAX, INT32_MIN
 
 T_MAX_CHOICES = (16, 64, 256)
 
@@ -134,6 +138,62 @@ def truncate_after(groups, cutoff):
     unprocessed.
     """
     return [(t, indices) for t, indices in groups if t <= cutoff]
+
+
+def reference_run_layer(groups, layer, weights, counters, *, stop_at_first_fire=False):
+    """The executable specification of run_layer: one event at a time.
+
+    Each event adds its weight column into every unfired neuron, then the
+    int32 overflow check; each group ends with one fire check in ascending
+    neuron order. Groups after every neuron has fired are skipped, and with
+    stop_at_first_fire the layer stops after the first group that fires.
+    """
+    if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
+        raise DimensionMismatch("weight shape disagrees with layer config")
+    for _, indices in groups:
+        if max(indices) >= layer.in_dim:
+            raise DimensionMismatch(
+                f"event index {max(indices)} >= layer in_dim {layer.in_dim}"
+            )
+    binary = weights.mode is WeightMode.BINARY
+    threshold = layer.effective_threshold(weights.mode)
+    columns = weights.matrix().T.tolist()
+    potentials = [0] * layer.out_dim
+    fire_times = [NO_SPIKE] * layer.out_dim
+    unfired = list(range(layer.out_dim))
+    processed = 0
+    for t, indices in groups:
+        if not unfired:
+            break
+        before = sum(potentials)
+        for i in indices:
+            column = columns[i]
+            for j in unfired:
+                potentials[j] += column[j]
+            if min(potentials) < INT32_MIN or max(potentials) > INT32_MAX:
+                raise AccumulatorOverflow(
+                    f"event {i} at time {t} took an accumulator out of 32-bit range"
+                )
+        touched = len(unfired) * len(indices)
+        if binary:
+            # Fired neurons are frozen, so the potentials' sum moved by the
+            # net of the +-1 weights added, which is adds - subs.
+            adds = (touched + sum(potentials) - before) // 2
+            counters.additions += adds
+            counters.subtractions += touched - adds
+        else:
+            counters.multiplications += touched
+        processed += len(indices)
+        newly = [j for j in unfired if potentials[j] >= threshold]
+        if newly:
+            for j in newly:
+                fire_times[j] = t
+            unfired = [j for j in unfired if fire_times[j] is NO_SPIKE]
+            if stop_at_first_fire:
+                break
+    counters.events_processed += processed
+    counters.events_skipped += sum(len(indices) for _, indices in groups) - processed
+    return NeuronState(potentials, fire_times)
 
 
 def dense_potentials(rows, arrived_indices):

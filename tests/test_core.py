@@ -104,6 +104,43 @@ class TestAccumulateFixed16:
             run_layer([(0, list(range(65537)))], cfg, w, OpCounters())
 
 
+class TestOverflowRule:
+    """The int32 check applies after every event into a neuron that is still
+    unfired and still processed, not only at group ends."""
+
+    def test_overflow_inside_a_group_that_ends_in_range(self):
+        # 65539 * 32767 passes 2**31 - 1 at event 65538; two -32768 events
+        # then bring the group's final potential back to 2**31 - 3.
+        cfg = LayerConfig(65541, 1, threshold=2**31 - 1)
+        w = Fixed16Weights.from_rows([[32767] * 65539 + [-32768] * 2])
+        with pytest.raises(AccumulatorOverflow, match="event 65538 at time 5 "):
+            run_layer([(5, list(range(65541)))], cfg, w, OpCounters())
+
+    def test_frozen_neuron_may_leave_range_unseen(self):
+        # Neuron 0 fires on event 0; its unfrozen prefix would pass 2**31 - 1
+        # in the next group, which only neuron 1 (zero weights) still takes.
+        cfg = LayerConfig(65540, 2, threshold=1)
+        w = Fixed16Weights.from_rows([[32767] * 65540, [0] * 65540])
+        counters = OpCounters()
+        state = run_layer([(0, [0]), (1, list(range(1, 65540)))], cfg, w, counters)
+        assert state.fire_times == [0, NO_SPIKE]
+        assert state.potentials == [32767, 0]
+        assert counters.multiplications == 1 + 65540
+        assert counters.events_processed == 65540
+
+    def test_events_after_the_first_fire_cut_are_not_checked(self):
+        cfg = LayerConfig(65540, 2, threshold=1)
+        w = Fixed16Weights.from_rows([[1] + [0] * 65539, [0] + [32767] * 65539])
+        groups = [(0, [0]), (1, list(range(1, 65540)))]
+        counters = OpCounters()
+        state = run_layer(groups, cfg, w, counters, stop_at_first_fire=True)
+        assert state.fire_times == [0, NO_SPIKE]
+        assert state.potentials == [1, 0]
+        assert (counters.events_processed, counters.events_skipped) == (1, 65539)
+        with pytest.raises(AccumulatorOverflow, match="event 65539 at time 1 "):
+            run_layer(groups, cfg, w, OpCounters())
+
+
 class TestFireCheck:
     def test_fires_at_threshold(self):
         cfg = LayerConfig(4, 1, threshold=2)

@@ -20,7 +20,13 @@ from spikesoc import (
     serialize_model,
     unpack_binary_row,
 )
-from helpers import image_with_t_max, make_rng, random_model
+from helpers import (
+    image_with_t_max,
+    make_rng,
+    random_binary_weights,
+    random_fixed_weights,
+    random_model,
+)
 
 
 class TestPackBinaryRow:
@@ -46,6 +52,21 @@ class TestPackBinaryRow:
     def test_rejects_empty_row(self):
         with pytest.raises(ValueError):
             pack_binary_row([])
+
+    def test_error_names_the_first_bad_index(self):
+        with pytest.raises(InvalidWeight, match="index 1 is 'a',"):
+            pack_binary_row([1, "a", 3])
+        with pytest.raises(InvalidWeight, match="index 2 is 0,"):
+            BinaryWeights.from_rows([[1, -1, 1], [1, 1, 0], [2, 1, 1]])
+
+    def test_matches_bit_by_bit_packing(self):
+        rng = make_rng(17)
+        for in_dim in (1, 7, 8, 9, 15, 16, 17, 33):
+            row = [rng.choice((-1, 1)) for _ in range(in_dim)]
+            words = [0] * ((in_dim + 15) // 16)
+            for i, w in enumerate(row):
+                words[i >> 4] |= (w == 1) << (i & 15)
+            assert pack_binary_row(row) == words
 
 
 class TestUnpackBinaryRow:
@@ -120,6 +141,20 @@ class TestWeightMatrices:
             assert list(w.columns[i]) == [rows[j][i] for j in range(4)]
         assert w.matrix().dtype == np.int64
         assert w.matrix().tolist() == rows
+
+    def test_columns_are_one_read_only_int16_array(self):
+        rng = make_rng(16)
+        matrices = [random_binary_weights(rng, in_dim, 6) for in_dim in (1, 15, 16, 17)]
+        matrices.append(random_fixed_weights(rng, 9, 4, magnitude=32767))
+        for w in matrices:
+            columns = w.columns
+            assert type(columns) is np.ndarray and columns.dtype == np.int16
+            assert columns.shape == (w.in_dim, w.out_dim)
+            assert columns.flags.c_contiguous and not columns.flags.writeable
+            assert np.array_equal(columns, w.matrix().T)
+            assert w.columns is columns
+            with pytest.raises(ValueError):
+                columns[0, 0] = 1
 
     def test_fixed_rejects_out_of_range(self):
         for rows in ([[40000]], [[1.5, 2]], [[-32769]]):

@@ -1,7 +1,11 @@
 """Property tests: every byte string an outside parser is given either parses
-or fails with the parser's documented error type."""
+or fails with the parser's documented error type, the CLI only ever returns
+a documented exit code, and run_layer equals its one-event-at-a-time spec."""
 
+import dataclasses
+import io
 import struct
+from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 import pytest
@@ -9,26 +13,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikesoc import (
+    BinaryWeights,
     CorruptDataset,
+    Fixed16Weights,
+    LayerConfig,
     LoadInput,
     LoadModel,
     ModelImageError,
     NotIdx,
+    OpCounters,
     ProtocolViolation,
     Reset,
     Run,
+    SpikeTrain,
     WeightMode,
     deserialize_model,
     encode_command,
     format_uart_frame,
     parse_command_stream,
     parse_uart_frame,
+    run_layer,
     serialize_model,
+    sort_spikes,
 )
-from spikesoc.cli import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_idx_images, load_idx_labels
+from spikesoc.cli import (
+    IDX_IMAGES_MAGIC,
+    IDX_LABELS_MAGIC,
+    load_idx_images,
+    load_idx_labels,
+    main,
+)
 from spikesoc.controller import UART_MARKER, xor_checksum
 from spikesoc.errors import CorruptFrame
-from helpers import make_rng, random_model
+from helpers import make_rng, random_frame, random_model, reference_run_layer
 
 # Deterministic, and no example database (conftest.py moves the rest of
 # Hypothesis's storage out of the working tree).
@@ -146,3 +163,88 @@ def test_idx_loaders_return_or_raise_dataset_errors(idx_path, data):
         pass
     else:
         assert bytes(labels) == data[8:]
+
+
+def _idx_files(model, rng, n_samples=3):
+    """A matching IDX image file and label file for model, as bytes."""
+    frames = b"".join(random_frame(rng, model.input_dim) for _ in range(n_samples))
+    labels = bytes(rng.randrange(model.output_dim) for _ in range(n_samples))
+    return (
+        struct.pack(">IIII", IDX_IMAGES_MAGIC, n_samples, 1, model.input_dim) + frames,
+        struct.pack(">II", IDX_LABELS_MAGIC, n_samples) + labels,
+    )
+
+
+_rng = make_rng(121)
+CLI_INPUTS = [
+    (serialize_model(model), *_idx_files(model, _rng))
+    for model in (
+        random_model(_rng, mode=mode, max_layers=2, max_dim=12)
+        for mode in (WeightMode.BINARY, WeightMode.FIXED16)
+        for _ in range(2)
+    )
+]
+
+
+@st.composite
+def cli_runs(draw):
+    """The three input files of one CLI run, one of them possibly mutated,
+    and a valid set of flags."""
+    files = list(draw(st.sampled_from(CLI_INPUTS)))
+    k = draw(st.integers(0, len(files)))  # len(files): none mutated
+    if k < len(files):
+        files[k] = draw(mutated(st.just(files[k])))
+    flags = draw(st.lists(st.sampled_from(("--oracle", "--no-early-stop")), unique=True))
+    t_max = draw(st.none() | st.sampled_from([1 << n for n in range(9)]))
+    if t_max is not None:
+        flags += ["--t-max", str(t_max)]
+    return files, flags, draw(st.booleans())
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+@PROPERTY
+@given(run=cli_runs())
+def test_main_returns_a_documented_exit_code(cli_dir, run):
+    files, flags, write_outputs = run
+    paths = [cli_dir / name for name in ("model.bin", "images.idx", "labels.idx")]
+    for path, data in zip(paths, files):
+        path.write_bytes(data)
+    if write_outputs:
+        flags += ["--report-json", str(cli_dir / "r.json"), "--breakdown-csv", str(cli_dir / "b.csv")]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        rc = main([*map(str, paths), *flags])
+    assert rc in (0, 1, 2, 3)
+
+
+@st.composite
+def small_layers(draw):
+    """A small layer of either mode, with thresholds near what its events
+    can reach, and the timestep groups of a random input train."""
+    in_dim, out_dim = draw(st.integers(1, 24)), draw(st.integers(1, 8))
+    binary = draw(st.booleans())
+    magnitude = 1 if binary else draw(st.sampled_from((1, 64, 32767)))
+    cells = st.sampled_from((-1, 1)) if binary else st.integers(-magnitude, magnitude)
+    row = st.lists(cells, min_size=in_dim, max_size=in_dim)
+    rows = draw(st.lists(row, min_size=out_dim, max_size=out_dim))
+    weights = (BinaryWeights if binary else Fixed16Weights).from_rows(rows)
+    threshold = draw(st.integers(-2 * magnitude, in_dim * magnitude // 2 + 1))
+    layer = LayerConfig(in_dim, out_dim, draw(st.sampled_from((256, 128, 512, 1))), threshold)
+    t_max = draw(st.sampled_from((1, 4, 16)))
+    times = draw(st.lists(st.none() | st.integers(0, t_max - 1), min_size=in_dim, max_size=in_dim))
+    return sort_spikes(SpikeTrain(tuple(times), t_max)), layer, weights
+
+
+@PROPERTY
+@given(case=small_layers(), stop_at_first_fire=st.booleans())
+def test_run_layer_equals_the_one_event_at_a_time_reference(case, stop_at_first_fire):
+    groups, layer, weights = case
+    got_counters, ref_counters = OpCounters(), OpCounters()
+    got = run_layer(groups, layer, weights, got_counters, stop_at_first_fire=stop_at_first_fire)
+    ref = reference_run_layer(groups, layer, weights, ref_counters, stop_at_first_fire=stop_at_first_fire)
+    assert got.potentials == ref.potentials
+    assert got.fire_times == ref.fire_times
+    assert dataclasses.asdict(got_counters) == dataclasses.asdict(ref_counters)
