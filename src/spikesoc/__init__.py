@@ -25,7 +25,6 @@ from .controller import (
 from .core import (
     InferenceResult,
     NeuronState,
-    OpCounters,
     run_layer,
     run_network,
 )
@@ -68,6 +67,7 @@ from .perf import (
     CycleReport,
     LayerTally,
     MemoryReport,
+    OpCounters,
     RunTrace,
     cycles_to_ms,
     estimate_cycles,

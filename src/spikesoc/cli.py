@@ -104,7 +104,8 @@ def run_batch(
 
     With oracle=True every sample's predicted class and decision time are
     cross-checked against the dense reference simulator; the first
-    disagreement raises OracleDivergence naming the sample.
+    disagreement raises OracleDivergence naming the sample. A label the
+    loaded model cannot output raises CorruptDataset before any sample runs.
     """
     frames = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
@@ -123,11 +124,16 @@ def run_batch(
     controller = Controller(early_stop=early_stop)
     controller.handle(LoadModel(image=image))
     model = controller.model
+    for idx, label in enumerate(labels):
+        if label >= model.output_dim:
+            raise CorruptDataset(
+                f"{labels_path}: label {label} at index {idx} is not below the "
+                f"model's output_dim {model.output_dim}"
+            )
 
     per_sample = []
     correct = 0
-    totals = {"encode": 0, "sort": 0, "neuron": 0, "decode": 0}
-    total_cycles = 0
+    totals = dict.fromkeys(("encode", "sort", "neuron", "decode"), 0)
     for idx, (frame, label) in enumerate(zip(frames, labels)):
         try:
             controller.handle(LoadInput(pixels=frame))
@@ -147,12 +153,8 @@ def run_batch(
                     f"{result.decision_time}, dense reference says class "
                     f"{ref.predicted} at {ref.decision_time}"
                 )
-        report = result.cycles
-        totals["encode"] += report.encode_cycles
-        totals["sort"] += report.sort_cycles
-        totals["neuron"] += report.neuron_cycles
-        totals["decode"] += report.decode_cycles
-        total_cycles += report.total_cycles
+        for stage in totals:
+            totals[stage] += getattr(result.cycles, f"{stage}_cycles")
         if result.predicted == label:
             correct += 1
         per_sample.append(
@@ -176,7 +178,7 @@ def run_batch(
         "dataset": str(images_path),
         "n_samples": len(frames),
         "accuracy": correct / len(frames),
-        "total_cycles": total_cycles,
+        "total_cycles": sum(totals.values()),
         "cycles_breakdown": totals,
         "memory": {
             "binary_bytes": binary_bytes,

@@ -198,11 +198,18 @@ class Controller:
     ):
         self.early_stop = early_stop
         self.costs = costs
-        self.phase = Phase.IDLE
         self.model: Optional[NetworkModel] = None
         self.pending_input: Optional[bytes] = None
         self.last_result: Optional[InferenceResult] = None
         self.sample_index = 0
+
+    @property
+    def phase(self) -> Phase:
+        """IDLE without a model, INPUT_LOADED while an input waits for Run,
+        MODEL_LOADED otherwise."""
+        if self.model is None:
+            return Phase.IDLE
+        return Phase.MODEL_LOADED if self.pending_input is None else Phase.INPUT_LOADED
 
     def handle(self, command: Command) -> tuple[list, bytes]:
         """Apply one command; returns (interrupts in emission order, UART bytes)."""
@@ -211,7 +218,6 @@ class Controller:
             self.pending_input = None
             self.last_result = None
             self.sample_index = 0
-            self.phase = Phase.IDLE
             return [], b""
 
         if isinstance(command, LoadModel):
@@ -224,7 +230,6 @@ class Controller:
             self.pending_input = None
             self.last_result = None
             self.sample_index = 0
-            self.phase = Phase.MODEL_LOADED
             return [], b""
 
         if isinstance(command, LoadInput):
@@ -236,11 +241,10 @@ class Controller:
                     f"model expects {self.model.input_dim}"
                 )
             self.pending_input = bytes(command.pixels)
-            self.phase = Phase.INPUT_LOADED
             return [], b""
 
         if isinstance(command, Run):
-            if self.phase is not Phase.INPUT_LOADED or self.pending_input is None:
+            if self.pending_input is None:
                 raise ProtocolViolation(f"Run is illegal in phase {self.phase.value}")
             result = run_network(
                 self.model,
@@ -253,7 +257,6 @@ class Controller:
             self.last_result = result
             self.sample_index += 1
             self.pending_input = None
-            self.phase = Phase.MODEL_LOADED
             return (
                 [Interrupt(InterruptKind.INFERENCE_DONE), Interrupt(InterruptKind.LOAD_NEXT_SAMPLE)],
                 frame,

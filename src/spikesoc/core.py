@@ -20,6 +20,10 @@ fires in (or, with early stop, the first group that fires anything).
 Non-informative events are skipped, never processed: events into a layer
 whose neurons have all fired, and events behind the output layer's
 decision time when early termination is on.
+
+run_layer returns, with the layer's NeuronState, its LayerTally: events
+sorted and processed, and the adds, subs or multiplies they made. Every
+network total (OpCounters, the cycle report) is a sum of those tallies.
 """
 
 from __future__ import annotations
@@ -43,19 +47,8 @@ from .model import (
     WeightMatrix,
     WeightMode,
 )
-from .perf import CycleCostTable, CycleReport, LayerTally, RunTrace, estimate_cycles
+from .perf import CycleCostTable, CycleReport, LayerTally, OpCounters, RunTrace, estimate_cycles
 from .sorter import sort_spikes
-
-
-@dataclass
-class OpCounters:
-    """Datapath operation tallies, the simulation's energy proxy."""
-
-    additions: int = 0
-    subtractions: int = 0
-    multiplications: int = 0
-    events_processed: int = 0
-    events_skipped: int = 0
 
 
 @dataclass
@@ -65,19 +58,14 @@ class NeuronState:
     potentials: list
     fire_times: list
 
-    @property
-    def fired(self) -> list:
-        return [t is not NO_SPIKE for t in self.fire_times]
-
 
 def run_layer(
     groups: list,
     layer: LayerConfig,
     weights: WeightMatrix,
-    counters: OpCounters,
     *,
     stop_at_first_fire: bool = False,
-) -> NeuronState:
+) -> tuple[NeuronState, LayerTally]:
     """Consume one layer's timestep groups, as sort_spikes returns them.
 
     Each event of a group adds its weight column into every unfired neuron;
@@ -88,7 +76,8 @@ def run_layer(
     if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
         raise DimensionMismatch("weight shape disagrees with layer config")
     if not groups:
-        return NeuronState([0] * layer.out_dim, [NO_SPIKE] * layer.out_dim)
+        silent = NeuronState([0] * layer.out_dim, [NO_SPIKE] * layer.out_dim)
+        return silent, LayerTally(layer.in_dim, layer.out_dim, 0, 0)
     times, index_lists = zip(*groups)
     ends = np.cumsum(np.fromiter(map(len, index_lists), np.intp, len(groups))) - 1
     events = np.fromiter(chain.from_iterable(index_lists), np.intp, ends[-1] + 1)
@@ -121,15 +110,12 @@ def run_layer(
     if weights.mode is WeightMode.BINARY:
         # Every touch adds or subtracts 1, so the potentials' sum is adds - subs.
         adds = (touched + int(potentials.sum())) // 2
-        counters.additions += adds
-        counters.subtractions += touched - adds
+        ops = (adds, touched - adds, 0)
     else:
-        counters.multiplications += touched
-    processed = int(stop_rows.max()) + 1
-    counters.events_processed += processed
-    counters.events_skipped += len(events) - processed
+        ops = (0, 0, touched)
+    tally = LayerTally(layer.in_dim, layer.out_dim, len(events), int(stop_rows.max()) + 1, *ops)
     fire_times = np.where(fires, np.take(times, stop), NO_SPIKE)
-    return NeuronState(potentials.tolist(), fire_times.tolist())
+    return NeuronState(potentials.tolist(), fire_times.tolist()), tally
 
 
 @dataclass
@@ -165,7 +151,6 @@ def run_network(
     spike_on_zero switches the encoder to the last-timestep convention for
     zero pixels, used by the skip-safety equivalence checks.
     """
-    counters = OpCounters()
     train = encode_ttfs(
         frame, model.t_max, spike_on_zero=spike_on_zero, expected_dim=model.input_dim
     )
@@ -175,24 +160,14 @@ def run_network(
     layer_states = []
     tallies = []
     for k, (cfg, weights) in enumerate(model.layers):
-        groups = sort_spikes(train)
-        before = counters.events_processed
-        state = run_layer(
-            groups,
+        state, tally = run_layer(
+            sort_spikes(train),
             cfg,
             weights,
-            counters,
             stop_at_first_fire=early_stop and k == last_layer,
         )
         train = SpikeTrain(tuple(state.fire_times), model.t_max)
-        tallies.append(
-            LayerTally(
-                in_dim=cfg.in_dim,
-                out_dim=cfg.out_dim,
-                events_sorted=sum(len(indices) for _, indices in groups),
-                events_processed=counters.events_processed - before,
-            )
-        )
+        tallies.append(tally)
         layer_trains.append(train)
         layer_states.append(state)
 
@@ -205,7 +180,7 @@ def run_network(
         input_train=input_train,
         layer_trains=layer_trains,
         layer_states=layer_states,
-        counters=counters,
+        counters=OpCounters.total(tallies),
         cycles=cycles,
         trace=trace,
     )

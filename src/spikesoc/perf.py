@@ -14,7 +14,9 @@ Events skipped by early termination or by a fully-fired layer cost
 nothing in the neuron stage, which is the whole point of skipping them.
 Costs are configurable; the defaults are unit weights for internal
 consistency checks, not calibrated silicon timings. Energy is reported as
-operation counts elsewhere (OpCounters), never as watts.
+operation counts, never as watts: each layer's LayerTally records its
+events and its adds, subs and multiplies, and OpCounters is their sum
+over the network.
 """
 
 from __future__ import annotations
@@ -52,17 +54,45 @@ class CycleCostTable:
 
 @dataclass(frozen=True)
 class LayerTally:
-    """Event counts observed while one layer ran."""
+    """What one layer did: the events its sorter emitted, the events that
+    reached the core, and the synaptic updates those events made."""
 
     in_dim: int
     out_dim: int
     events_sorted: int
     events_processed: int
+    additions: int = 0
+    subtractions: int = 0
+    multiplications: int = 0
+
+    @property
+    def events_skipped(self) -> int:
+        return self.events_sorted - self.events_processed
+
+
+@dataclass(frozen=True)
+class OpCounters:
+    """Network-wide operation totals, the simulation's energy proxy."""
+
+    additions: int
+    subtractions: int
+    multiplications: int
+    events_processed: int
+    events_skipped: int
+
+    @classmethod
+    def total(cls, tallies) -> "OpCounters":
+        """The sum of the layers' tallies, field by field."""
+        per_layer = [
+            (t.additions, t.subtractions, t.multiplications, t.events_processed, t.events_skipped)
+            for t in tallies
+        ]
+        return cls(*map(sum, zip(*per_layer)))
 
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Per-stage tallies collected from one inference."""
+    """One inference's layer tallies, in layer order."""
 
     t_max: int
     input_dim: int
@@ -74,12 +104,6 @@ class RunTrace:
 
 
 @dataclass(frozen=True)
-class LayerCycles:
-    sort_cycles: int
-    neuron_cycles: int
-
-
-@dataclass(frozen=True)
 class CycleReport:
     """Latency breakdown; total is the exact sum of the four stages."""
 
@@ -88,7 +112,6 @@ class CycleReport:
     neuron_cycles: int
     decode_cycles: int
     total_cycles: int
-    per_layer: tuple = ()
 
     def __post_init__(self):
         stages = (
@@ -103,23 +126,15 @@ def estimate_cycles(trace: RunTrace, costs: Optional[CycleCostTable] = None) -> 
     c = costs if costs is not None else CycleCostTable()
     sort_base = c.sort_base if c.sort_base is not None else trace.t_max
     encode = trace.input_dim * c.encode_per_pixel
-    per_layer = []
-    sort_total = 0
-    neuron_total = 0
-    for tally in trace.layers:
-        sort_cycles = sort_base + tally.events_sorted * c.sort_per_event
-        neuron_cycles = tally.events_processed * tally.out_dim * c.scc_per_event_per_neuron
-        per_layer.append(LayerCycles(sort_cycles=sort_cycles, neuron_cycles=neuron_cycles))
-        sort_total += sort_cycles
-        neuron_total += neuron_cycles
+    sort = sum(sort_base + t.events_sorted * c.sort_per_event for t in trace.layers)
+    neuron = sum(t.events_processed * t.out_dim * c.scc_per_event_per_neuron for t in trace.layers)
     decode = trace.output_dim * c.decode_per_neuron
     return CycleReport(
         encode_cycles=encode,
-        sort_cycles=sort_total,
-        neuron_cycles=neuron_total,
+        sort_cycles=sort,
+        neuron_cycles=neuron,
         decode_cycles=decode,
-        total_cycles=encode + sort_total + neuron_total + decode,
-        per_layer=tuple(per_layer),
+        total_cycles=encode + sort + neuron + decode,
     )
 
 
@@ -127,7 +142,6 @@ def estimate_cycles(trace: RunTrace, costs: Optional[CycleCostTable] = None) -> 
 class LayerMemory:
     weight_bytes: int
     spike_bytes: int
-    total_bytes: int
 
 
 @dataclass(frozen=True)
@@ -142,7 +156,6 @@ class MemoryReport:
     layers: tuple
     weight_bytes: int
     spike_bytes: int
-    total_bytes: int
 
 
 def memory_footprint(model: NetworkModel) -> MemoryReport:
@@ -153,14 +166,13 @@ def memory_footprint(model: NetworkModel) -> MemoryReport:
     for k, (cfg, weights) in enumerate(model.layers):
         wb = weights.weight_bytes
         sb = cfg.out_dim + (cfg.in_dim if k == 0 else 0)
-        layers.append(LayerMemory(weight_bytes=wb, spike_bytes=sb, total_bytes=wb + sb))
+        layers.append(LayerMemory(weight_bytes=wb, spike_bytes=sb))
         weight_total += wb
         spike_total += sb
     return MemoryReport(
         layers=tuple(layers),
         weight_bytes=weight_total,
         spike_bytes=spike_total,
-        total_bytes=weight_total + spike_total,
     )
 
 

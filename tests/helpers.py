@@ -11,6 +11,7 @@ from spikesoc import (
     Fixed16Weights,
     InferenceResult,
     LayerConfig,
+    LayerTally,
     NetworkModel,
     NeuronState,
     SpikeTrain,
@@ -140,7 +141,7 @@ def truncate_after(groups, cutoff):
     return [(t, indices) for t, indices in groups if t <= cutoff]
 
 
-def reference_run_layer(groups, layer, weights, counters, *, stop_at_first_fire=False):
+def reference_run_layer(groups, layer, weights, *, stop_at_first_fire=False):
     """The executable specification of run_layer: one event at a time.
 
     Each event adds its weight column into every unfired neuron, then the
@@ -161,7 +162,7 @@ def reference_run_layer(groups, layer, weights, counters, *, stop_at_first_fire=
     potentials = [0] * layer.out_dim
     fire_times = [NO_SPIKE] * layer.out_dim
     unfired = list(range(layer.out_dim))
-    processed = 0
+    processed = additions = subtractions = multiplications = 0
     for t, indices in groups:
         if not unfired:
             break
@@ -179,10 +180,10 @@ def reference_run_layer(groups, layer, weights, counters, *, stop_at_first_fire=
             # Fired neurons are frozen, so the potentials' sum moved by the
             # net of the +-1 weights added, which is adds - subs.
             adds = (touched + sum(potentials) - before) // 2
-            counters.additions += adds
-            counters.subtractions += touched - adds
+            additions += adds
+            subtractions += touched - adds
         else:
-            counters.multiplications += touched
+            multiplications += touched
         processed += len(indices)
         newly = [j for j in unfired if potentials[j] >= threshold]
         if newly:
@@ -191,9 +192,16 @@ def reference_run_layer(groups, layer, weights, counters, *, stop_at_first_fire=
             unfired = [j for j in unfired if fire_times[j] is NO_SPIKE]
             if stop_at_first_fire:
                 break
-    counters.events_processed += processed
-    counters.events_skipped += sum(len(indices) for _, indices in groups) - processed
-    return NeuronState(potentials, fire_times)
+    tally = LayerTally(
+        layer.in_dim,
+        layer.out_dim,
+        events_sorted=sum(len(indices) for _, indices in groups),
+        events_processed=processed,
+        additions=additions,
+        subtractions=subtractions,
+        multiplications=multiplications,
+    )
+    return NeuronState(potentials, fire_times), tally
 
 
 def dense_potentials(rows, arrived_indices):
@@ -202,6 +210,10 @@ def dense_potentials(rows, arrived_indices):
     for row in rows:
         out.append(sum(row[i] for i in arrived_indices))
     return out
+
+
+def fired_flags(state: NeuronState):
+    return [t is not NO_SPIKE for t in state.fire_times]
 
 
 def assert_same_outcome(a: InferenceResult, b: InferenceResult):
@@ -218,7 +230,7 @@ def assert_same_state(a: InferenceResult, b: InferenceResult):
     for sa, sb in zip(a.layer_states, b.layer_states):
         assert sa.potentials == sb.potentials
         assert sa.fire_times == sb.fire_times
-        assert sa.fired == sb.fired
+        assert fired_flags(sa) == fired_flags(sb)
 
 
 def make_rng(seed):

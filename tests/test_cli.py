@@ -199,6 +199,18 @@ class TestMainExitCodes:
         assert rc == 1
         assert "dataset" in capsys.readouterr().err
 
+    def test_label_beyond_the_model_classes_exit_1(self, tmp_path, capsys):
+        rng = make_rng(119)
+        model = random_model(rng, max_layers=1, max_dim=8)
+        model_path, images_path, labels_path = _write_dataset(tmp_path, rng, model, 3)
+        write_idx_labels(labels_path, [0, model.output_dim, model.output_dim + 1])
+        rc = main([str(model_path), str(images_path), str(labels_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "dataset" in err
+        assert f"label {model.output_dim} at index 1" in err
+        assert f"output_dim {model.output_dim}" in err
+
     def test_missing_dataset_exit_1(self, tmp_path):
         rng = make_rng(111)
         model = random_model(rng, max_layers=1, max_dim=8)

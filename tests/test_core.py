@@ -8,16 +8,17 @@ from spikesoc import (
     Fixed16Weights,
     LayerConfig,
     NetworkModel,
-    OpCounters,
     SpikeTrain,
     WeightMode,
     dense_layer_sweep,
+    estimate_cycles,
     run_layer,
     run_network,
     sort_spikes,
 )
 from helpers import (
     dense_potentials,
+    fired_flags,
     make_rng,
     random_binary_weights,
     random_fixed_weights,
@@ -36,19 +37,18 @@ class TestAccumulateBinary:
     def test_three_events_net_plus_one(self):
         cfg = LayerConfig(3, 1, threshold=100)
         w = BinaryWeights.from_rows([[1, -1, 1]])
-        counters = OpCounters()
-        state = run_layer(_one_event_per_timestep(range(3)), cfg, w, counters)
+        state, tally = run_layer(_one_event_per_timestep(range(3)), cfg, w)
         assert state.potentials == [1]
-        assert counters.additions == 2
-        assert counters.subtractions == 1
-        assert counters.multiplications == 0
+        assert tally.additions == 2
+        assert tally.subtractions == 1
+        assert tally.multiplications == 0
 
     def test_fired_neuron_is_frozen(self):
         # neuron 0 fires at 7 after timestep 0; the timestep-1 event then
         # reaches only neuron 1
         cfg = LayerConfig(8, 2, threshold=7)
         w = BinaryWeights.from_rows([[1] * 8, [-1] * 7 + [1]])
-        state = run_layer([(0, list(range(7))), (1, [7])], cfg, w, OpCounters())
+        state, _ = run_layer([(0, list(range(7))), (1, [7])], cfg, w)
         assert state.fire_times == [0, NO_SPIKE]
         assert state.potentials == [7, -6]
 
@@ -57,9 +57,8 @@ class TestAccumulateBinary:
         rows = [[rng.choice((-1, 1)) for _ in range(64)] for _ in range(8)]
         w = BinaryWeights.from_rows(rows)
         cfg = LayerConfig(64, 8, threshold=10**6)  # never fires
-        counters = OpCounters()
         arrived = [rng.randrange(64) for _ in range(100)]
-        state = run_layer(_one_event_per_timestep(arrived), cfg, w, counters)
+        state, _ = run_layer(_one_event_per_timestep(arrived), cfg, w)
         assert state.potentials == dense_potentials(rows, arrived)
 
     def test_overflow_is_diagnosed(self):
@@ -69,22 +68,21 @@ class TestAccumulateBinary:
         cfg = LayerConfig(65539, 1, threshold=2**31 - 1)
         w = Fixed16Weights.from_rows([[32767] * 65539])
         with pytest.raises(AccumulatorOverflow):
-            run_layer([(0, list(range(65539)))], cfg, w, OpCounters())
+            run_layer([(0, list(range(65539)))], cfg, w)
 
 
 class TestAccumulateFixed16:
     def test_single_event_weight_300(self):
         cfg = LayerConfig(1, 1, threshold=10**6)
         w = Fixed16Weights.from_rows([[300]])
-        counters = OpCounters()
-        state = run_layer([(0, [0])], cfg, w, counters)
+        state, tally = run_layer([(0, [0])], cfg, w)
         assert state.potentials == [300]
-        assert counters.multiplications == 1
+        assert tally.multiplications == 1
 
     def test_twos_complement_extremes(self):
         cfg = LayerConfig(2, 1, threshold=10**6)
         w = Fixed16Weights.from_rows([[-32768, 32767]])
-        state = run_layer(_one_event_per_timestep([0, 1]), cfg, w, OpCounters())
+        state, _ = run_layer(_one_event_per_timestep([0, 1]), cfg, w)
         assert state.potentials == [-1]
 
     def test_matches_dense_accumulation_128x10(self):
@@ -93,7 +91,7 @@ class TestAccumulateFixed16:
         w = Fixed16Weights.from_rows(rows)
         cfg = LayerConfig(128, 10, threshold=10**8)
         arrived = [rng.randrange(128) for _ in range(200)]
-        state = run_layer(_one_event_per_timestep(arrived), cfg, w, OpCounters())
+        state, _ = run_layer(_one_event_per_timestep(arrived), cfg, w)
         assert state.potentials == dense_potentials(rows, arrived)
 
     def test_overflow_is_diagnosed(self):
@@ -101,7 +99,7 @@ class TestAccumulateFixed16:
         cfg = LayerConfig(65537, 1, threshold=0)
         w = Fixed16Weights.from_rows([[-32768] * 65537])
         with pytest.raises(AccumulatorOverflow):
-            run_layer([(0, list(range(65537)))], cfg, w, OpCounters())
+            run_layer([(0, list(range(65537)))], cfg, w)
 
 
 class TestOverflowRule:
@@ -114,48 +112,46 @@ class TestOverflowRule:
         cfg = LayerConfig(65541, 1, threshold=2**31 - 1)
         w = Fixed16Weights.from_rows([[32767] * 65539 + [-32768] * 2])
         with pytest.raises(AccumulatorOverflow, match="event 65538 at time 5 "):
-            run_layer([(5, list(range(65541)))], cfg, w, OpCounters())
+            run_layer([(5, list(range(65541)))], cfg, w)
 
     def test_frozen_neuron_may_leave_range_unseen(self):
         # Neuron 0 fires on event 0; its unfrozen prefix would pass 2**31 - 1
         # in the next group, which only neuron 1 (zero weights) still takes.
         cfg = LayerConfig(65540, 2, threshold=1)
         w = Fixed16Weights.from_rows([[32767] * 65540, [0] * 65540])
-        counters = OpCounters()
-        state = run_layer([(0, [0]), (1, list(range(1, 65540)))], cfg, w, counters)
+        state, tally = run_layer([(0, [0]), (1, list(range(1, 65540)))], cfg, w)
         assert state.fire_times == [0, NO_SPIKE]
         assert state.potentials == [32767, 0]
-        assert counters.multiplications == 1 + 65540
-        assert counters.events_processed == 65540
+        assert tally.multiplications == 1 + 65540
+        assert tally.events_processed == 65540
 
     def test_events_after_the_first_fire_cut_are_not_checked(self):
         cfg = LayerConfig(65540, 2, threshold=1)
         w = Fixed16Weights.from_rows([[1] + [0] * 65539, [0] + [32767] * 65539])
         groups = [(0, [0]), (1, list(range(1, 65540)))]
-        counters = OpCounters()
-        state = run_layer(groups, cfg, w, counters, stop_at_first_fire=True)
+        state, tally = run_layer(groups, cfg, w, stop_at_first_fire=True)
         assert state.fire_times == [0, NO_SPIKE]
         assert state.potentials == [1, 0]
-        assert (counters.events_processed, counters.events_skipped) == (1, 65539)
+        assert (tally.events_processed, tally.events_skipped) == (1, 65539)
         with pytest.raises(AccumulatorOverflow, match="event 65539 at time 1 "):
-            run_layer(groups, cfg, w, OpCounters())
+            run_layer(groups, cfg, w)
 
 
 class TestFireCheck:
     def test_fires_at_threshold(self):
         cfg = LayerConfig(4, 1, threshold=2)
         w = BinaryWeights.from_rows([[1, 1, 1, 1]])
-        state = run_layer([(7, [0, 1])], cfg, w, OpCounters())
+        state, _ = run_layer([(7, [0, 1])], cfg, w)
         assert state.potentials == [2]
-        assert state.fired == [True]
+        assert fired_flags(state) == [True]
         assert state.fire_times == [7]
 
     def test_zero_threshold_uses_geq(self):
         cfg = LayerConfig(2, 1, threshold=0)
         w = BinaryWeights.from_rows([[-1, 1]])
-        state = run_layer([(3, [0])], cfg, w, OpCounters())
+        state, _ = run_layer([(3, [0])], cfg, w)
         assert state.fire_times == [NO_SPIKE]
-        state = run_layer([(3, [0]), (5, [1])], cfg, w, OpCounters())
+        state, _ = run_layer([(3, [0]), (5, [1])], cfg, w)
         assert state.potentials == [0]
         assert state.fire_times == [5]
 
@@ -166,15 +162,15 @@ class TestFireCheck:
         w = BinaryWeights.from_rows([[1, 1, 1, -1]])
         events_for = {-1: [3], 0: [0, 3], 1: [0], 2: [0, 1], 3: [0, 1, 2]}
         for potential, events in events_for.items():
-            a = run_layer([(0, events)], folded, w, OpCounters())
-            b = run_layer([(0, events)], plain, w, OpCounters())
+            a, _ = run_layer([(0, events)], folded, w)
+            b, _ = run_layer([(0, events)], plain, w)
             assert a.potentials == b.potentials == [potential]
             assert a.fire_times == b.fire_times == [0 if potential >= 2 else NO_SPIKE]
 
     def test_scan_order_is_ascending(self):
         cfg = LayerConfig(1, 4, threshold=0)
         w = BinaryWeights.from_rows([[1]] * 4)
-        state = run_layer([(0, [0])], cfg, w, OpCounters())
+        state, _ = run_layer([(0, [0])], cfg, w)
         assert [j for j, t in enumerate(state.fire_times) if t == 0] == [0, 1, 2, 3]
 
 
@@ -182,7 +178,7 @@ class TestRunLayer:
     def test_empty_queue_leaves_layer_silent(self):
         cfg = LayerConfig(4, 3, threshold=0)
         w = BinaryWeights.from_rows([[1] * 4] * 3)
-        state = run_layer([], cfg, w, OpCounters())
+        state, _ = run_layer([], cfg, w)
         assert state.fire_times == [NO_SPIKE] * 3
         assert state.potentials == [0, 0, 0]
 
@@ -190,24 +186,23 @@ class TestRunLayer:
         cfg = LayerConfig(2, 1, threshold=2)
         w = BinaryWeights.from_rows([[1, 1]])
         groups = sort_spikes(SpikeTrain((3, 9), 16))
-        state = run_layer(groups, cfg, w, OpCounters())
+        state, _ = run_layer(groups, cfg, w)
         assert state.fire_times == [9]
 
     def test_event_index_out_of_range(self):
         cfg = LayerConfig(2, 1, threshold=2)
         w = BinaryWeights.from_rows([[1, 1]])
         with pytest.raises(DimensionMismatch):
-            run_layer([(0, [5])], cfg, w, OpCounters())
+            run_layer([(0, [5])], cfg, w)
 
     def test_events_after_all_fired_are_skipped(self):
         cfg = LayerConfig(3, 1, threshold=1)
         w = BinaryWeights.from_rows([[1, 1, 1]])
         groups = sort_spikes(SpikeTrain((0, 4, 8), 16))
-        counters = OpCounters()
-        state = run_layer(groups, cfg, w, counters)
+        state, tally = run_layer(groups, cfg, w)
         assert state.fire_times == [0]
-        assert counters.events_processed == 1
-        assert counters.events_skipped == 2
+        assert tally.events_processed == 1
+        assert tally.events_skipped == 2
         assert state.potentials == [1]  # frozen at fire
 
     def test_same_timestep_events_commute(self):
@@ -220,8 +215,8 @@ class TestRunLayer:
             indices = list(range(in_dim))
             shuffled = indices[:]
             rng.shuffle(shuffled)
-            state_a = run_layer([(5, indices)], cfg, w, OpCounters())
-            state_b = run_layer([(5, shuffled)], cfg, w, OpCounters())
+            state_a, _ = run_layer([(5, indices)], cfg, w)
+            state_b, _ = run_layer([(5, shuffled)], cfg, w)
             assert state_a.fire_times == state_b.fire_times
             assert state_a.potentials == state_b.potentials
 
@@ -238,15 +233,13 @@ class TestRunLayer:
                 for _ in range(in_dim)
             ]
             groups = sort_spikes(SpikeTrain(tuple(times), t_max))
-            state_stop = run_layer(
-                groups, cfg, w, OpCounters(), stop_at_first_fire=True
-            )
+            state_stop, _ = run_layer(groups, cfg, w, stop_at_first_fire=True)
             fired = [t for t in state_stop.fire_times if t is not NO_SPIKE]
             if fired:
                 cut = truncate_after(groups, min(fired))
             else:
                 cut = groups
-            state_cut = run_layer(cut, cfg, w, OpCounters())
+            state_cut, _ = run_layer(cut, cfg, w)
             assert state_stop.fire_times == state_cut.fire_times
             assert state_stop.potentials == state_cut.potentials
 
@@ -272,7 +265,7 @@ class TestRunLayer:
                 for _ in range(in_dim)
             )
             train = SpikeTrain(times, t_max)
-            got_state = run_layer(sort_spikes(train), cfg, w, OpCounters())
+            got_state, _ = run_layer(sort_spikes(train), cfg, w)
             ref_train, ref_state = dense_layer_sweep(train, cfg, w)
             assert tuple(got_state.fire_times) == ref_train.times
             assert got_state.potentials == ref_state.potentials
@@ -327,10 +320,6 @@ class TestRunNetwork:
             inst = random_instance(rng)
             for train, state in zip(inst.default.layer_trains, inst.default.layer_states):
                 assert train.times == tuple(state.fire_times)
-                assert all(
-                    (ft is not NO_SPIKE) == fl
-                    for ft, fl in zip(state.fire_times, state.fired)
-                )
 
     def test_event_bookkeeping_is_complete(self):
         rng = make_rng(59)
@@ -341,6 +330,31 @@ class TestRunNetwork:
             )
             c = inst.default.counters
             assert c.events_processed + c.events_skipped == total_active
+
+    @pytest.mark.parametrize("early_stop", [True, False])
+    @pytest.mark.parametrize("mode", [WeightMode.BINARY, WeightMode.FIXED16])
+    def test_layer_tallies_sum_to_the_network_totals(self, mode, early_stop):
+        rng = make_rng(62)
+        for _ in range(50):
+            model = random_model(rng, mode=mode)
+            frame = random_frame(rng, model.input_dim)
+            r = run_network(model, frame, early_stop=early_stop)
+            tallies = r.trace.layers
+            for name in (
+                "additions",
+                "subtractions",
+                "multiplications",
+                "events_processed",
+                "events_skipped",
+            ):
+                assert getattr(r.counters, name) == sum(getattr(t, name) for t in tallies)
+            for tally, train in zip(tallies, [r.input_train, *r.layer_trains]):
+                assert tally.events_sorted == train.active_count
+                if mode is WeightMode.BINARY:
+                    assert tally.multiplications == 0
+                else:
+                    assert tally.additions == tally.subtractions == 0
+            assert estimate_cycles(r.trace) == r.cycles
 
     def test_early_stop_never_changes_the_outcome(self):
         rng = make_rng(60)

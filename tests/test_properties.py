@@ -21,7 +21,6 @@ from spikesoc import (
     LoadModel,
     ModelImageError,
     NotIdx,
-    OpCounters,
     ProtocolViolation,
     Reset,
     Run,
@@ -242,9 +241,9 @@ def small_layers(draw):
 @given(case=small_layers(), stop_at_first_fire=st.booleans())
 def test_run_layer_equals_the_one_event_at_a_time_reference(case, stop_at_first_fire):
     groups, layer, weights = case
-    got_counters, ref_counters = OpCounters(), OpCounters()
-    got = run_layer(groups, layer, weights, got_counters, stop_at_first_fire=stop_at_first_fire)
-    ref = reference_run_layer(groups, layer, weights, ref_counters, stop_at_first_fire=stop_at_first_fire)
+    got, got_tally = run_layer(groups, layer, weights, stop_at_first_fire=stop_at_first_fire)
+    ref, ref_tally = reference_run_layer(groups, layer, weights, stop_at_first_fire=stop_at_first_fire)
     assert got.potentials == ref.potentials
     assert got.fire_times == ref.fire_times
-    assert dataclasses.asdict(got_counters) == dataclasses.asdict(ref_counters)
+    assert dataclasses.asdict(got_tally) == dataclasses.asdict(ref_tally)
+    assert got_tally.events_skipped == ref_tally.events_skipped
