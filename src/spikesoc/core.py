@@ -1,5 +1,5 @@
-"""Event-driven datapath: one prefix sum per layer over the sorter's
-timestep groups, and whole-network inference with event skipping.
+"""Event-driven datapath: one prefix sum per layer over the sorter's event
+queue arrays, and whole-network inference with event skipping.
 
 Conventions fixed here and mirrored by the dense reference simulator:
 
@@ -28,8 +28,7 @@ network total (OpCounters, the cycle report) is a sum of those tallies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -46,6 +45,7 @@ from .model import (
     SpikeTrain,
     WeightMatrix,
     WeightMode,
+    slot_values,
 )
 from .perf import CycleCostTable, CycleReport, LayerTally, OpCounters, RunTrace, estimate_cycles
 from .sorter import sort_spikes
@@ -53,20 +53,23 @@ from .sorter import sort_spikes
 
 @dataclass
 class NeuronState:
-    """Membrane accumulators and firing record for one layer."""
+    """Membrane accumulators and firing record (also as int16 codes) for one layer."""
 
     potentials: list
     fire_times: list
+    fire_codes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def run_layer(
-    groups: list,
+    events: np.ndarray,
+    group_times: np.ndarray,
+    group_ends: np.ndarray,
     layer: LayerConfig,
     weights: WeightMatrix,
     *,
     stop_at_first_fire: bool = False,
 ) -> tuple[NeuronState, LayerTally]:
-    """Consume one layer's timestep groups, as sort_spikes returns them.
+    """Consume one layer's event queue, as sort_spikes returns it.
 
     Each event of a group adds its weight column into every unfired neuron;
     then one fire check scans the neurons in ascending index order. Groups
@@ -75,34 +78,31 @@ def run_layer(
     """
     if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
         raise DimensionMismatch("weight shape disagrees with layer config")
-    if not groups:
-        silent = NeuronState([0] * layer.out_dim, [NO_SPIKE] * layer.out_dim)
-        return silent, LayerTally(layer.in_dim, layer.out_dim, 0, 0)
-    times, index_lists = zip(*groups)
-    ends = np.cumsum(np.fromiter(map(len, index_lists), np.intp, len(groups))) - 1
-    events = np.fromiter(chain.from_iterable(index_lists), np.intp, ends[-1] + 1)
-    too_big = np.flatnonzero(events >= layer.in_dim)
-    if too_big.size:
-        indices = index_lists[np.searchsorted(ends, too_big[0])]
-        raise DimensionMismatch(f"event index {max(indices)} >= layer in_dim {layer.in_dim}")
+    if not len(events):
+        silent = np.full(layer.out_dim, -1, np.int16)
+        state = NeuronState([0] * layer.out_dim, [NO_SPIKE] * layer.out_dim, silent)
+        return state, LayerTally(layer.in_dim, layer.out_dim, 0, 0)
+    if events.max() >= layer.in_dim:
+        raise DimensionMismatch(f"event index {events.max()} >= layer in_dim {layer.in_dim}")
 
     # prefix[r, j]: neuron j's potential after event r, had it never frozen.
     prefix = weights.columns[events].astype(np.int64)
-    np.cumsum(prefix, axis=0, out=prefix)  # in place: 2x faster than into a new array
-    crossed = prefix[ends] >= layer.effective_threshold(weights.mode)
+    prefix.cumsum(axis=0, out=prefix)  # in place: 2x faster than into a new array
+    crossed = prefix[group_ends] >= layer.effective_threshold(weights.mode)
     fires = crossed.any(axis=0)
-    stop = np.where(fires, crossed.argmax(axis=0), len(groups) - 1)  # each neuron's last group
+    stop = np.where(fires, crossed.argmax(axis=0), len(group_ends) - 1)  # each neuron's last group
     if stop_at_first_fire and fires.any():
         first = stop[fires].min()
         stop, fires = np.minimum(stop, first), crossed[first]
-    stop_rows = ends[stop]
-    if prefix.min() < INT32_MIN or prefix.max() > INT32_MAX:
+    stop_rows = group_ends[stop]
+    may_overflow = len(events) * (1 << 15) > INT32_MAX  # 2**15: the largest |weight|
+    if may_overflow and (prefix.min() < INT32_MIN or prefix.max() > INT32_MAX):
         live = np.arange(len(events))[:, None] <= stop_rows
         bad = np.flatnonzero((live & ((prefix < INT32_MIN) | (prefix > INT32_MAX))).any(axis=1))
         if bad.size:
+            time = group_times[np.searchsorted(group_ends, bad[0])]
             raise AccumulatorOverflow(
-                f"event {events[bad[0]]} at time {times[np.searchsorted(ends, bad[0])]} "
-                "took an accumulator out of 32-bit range"
+                f"event {events[bad[0]]} at time {time} took an accumulator out of 32-bit range"
             )
 
     potentials = prefix[stop_rows, np.arange(layer.out_dim)]
@@ -114,8 +114,8 @@ def run_layer(
     else:
         ops = (0, 0, touched)
     tally = LayerTally(layer.in_dim, layer.out_dim, len(events), int(stop_rows.max()) + 1, *ops)
-    fire_times = np.where(fires, np.take(times, stop), NO_SPIKE)
-    return NeuronState(potentials.tolist(), fire_times.tolist()), tally
+    fire_codes = np.where(fires, group_times[stop], -1).astype(np.int16)
+    return NeuronState(potentials.tolist(), slot_values(fire_codes), fire_codes), tally
 
 
 @dataclass
@@ -161,12 +161,12 @@ def run_network(
     tallies = []
     for k, (cfg, weights) in enumerate(model.layers):
         state, tally = run_layer(
-            sort_spikes(train),
+            *sort_spikes(train),
             cfg,
             weights,
             stop_at_first_fire=early_stop and k == last_layer,
         )
-        train = SpikeTrain(tuple(state.fire_times), model.t_max)
+        train = SpikeTrain(state.fire_times, model.t_max, state.fire_codes)
         tallies.append(tally)
         layer_trains.append(train)
         layer_states.append(state)

@@ -13,20 +13,9 @@ from .model import NO_SPIKE, SpikeTrain
 def decode(fire_times: SpikeTrain, potentials: Sequence[int]) -> tuple[int, Optional[int]]:
     """Return (class index, decision time); decision time is NO_SPIKE on fallback."""
     if len(fire_times) == 0 or len(fire_times) != len(potentials):
-        raise DimensionMismatch(
-            f"{len(fire_times)} fire times vs {len(potentials)} potentials"
-        )
-    best_idx = None
-    best_time = None
-    for j, t in enumerate(fire_times):
-        if t is NO_SPIKE:
-            continue
-        if best_time is None or t < best_time:
-            best_idx, best_time = j, t
-    if best_idx is not None:
-        return best_idx, best_time
-    best_idx = 0
-    for j in range(1, len(potentials)):
-        if potentials[j] > potentials[best_idx]:
-            best_idx = j
-    return best_idx, NO_SPIKE
+        raise DimensionMismatch(f"{len(fire_times)} fire times vs {len(potentials)} potentials")
+    fired = [(t, j) for j, t in enumerate(fire_times) if t is not NO_SPIKE]
+    if fired:
+        t, j = min(fired)  # the earliest time, then the lowest index
+        return j, t
+    return max(range(len(potentials)), key=potentials.__getitem__), NO_SPIKE  # the first maximum

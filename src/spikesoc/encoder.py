@@ -1,4 +1,4 @@
-"""Intensity-to-latency spike encoding.
+"""Intensity-to-latency spike encoding, as one gather from a code table.
 
 An 8-bit intensity becomes a first-spike time by bitwise inversion, so
 brighter pixels spike earlier. Zero-intensity pixels carry no usable
@@ -8,10 +8,13 @@ variant is kept behind a switch for equivalence checks.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import DimensionMismatch
-from .model import NO_SPIKE, SpikeTrain, valid_t_max
+from .model import SpikeTrain, slot_codes, slot_values, valid_t_max
 
 InputFrame = Union[bytes, bytearray, Sequence[int]]
 
@@ -27,20 +30,28 @@ def encode_ttfs(
 
     t_max must be a power of two in [1, 256]. At t_max = 256 the time is
     the exact 8-bit complement (255 - pixel); smaller windows right-shift
-    the intensity first so the inverted code still fits.
+    the intensity first so the inverted code still fits. A pixel that is
+    not an integer in [0, 255] raises ValueError naming the first one.
     """
     if not valid_t_max(t_max):
         raise ValueError(f"t_max {t_max} is not a power of two in [1, 256]")
     if expected_dim is not None and len(frame) != expected_dim:
         raise DimensionMismatch(f"frame holds {len(frame)} pixels, expected {expected_dim}")
-    shift = 8 - (t_max.bit_length() - 1)
-    last = t_max - 1
-    times = []
-    for i, p in enumerate(frame):
-        if not 0 <= p <= 255:
-            raise ValueError(f"pixel {p!r} at index {i} outside [0, 255]")
-        if p == 0:
-            times.append(last if spike_on_zero else NO_SPIKE)
-        else:
-            times.append(last - (p >> shift))
-    return SpikeTrain(tuple(times), t_max)
+    if isinstance(frame, (bytes, bytearray)):
+        pixels = np.frombuffer(frame, np.uint8)
+    else:
+        pixels = slot_codes(frame, 256, (int, np.integer))  # below 0: no pixel
+        bad = np.flatnonzero(pixels < 0)
+        if bad.size:
+            raise ValueError(f"pixel {frame[bad[0]]!r} at index {bad[0]} outside [0, 255]")
+    codes = _code_table(t_max, spike_on_zero)[pixels]
+    return SpikeTrain(slot_values(codes), t_max, codes)
+
+
+@lru_cache(maxsize=None)
+def _code_table(t_max: int, spike_on_zero: bool) -> np.ndarray:
+    """The int16 code of every intensity, so a frame is one gather."""
+    shift = 9 - t_max.bit_length()  # 8 - log2(t_max)
+    table = (t_max - 1 - (np.arange(256) >> shift)).astype(np.int16)
+    table[0] = t_max - 1 if spike_on_zero else -1
+    return table

@@ -17,7 +17,7 @@ from .core import InferenceResult, NeuronState
 from .decoder import decode
 from .encoder import InputFrame, encode_ttfs
 from .errors import DimensionMismatch
-from .model import NO_SPIKE, LayerConfig, NetworkModel, SpikeTrain, WeightMatrix
+from .model import LayerConfig, NetworkModel, SpikeTrain, WeightMatrix, slot_values
 
 
 def dense_layer_sweep(
@@ -35,11 +35,11 @@ def dense_layer_sweep(
         raise DimensionMismatch(f"train length {len(train)} != layer in_dim {layer.in_dim}")
     eff = layer.effective_threshold(weights.mode)
     w = weights.matrix()
-    times = np.array([-1 if t is NO_SPIKE else t for t in train.times], dtype=np.int64)
+    times = train.codes
 
     potentials = np.zeros(layer.out_dim, dtype=np.int64)
     unfired = np.ones(layer.out_dim, dtype=bool)
-    fire_times = [NO_SPIKE] * layer.out_dim
+    fire_codes = np.full(layer.out_dim, -1, dtype=np.int16)
     for t in range(train.t_max):
         arrived = times == t
         if not arrived.any():
@@ -47,15 +47,12 @@ def dense_layer_sweep(
         contribution = w[:, arrived].sum(axis=1)
         potentials = np.where(unfired, potentials + contribution, potentials)
         newly = unfired & (potentials >= eff)
-        for j in np.nonzero(newly)[0]:
-            fire_times[int(j)] = t
+        fire_codes[newly] = t
         unfired &= ~newly
 
-    state = NeuronState(
-        potentials=[int(v) for v in potentials],
-        fire_times=list(fire_times),
-    )
-    return SpikeTrain(tuple(fire_times), train.t_max), state
+    fire_times = slot_values(fire_codes)
+    state = NeuronState([int(v) for v in potentials], fire_times, fire_codes)
+    return SpikeTrain(fire_times, train.t_max, fire_codes), state
 
 
 def dense_infer(

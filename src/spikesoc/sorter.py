@@ -1,21 +1,23 @@
-"""Spike sorting: group active events by timestep before accumulation.
+"""Spike sorting: order active events by timestep before accumulation.
 
-Implemented as a counting sort over t_max fixed buckets, the hardware
-friendly form: latency is t_max + number of events regardless of input
-order. The non-empty buckets are the datapath's queue: one
-(time, neuron indices) group per timestep that carries events, in
-ascending time, with each group's indices ascending.
+The hardware is a counting sort over t_max fixed buckets (latency t_max +
+events, which the cycle model charges). The simulator gets the same order
+from one stable argsort of the int16 codes, which numpy does as a radix
+sort, and the bucket sizes from one bincount.
 """
 
 from __future__ import annotations
 
-from .model import NO_SPIKE, SpikeTrain
+import numpy as np
+
+from .model import SpikeTrain
 
 
-def sort_spikes(train: SpikeTrain) -> list[tuple[int, list[int]]]:
-    """Bucket the train's active spikes by time; NO_SPIKE slots are dropped."""
-    buckets = [[] for _ in range(train.t_max)]
-    for idx, t in enumerate(train.times):
-        if t is not NO_SPIKE:
-            buckets[t].append(idx)
-    return [(t, bucket) for t, bucket in enumerate(buckets) if bucket]
+def sort_spikes(train: SpikeTrain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The datapath's queue: events (neuron indices in ascending time, ascending
+    index within a time), group_times (the times that carry events, ascending)
+    and group_ends (the position of each such time's last event)."""
+    buckets = np.bincount(train.codes + 1, minlength=train.t_max + 1)  # bucket 0: NO_SPIKE
+    events = train.codes.argsort(kind="stable")[buckets[0] :]
+    group_times = buckets[1:].nonzero()[0]
+    return events, group_times, buckets[1:][group_times].cumsum() - 1

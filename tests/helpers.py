@@ -3,6 +3,8 @@
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from spikesoc import (
     NO_SPIKE,
     AccumulatorOverflow,
@@ -116,6 +118,52 @@ def conditioned_instance(rng, max_attempts=500):
         if t is not None and t < inst.model.t_max - 1:
             return inst
     raise RuntimeError("could not draw a conditioned instance")
+
+
+def reference_encode(frame, t_max, *, spike_on_zero=False):
+    """The encoder one pixel at a time: the spike times encode_ttfs(frame,
+    t_max).times must equal. Raises ValueError for the first pixel outside
+    [0, 255] (a non-integer pixel fails on the shift instead)."""
+    shift = 8 - (t_max.bit_length() - 1)
+    last = t_max - 1
+    times = []
+    for i, p in enumerate(frame):
+        if not 0 <= p <= 255:
+            raise ValueError(f"pixel {p!r} at index {i} outside [0, 255]")
+        if p == 0:
+            times.append(last if spike_on_zero else NO_SPIKE)
+        else:
+            times.append(last - (p >> shift))
+    return tuple(times)
+
+
+def reference_train_check(times, t_max):
+    """The SpikeTrain slot check one slot at a time: raises the ValueError
+    SpikeTrain(times, t_max) raises, for the first slot that is neither
+    NO_SPIKE nor an int in [0, t_max - 1]."""
+    for i, t in enumerate(times):
+        if t is NO_SPIKE:
+            continue
+        if not isinstance(t, int) or not 0 <= t < t_max:
+            raise ValueError(f"spike time {t!r} at neuron {i} outside [0, {t_max - 1}]")
+
+
+def as_queue(groups):
+    """(time, indices) timestep groups as the arrays sort_spikes returns
+    and run_layer takes: (events, group_times, group_ends)."""
+    events = np.array([i for _, indices in groups for i in indices], dtype=np.intp)
+    group_times = np.array([t for t, _ in groups], dtype=np.intp)
+    group_ends = np.cumsum([len(indices) for _, indices in groups], dtype=np.intp) - 1
+    return events, group_times, group_ends
+
+
+def as_groups(events, group_times, group_ends):
+    """The inverse of as_queue: one (time, indices) group per group time."""
+    starts = [0, *(group_ends[:-1] + 1).tolist()]
+    return [
+        (t, events[start : end + 1].tolist())
+        for t, start, end in zip(group_times.tolist(), starts, group_ends.tolist())
+    ]
 
 
 def reference_sort(train: SpikeTrain):

@@ -17,6 +17,8 @@ from spikesoc import (
     sort_spikes,
 )
 from helpers import (
+    as_groups,
+    as_queue,
     dense_potentials,
     fired_flags,
     make_rng,
@@ -30,14 +32,14 @@ from helpers import (
 
 
 def _one_event_per_timestep(indices):
-    return [(t, [i]) for t, i in enumerate(indices)]
+    return as_queue([(t, [i]) for t, i in enumerate(indices)])
 
 
 class TestAccumulateBinary:
     def test_three_events_net_plus_one(self):
         cfg = LayerConfig(3, 1, threshold=100)
         w = BinaryWeights.from_rows([[1, -1, 1]])
-        state, tally = run_layer(_one_event_per_timestep(range(3)), cfg, w)
+        state, tally = run_layer(*_one_event_per_timestep(range(3)), cfg, w)
         assert state.potentials == [1]
         assert tally.additions == 2
         assert tally.subtractions == 1
@@ -48,7 +50,7 @@ class TestAccumulateBinary:
         # reaches only neuron 1
         cfg = LayerConfig(8, 2, threshold=7)
         w = BinaryWeights.from_rows([[1] * 8, [-1] * 7 + [1]])
-        state, _ = run_layer([(0, list(range(7))), (1, [7])], cfg, w)
+        state, _ = run_layer(*as_queue([(0, list(range(7))), (1, [7])]), cfg, w)
         assert state.fire_times == [0, NO_SPIKE]
         assert state.potentials == [7, -6]
 
@@ -58,7 +60,7 @@ class TestAccumulateBinary:
         w = BinaryWeights.from_rows(rows)
         cfg = LayerConfig(64, 8, threshold=10**6)  # never fires
         arrived = [rng.randrange(64) for _ in range(100)]
-        state, _ = run_layer(_one_event_per_timestep(arrived), cfg, w)
+        state, _ = run_layer(*_one_event_per_timestep(arrived), cfg, w)
         assert state.potentials == dense_potentials(rows, arrived)
 
     def test_overflow_is_diagnosed(self):
@@ -68,21 +70,21 @@ class TestAccumulateBinary:
         cfg = LayerConfig(65539, 1, threshold=2**31 - 1)
         w = Fixed16Weights.from_rows([[32767] * 65539])
         with pytest.raises(AccumulatorOverflow):
-            run_layer([(0, list(range(65539)))], cfg, w)
+            run_layer(*as_queue([(0, list(range(65539)))]), cfg, w)
 
 
 class TestAccumulateFixed16:
     def test_single_event_weight_300(self):
         cfg = LayerConfig(1, 1, threshold=10**6)
         w = Fixed16Weights.from_rows([[300]])
-        state, tally = run_layer([(0, [0])], cfg, w)
+        state, tally = run_layer(*as_queue([(0, [0])]), cfg, w)
         assert state.potentials == [300]
         assert tally.multiplications == 1
 
     def test_twos_complement_extremes(self):
         cfg = LayerConfig(2, 1, threshold=10**6)
         w = Fixed16Weights.from_rows([[-32768, 32767]])
-        state, _ = run_layer(_one_event_per_timestep([0, 1]), cfg, w)
+        state, _ = run_layer(*_one_event_per_timestep([0, 1]), cfg, w)
         assert state.potentials == [-1]
 
     def test_matches_dense_accumulation_128x10(self):
@@ -91,7 +93,7 @@ class TestAccumulateFixed16:
         w = Fixed16Weights.from_rows(rows)
         cfg = LayerConfig(128, 10, threshold=10**8)
         arrived = [rng.randrange(128) for _ in range(200)]
-        state, _ = run_layer(_one_event_per_timestep(arrived), cfg, w)
+        state, _ = run_layer(*_one_event_per_timestep(arrived), cfg, w)
         assert state.potentials == dense_potentials(rows, arrived)
 
     def test_overflow_is_diagnosed(self):
@@ -99,7 +101,7 @@ class TestAccumulateFixed16:
         cfg = LayerConfig(65537, 1, threshold=0)
         w = Fixed16Weights.from_rows([[-32768] * 65537])
         with pytest.raises(AccumulatorOverflow):
-            run_layer([(0, list(range(65537)))], cfg, w)
+            run_layer(*as_queue([(0, list(range(65537)))]), cfg, w)
 
 
 class TestOverflowRule:
@@ -112,14 +114,14 @@ class TestOverflowRule:
         cfg = LayerConfig(65541, 1, threshold=2**31 - 1)
         w = Fixed16Weights.from_rows([[32767] * 65539 + [-32768] * 2])
         with pytest.raises(AccumulatorOverflow, match="event 65538 at time 5 "):
-            run_layer([(5, list(range(65541)))], cfg, w)
+            run_layer(*as_queue([(5, list(range(65541)))]), cfg, w)
 
     def test_frozen_neuron_may_leave_range_unseen(self):
         # Neuron 0 fires on event 0; its unfrozen prefix would pass 2**31 - 1
         # in the next group, which only neuron 1 (zero weights) still takes.
         cfg = LayerConfig(65540, 2, threshold=1)
         w = Fixed16Weights.from_rows([[32767] * 65540, [0] * 65540])
-        state, tally = run_layer([(0, [0]), (1, list(range(1, 65540)))], cfg, w)
+        state, tally = run_layer(*as_queue([(0, [0]), (1, list(range(1, 65540)))]), cfg, w)
         assert state.fire_times == [0, NO_SPIKE]
         assert state.potentials == [32767, 0]
         assert tally.multiplications == 1 + 65540
@@ -128,20 +130,20 @@ class TestOverflowRule:
     def test_events_after_the_first_fire_cut_are_not_checked(self):
         cfg = LayerConfig(65540, 2, threshold=1)
         w = Fixed16Weights.from_rows([[1] + [0] * 65539, [0] + [32767] * 65539])
-        groups = [(0, [0]), (1, list(range(1, 65540)))]
-        state, tally = run_layer(groups, cfg, w, stop_at_first_fire=True)
+        queue = as_queue([(0, [0]), (1, list(range(1, 65540)))])
+        state, tally = run_layer(*queue, cfg, w, stop_at_first_fire=True)
         assert state.fire_times == [0, NO_SPIKE]
         assert state.potentials == [1, 0]
         assert (tally.events_processed, tally.events_skipped) == (1, 65539)
         with pytest.raises(AccumulatorOverflow, match="event 65539 at time 1 "):
-            run_layer(groups, cfg, w)
+            run_layer(*queue, cfg, w)
 
 
 class TestFireCheck:
     def test_fires_at_threshold(self):
         cfg = LayerConfig(4, 1, threshold=2)
         w = BinaryWeights.from_rows([[1, 1, 1, 1]])
-        state, _ = run_layer([(7, [0, 1])], cfg, w)
+        state, _ = run_layer(*as_queue([(7, [0, 1])]), cfg, w)
         assert state.potentials == [2]
         assert fired_flags(state) == [True]
         assert state.fire_times == [7]
@@ -149,9 +151,9 @@ class TestFireCheck:
     def test_zero_threshold_uses_geq(self):
         cfg = LayerConfig(2, 1, threshold=0)
         w = BinaryWeights.from_rows([[-1, 1]])
-        state, _ = run_layer([(3, [0])], cfg, w)
+        state, _ = run_layer(*as_queue([(3, [0])]), cfg, w)
         assert state.fire_times == [NO_SPIKE]
-        state, _ = run_layer([(3, [0]), (5, [1])], cfg, w)
+        state, _ = run_layer(*as_queue([(3, [0]), (5, [1])]), cfg, w)
         assert state.potentials == [0]
         assert state.fire_times == [5]
 
@@ -162,15 +164,15 @@ class TestFireCheck:
         w = BinaryWeights.from_rows([[1, 1, 1, -1]])
         events_for = {-1: [3], 0: [0, 3], 1: [0], 2: [0, 1], 3: [0, 1, 2]}
         for potential, events in events_for.items():
-            a, _ = run_layer([(0, events)], folded, w)
-            b, _ = run_layer([(0, events)], plain, w)
+            a, _ = run_layer(*as_queue([(0, events)]), folded, w)
+            b, _ = run_layer(*as_queue([(0, events)]), plain, w)
             assert a.potentials == b.potentials == [potential]
             assert a.fire_times == b.fire_times == [0 if potential >= 2 else NO_SPIKE]
 
     def test_scan_order_is_ascending(self):
         cfg = LayerConfig(1, 4, threshold=0)
         w = BinaryWeights.from_rows([[1]] * 4)
-        state, _ = run_layer([(0, [0])], cfg, w)
+        state, _ = run_layer(*as_queue([(0, [0])]), cfg, w)
         assert [j for j, t in enumerate(state.fire_times) if t == 0] == [0, 1, 2, 3]
 
 
@@ -178,28 +180,26 @@ class TestRunLayer:
     def test_empty_queue_leaves_layer_silent(self):
         cfg = LayerConfig(4, 3, threshold=0)
         w = BinaryWeights.from_rows([[1] * 4] * 3)
-        state, _ = run_layer([], cfg, w)
+        state, _ = run_layer(*as_queue([]), cfg, w)
         assert state.fire_times == [NO_SPIKE] * 3
         assert state.potentials == [0, 0, 0]
 
     def test_crosses_on_second_event(self):
         cfg = LayerConfig(2, 1, threshold=2)
         w = BinaryWeights.from_rows([[1, 1]])
-        groups = sort_spikes(SpikeTrain((3, 9), 16))
-        state, _ = run_layer(groups, cfg, w)
+        state, _ = run_layer(*sort_spikes(SpikeTrain((3, 9), 16)), cfg, w)
         assert state.fire_times == [9]
 
     def test_event_index_out_of_range(self):
         cfg = LayerConfig(2, 1, threshold=2)
         w = BinaryWeights.from_rows([[1, 1]])
         with pytest.raises(DimensionMismatch):
-            run_layer([(0, [5])], cfg, w)
+            run_layer(*as_queue([(0, [5])]), cfg, w)
 
     def test_events_after_all_fired_are_skipped(self):
         cfg = LayerConfig(3, 1, threshold=1)
         w = BinaryWeights.from_rows([[1, 1, 1]])
-        groups = sort_spikes(SpikeTrain((0, 4, 8), 16))
-        state, tally = run_layer(groups, cfg, w)
+        state, tally = run_layer(*sort_spikes(SpikeTrain((0, 4, 8), 16)), cfg, w)
         assert state.fire_times == [0]
         assert tally.events_processed == 1
         assert tally.events_skipped == 2
@@ -215,8 +215,8 @@ class TestRunLayer:
             indices = list(range(in_dim))
             shuffled = indices[:]
             rng.shuffle(shuffled)
-            state_a, _ = run_layer([(5, indices)], cfg, w)
-            state_b, _ = run_layer([(5, shuffled)], cfg, w)
+            state_a, _ = run_layer(*as_queue([(5, indices)]), cfg, w)
+            state_b, _ = run_layer(*as_queue([(5, shuffled)]), cfg, w)
             assert state_a.fire_times == state_b.fire_times
             assert state_a.potentials == state_b.potentials
 
@@ -232,14 +232,15 @@ class TestRunLayer:
                 NO_SPIKE if rng.random() < 0.2 else rng.randint(0, t_max - 1)
                 for _ in range(in_dim)
             ]
-            groups = sort_spikes(SpikeTrain(tuple(times), t_max))
-            state_stop, _ = run_layer(groups, cfg, w, stop_at_first_fire=True)
+            queue = sort_spikes(SpikeTrain(tuple(times), t_max))
+            state_stop, _ = run_layer(*queue, cfg, w, stop_at_first_fire=True)
+            groups = as_groups(*queue)
             fired = [t for t in state_stop.fire_times if t is not NO_SPIKE]
             if fired:
                 cut = truncate_after(groups, min(fired))
             else:
                 cut = groups
-            state_cut, _ = run_layer(cut, cfg, w)
+            state_cut, _ = run_layer(*as_queue(cut), cfg, w)
             assert state_stop.fire_times == state_cut.fire_times
             assert state_stop.potentials == state_cut.potentials
 
@@ -265,7 +266,7 @@ class TestRunLayer:
                 for _ in range(in_dim)
             )
             train = SpikeTrain(times, t_max)
-            got_state, _ = run_layer(sort_spikes(train), cfg, w)
+            got_state, _ = run_layer(*sort_spikes(train), cfg, w)
             ref_train, ref_state = dense_layer_sweep(train, cfg, w)
             assert tuple(got_state.fire_times) == ref_train.times
             assert got_state.potentials == ref_state.potentials

@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 
 from spikesoc import NO_SPIKE, DimensionMismatch, encode_ttfs
@@ -72,6 +75,23 @@ def test_non_power_of_two_window_rejected():
 def test_out_of_range_pixel_rejected():
     with pytest.raises(ValueError):
         encode_ttfs([256], 256)
+
+
+@pytest.mark.parametrize("pixel", [1.5, 2.0, "a", None, [1]])
+def test_non_integer_pixel_rejected_like_an_out_of_range_one(pixel):
+    message = rf"^pixel {re.escape(repr(pixel))} at index 1 outside \[0, 255\]$"
+    with pytest.raises(ValueError, match=message):
+        encode_ttfs([7, pixel, 300], 256)
+
+
+def test_integer_arrays_encode_like_bytes():
+    rng = make_rng(23)
+    for t_max in (1, 16, 256):
+        frame = bytes(rng.randint(0, 255) for _ in range(64))
+        want = encode_ttfs(frame, t_max).times
+        for dtype in (np.uint8, np.int16, np.int64):
+            assert encode_ttfs(np.frombuffer(frame, np.uint8).astype(dtype), t_max).times == want
+        assert encode_ttfs(list(frame), t_max).times == want
 
 
 def test_zero_pixel_convention_cannot_flip_an_early_decision():

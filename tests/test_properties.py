@@ -1,13 +1,16 @@
 """Property tests: every byte string an outside parser is given either parses
 or fails with the parser's documented error type, the CLI only ever returns
-a documented exit code, and run_layer equals its one-event-at-a-time spec."""
+a documented exit code, and the array-native spike path (encoder, SpikeTrain
+check, sorter, run_layer) equals its one-element-at-a-time spec."""
 
 import dataclasses
 import io
 import struct
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,7 @@ from spikesoc import (
     WeightMode,
     deserialize_model,
     encode_command,
+    encode_ttfs,
     format_uart_frame,
     parse_command_stream,
     parse_uart_frame,
@@ -44,7 +48,16 @@ from spikesoc.cli import (
 )
 from spikesoc.controller import UART_MARKER, xor_checksum
 from spikesoc.errors import CorruptFrame
-from helpers import make_rng, random_frame, random_model, reference_run_layer
+from helpers import (
+    as_groups,
+    make_rng,
+    random_frame,
+    random_model,
+    reference_encode,
+    reference_run_layer,
+    reference_sort,
+    reference_train_check,
+)
 
 # Deterministic, and no example database (conftest.py moves the rest of
 # Hypothesis's storage out of the working tree).
@@ -222,7 +235,7 @@ def test_main_returns_a_documented_exit_code(cli_dir, run):
 @st.composite
 def small_layers(draw):
     """A small layer of either mode, with thresholds near what its events
-    can reach, and the timestep groups of a random input train."""
+    can reach, and the sorted event queue of a random input train."""
     in_dim, out_dim = draw(st.integers(1, 24)), draw(st.integers(1, 8))
     binary = draw(st.booleans())
     magnitude = 1 if binary else draw(st.sampled_from((1, 64, 32767)))
@@ -240,10 +253,81 @@ def small_layers(draw):
 @PROPERTY
 @given(case=small_layers(), stop_at_first_fire=st.booleans())
 def test_run_layer_equals_the_one_event_at_a_time_reference(case, stop_at_first_fire):
-    groups, layer, weights = case
-    got, got_tally = run_layer(groups, layer, weights, stop_at_first_fire=stop_at_first_fire)
+    queue, layer, weights = case
+    got, got_tally = run_layer(*queue, layer, weights, stop_at_first_fire=stop_at_first_fire)
+    groups = as_groups(*queue)
     ref, ref_tally = reference_run_layer(groups, layer, weights, stop_at_first_fire=stop_at_first_fire)
     assert got.potentials == ref.potentials
     assert got.fire_times == ref.fire_times
     assert dataclasses.asdict(got_tally) == dataclasses.asdict(ref_tally)
     assert got_tally.events_skipped == ref_tally.events_skipped
+
+
+T_MAXES = st.sampled_from([1 << n for n in range(9)])
+
+
+def _accepted(reference, call) -> bool:
+    """Whether reference() returns. When it raises a ValueError instead,
+    call() must raise one with the same message."""
+    try:
+        reference()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(exc)
+        return False
+    return True
+
+
+_pixels = st.just(0) | st.integers(0, 255)
+
+
+@PROPERTY
+@given(
+    frame=st.lists(_pixels, max_size=80).map(bytes)
+    | st.lists(_pixels | st.integers(-2, 260), max_size=80),
+    t_max=T_MAXES,
+    spike_on_zero=st.booleans(),
+)
+def test_encoder_equals_the_per_pixel_reference(frame, t_max, spike_on_zero):
+    reference = partial(reference_encode, frame, t_max, spike_on_zero=spike_on_zero)
+    encode = partial(encode_ttfs, frame, t_max, spike_on_zero=spike_on_zero)
+    if _accepted(reference, encode):
+        train, want = encode(), reference()
+        assert train.times == want
+        assert train.codes.dtype == np.int16
+        assert train.codes.tolist() == [-1 if t is None else t for t in want]
+
+
+_slots = (
+    st.none()
+    | st.integers(-3, 260)
+    | st.booleans()
+    | st.floats(-2, 260)
+    | st.integers(-3, 260).map(np.int64)
+    | st.integers(2**62, 2**70)
+)
+
+
+@PROPERTY
+@given(times=st.lists(_slots, max_size=12), t_max=T_MAXES)
+def test_spike_train_accepts_exactly_what_the_reference_accepts(times, t_max):
+    if _accepted(lambda: reference_train_check(times, t_max), lambda: SpikeTrain(times, t_max)):
+        train = SpikeTrain(times, t_max)
+        assert train.times == tuple(times)
+        assert train.codes.dtype == np.int16
+        assert train.codes.tolist() == [-1 if t is None else t for t in times]
+        assert train.active_count == sum(t is not None for t in times)
+
+
+@PROPERTY
+@given(data=st.data(), t_max=T_MAXES)
+def test_sorter_arrays_flatten_to_the_reference_sort(data, t_max):
+    times = data.draw(st.lists(st.none() | st.integers(0, t_max - 1), max_size=80))
+    train = SpikeTrain(times, t_max)
+    events, group_times, group_ends = sort_spikes(train)
+    groups = as_groups(events, group_times, group_ends)
+    assert [(i, t) for t, indices in groups for i in indices] == reference_sort(train)
+    assert all(indices for _, indices in groups)  # only timesteps that carry events
+    assert list(group_times) == sorted(set(group_times))
+    assert len(events) == train.active_count

@@ -1,9 +1,14 @@
 from spikesoc import NO_SPIKE, SpikeTrain, sort_spikes
-from helpers import make_rng, reference_sort, truncate_after
+from helpers import as_groups, make_rng, reference_sort, truncate_after
 
 
 def _train(times, t_max=16):
     return SpikeTrain(tuple(times), t_max)
+
+
+def _groups(train):
+    """The sorter's queue for train as (time, indices) groups."""
+    return as_groups(*sort_spikes(train))
 
 
 def _events(groups):
@@ -12,13 +17,20 @@ def _events(groups):
 
 
 def test_stable_tie_break_by_index():
-    groups = sort_spikes(_train([5, 2, NO_SPIKE, 2]))
+    groups = _groups(_train([5, 2, NO_SPIKE, 2]))
     assert groups == [(2, [1, 3]), (5, [0])]
     assert _events(groups) == [(1, 2), (3, 2), (0, 5)]
 
 
+def test_queue_arrays():
+    events, group_times, group_ends = sort_spikes(_train([5, 2, NO_SPIKE, 2]))
+    assert events.tolist() == [1, 3, 0]
+    assert group_times.tolist() == [2, 5]
+    assert group_ends.tolist() == [1, 2]
+
+
 def test_all_silent_gives_empty_queue():
-    assert sort_spikes(_train([NO_SPIKE] * 8)) == []
+    assert _groups(_train([NO_SPIKE] * 8)) == []
 
 
 def test_matches_reference_sort_on_1000_random_trains():
@@ -31,7 +43,7 @@ def test_matches_reference_sort_on_1000_random_trains():
             for _ in range(n)
         ]
         train = _train(times, t_max)
-        groups = sort_spikes(train)
+        groups = _groups(train)
         assert _events(groups) == reference_sort(train)
         assert all(indices for _, indices in groups)  # only non-empty buckets
         assert len({t for t, _ in groups}) == len(groups)  # one group per timestep
@@ -45,25 +57,25 @@ def test_output_is_permutation_of_active_events():
         active = sorted(
             (i, t) for i, t in enumerate(times) if t is not NO_SPIKE
         )
-        got = sorted(_events(sort_spikes(train)))
+        got = sorted(_events(_groups(train)))
         assert got == active
 
 
 def test_event_count_matches_active_count():
     train = _train([1, NO_SPIKE, 3, NO_SPIKE, 3])
-    assert len(_events(sort_spikes(train))) == train.active_count == 3
+    assert len(_events(_groups(train))) == train.active_count == 3
 
 
 def test_truncate_keeps_prefix_at_cutoff():
-    groups = sort_spikes(_train([5, 2]))
+    groups = _groups(_train([5, 2]))
     assert _events(truncate_after(groups, 2)) == [(1, 2)]
 
 
 def test_truncate_at_window_end_is_identity():
-    groups = sort_spikes(_train([5, 2, 9]))
+    groups = _groups(_train([5, 2, 9]))
     assert truncate_after(groups, 15) == groups
 
 
 def test_truncate_below_first_event_empties_queue():
-    groups = sort_spikes(_train([5, 7]))
+    groups = _groups(_train([5, 7]))
     assert truncate_after(groups, 4) == []
