@@ -82,8 +82,9 @@ def run_layer(
         silent = np.full(layer.out_dim, -1, np.int16)
         state = NeuronState([0] * layer.out_dim, [NO_SPIKE] * layer.out_dim, silent)
         return state, LayerTally(layer.in_dim, layer.out_dim, 0, 0)
-    if events.max() >= layer.in_dim:
-        raise DimensionMismatch(f"event index {events.max()} >= layer in_dim {layer.in_dim}")
+    if events.astype(np.uintp, copy=False).max() >= layer.in_dim:  # negatives wrap high
+        bad = events[(events < 0) | (events >= layer.in_dim)][0]
+        raise DimensionMismatch(f"event index {bad} outside the layer's inputs [0, {layer.in_dim})")
 
     # prefix[r, j]: neuron j's potential after event r, had it never frozen.
     prefix = weights.columns[events].astype(np.int64)

@@ -1,12 +1,15 @@
 """Dense brute-force reference simulator.
 
-Ground truth for equivalence checks: sweeps every timestep of every layer
-with dense matrix arithmetic, no sorting, no skipping, no early
-termination. It shares the convention constants with the event-driven
-datapath (the >= comparison, the threshold fold, firing only at timesteps
-that carried at least one event) through the same LayerConfig record, but
-none of its code paths. Runtime is O(t_max * sum(in_dim * out_dim)) per
-inference; fine at desk scale, nothing more.
+Ground truth for equivalence checks: reads every synapse of every layer,
+with no sorting, no skipping and no early termination. It shares the
+convention constants with the event-driven datapath (the >= comparison,
+the threshold fold, firing only at timesteps that carried at least one
+event) through the same LayerConfig record, and the weights' one decoder
+`matrix()` (pinned by the packing tests), but none of its code paths.
+Each layer is two int64 passes, exact with no range argument: O(in_dim *
+out_dim) to build the contribution table, then O(out_dim) per timestep
+that carries spikes to scan it. There is no BLAS raster product: its worker
+threads and temporaries slowed the single-threaded datapath run after it.
 """
 
 from __future__ import annotations
@@ -25,30 +28,30 @@ def dense_layer_sweep(
 ) -> tuple[SpikeTrain, NeuronState]:
     """Run one layer over the whole window with dense accumulation.
 
-    For every timestep that carries at least one input spike, add the
-    dense column sum into unfired neurons, then fire everything at or
-    above the effective threshold. Timesteps with no events are not
-    checked, matching the event-driven rule that crossings happen only at
-    event times.
+    Add each input's weight column into the table row of its spike time
+    (silent inputs into a spare row, never read); then at every timestep
+    that carries an input spike, in order, add its row into the unfired
+    neurons and fire all at or above the effective threshold. Timesteps
+    with no events are not checked, as in the event-driven datapath.
     """
     if len(train) != layer.in_dim:
         raise DimensionMismatch(f"train length {len(train)} != layer in_dim {layer.in_dim}")
+    if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
+        raise DimensionMismatch("weight shape disagrees with layer config")
     eff = layer.effective_threshold(weights.mode)
-    w = weights.matrix()
-    times = train.codes
+    rows = np.where(train.codes < 0, train.t_max, train.codes)
+    contributions = np.zeros((train.t_max + 1, layer.out_dim), dtype=np.int64)
+    for row, column in zip(rows.tolist(), weights.matrix().T):
+        contributions[row] += column
 
     potentials = np.zeros(layer.out_dim, dtype=np.int64)
     unfired = np.ones(layer.out_dim, dtype=bool)
     fire_codes = np.full(layer.out_dim, -1, dtype=np.int16)
-    for t in range(train.t_max):
-        arrived = times == t
-        if not arrived.any():
-            continue
-        contribution = w[:, arrived].sum(axis=1)
-        potentials = np.where(unfired, potentials + contribution, potentials)
-        newly = unfired & (potentials >= eff)
+    for t in np.flatnonzero(np.bincount(rows, minlength=train.t_max + 1)[:-1]).tolist():
+        potentials += contributions[t] * unfired
+        newly = (potentials >= eff) & unfired
         fire_codes[newly] = t
-        unfired &= ~newly
+        unfired ^= newly
 
     fire_times = slot_values(fire_codes)
     state = NeuronState([int(v) for v in potentials], fire_times, fire_codes)

@@ -196,6 +196,12 @@ class TestRunLayer:
         with pytest.raises(DimensionMismatch):
             run_layer(*as_queue([(0, [5])]), cfg, w)
 
+    def test_negative_event_index_rejected(self):
+        cfg = LayerConfig(2, 1, threshold=100)
+        w = Fixed16Weights.from_rows([[5, 7]])
+        with pytest.raises(DimensionMismatch, match="event index -1 "):
+            run_layer(*as_queue([(0, [-1])]), cfg, w)
+
     def test_events_after_all_fired_are_skipped(self):
         cfg = LayerConfig(3, 1, threshold=1)
         w = BinaryWeights.from_rows([[1, 1, 1]])

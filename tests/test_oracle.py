@@ -15,6 +15,7 @@ from spikesoc import (
 )
 from helpers import (
     assert_same_state,
+    dense_potentials,
     make_rng,
     random_frame,
     random_model,
@@ -58,10 +59,52 @@ def test_no_events_means_no_fire_even_below_zero_threshold():
 
 
 def test_dimension_check():
-    cfg = LayerConfig(3, 1, 256, 0)
     w = BinaryWeights.from_rows([[1, 1, -1]])
-    with pytest.raises(DimensionMismatch):
-        dense_layer_sweep(SpikeTrain((1, 2), 16), cfg, w)
+    for cfg, train in [
+        (LayerConfig(3, 1, 256, 0), SpikeTrain((1, 2), 16)),  # train shorter than in_dim
+        (LayerConfig(4, 1, 256, 0), SpikeTrain((1, 2, 3, 4), 16)),  # matrix has 3 inputs
+        (LayerConfig(3, 2, 256, 0), SpikeTrain((1, 2, 3), 16)),  # matrix has 1 neuron
+    ]:
+        with pytest.raises(DimensionMismatch, match="train length|weight shape"):
+            dense_layer_sweep(train, cfg, w)
+
+
+def test_independent_of_the_datapath_column_cache(monkeypatch):
+    """The oracle must not read `columns`, the datapath's transposed cache."""
+    rng = make_rng(74)
+    models = [random_model(rng) for _ in range(60)]
+    cases = [(model, random_frame(rng, model.input_dim)) for model in models]
+    expected = [run_network(model, frame, early_stop=False) for model, frame in cases]
+
+    def forbidden(self):
+        raise AssertionError("the dense oracle read `columns`")
+
+    monkeypatch.setattr(BinaryWeights, "columns", property(forbidden))
+    monkeypatch.setattr(Fixed16Weights, "columns", property(forbidden))
+    for (model, frame), event in zip(cases, expected):
+        assert_same_state(event, dense_infer(model, frame))
+
+
+@pytest.mark.parametrize("fill", ["plus", "minus", "mixed"])
+def test_exact_beyond_float32_integers(fill):
+    """Sums reach 3.4e7, past 2**24, above which float32 skips integers."""
+    rng = make_rng(75)
+    in_dim, out_dim = 1024, 6
+    cells = {"plus": (32767,), "minus": (-32768,), "mixed": (32767, -32768)}[fill]
+    rows = [[rng.choice(cells) for _ in range(in_dim)] for _ in range(out_dim - 1)]
+    rows.append([32767] * 900 + [-32768] * 124)  # passes 2**24 before falling back
+    sums = dense_potentials(rows, range(in_dim))
+    model = NetworkModel(
+        mode=WeightMode.FIXED16,
+        t_max=256,
+        layers=[(LayerConfig(in_dim, out_dim, 256, sorted(sums)[2]), Fixed16Weights.from_rows(rows))],
+    )
+    frame = bytes([255]) * in_dim  # every input spikes at t = 0
+    dense = dense_infer(model, frame)
+    assert dense.input_train.times == (0,) * in_dim
+    assert dense.layer_states[0].potentials == sums
+    assert max(map(abs, sums)) > 2**24
+    assert_same_state(run_network(model, frame, early_stop=False), dense)
 
 
 def test_unconditioned_equivalence_with_event_driven_datapath():
