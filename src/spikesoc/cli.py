@@ -13,6 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .controller import Controller, LoadInput, LoadModel, Run, parse_uart_frame
+from .core import first_divergence
 from .errors import (
     CorruptDataset,
     ModelImageError,
@@ -102,10 +103,13 @@ def run_batch(
 ) -> dict:
     """Drive the controller over every sample and assemble the JSON-ready report.
 
-    With oracle=True every sample's predicted class and decision time are
-    cross-checked against the dense reference simulator; the first
-    disagreement raises OracleDivergence naming the sample. A label the
-    loaded model cannot output raises CorruptDataset before any sample runs.
+    With oracle=True every sample is cross-checked against the dense
+    reference simulator: every layer's fire times and final potentials
+    (the output layer's only without early_stop, which cuts it short), the
+    class and the decision time. The first disagreement raises
+    OracleDivergence naming the sample and where the two differ. A label
+    the loaded model cannot output raises CorruptDataset before any sample
+    runs.
     """
     frames = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
@@ -143,15 +147,12 @@ def run_batch(
         parsed = parse_uart_frame(uart)
         result = controller.last_result
         if oracle:
-            ref = dense_infer(model, frame)
-            if (ref.predicted, ref.decision_time) != (
-                result.predicted,
-                result.decision_time,
-            ):
+            divergence = first_divergence(
+                result, dense_infer(model, frame), output_layer=not early_stop
+            )
+            if divergence:
                 raise OracleDivergence(
-                    f"sample {idx}: datapath says class {result.predicted} at "
-                    f"{result.decision_time}, dense reference says class "
-                    f"{ref.predicted} at {ref.decision_time}"
+                    f"sample {idx}: {divergence} (datapath vs dense reference)"
                 )
         for stage in totals:
             totals[stage] += getattr(result.cycles, f"{stage}_cycles")

@@ -52,6 +52,7 @@ NO_SPIKE = None
 FLASH_MAGIC = b"SNN1"
 FLASH_VERSION = 1
 
+INT16_MAX = (1 << 15) - 1
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
 
@@ -160,6 +161,7 @@ class BinaryWeights(_CellMatrix):
     a `<u2` array of shape (out_dim, words_per_row(in_dim))."""
 
     mode: ClassVar[WeightMode] = WeightMode.BINARY
+    max_abs: ClassVar[int] = 1  # the largest |weight|
     in_dim: int
     words: np.ndarray
     cells = property(attrgetter("words"))
@@ -199,6 +201,7 @@ class Fixed16Weights(_CellMatrix):
     `<i2` array of shape (out_dim, in_dim)."""
 
     mode: ClassVar[WeightMode] = WeightMode.FIXED16
+    max_abs: ClassVar[int] = 1 << 15  # the largest |weight|, of -32768
     rows: np.ndarray
     cells = property(attrgetter("rows"))
 

@@ -21,6 +21,7 @@ from spikesoc import (
     run_network,
     serialize_model,
 )
+from spikesoc.core import first_divergence
 from spikesoc.model import INT32_MAX, INT32_MIN
 
 T_MAX_CHOICES = (16, 64, 256)
@@ -270,6 +271,8 @@ def assert_same_outcome(a: InferenceResult, b: InferenceResult):
 
 
 def assert_same_state(a: InferenceResult, b: InferenceResult):
+    divergence = first_divergence(a, b)
+    assert divergence is None, divergence
     assert_same_outcome(a, b)
     assert len(a.layer_trains) == len(b.layer_trains)
     for ta, tb in zip(a.layer_trains, b.layer_trains):

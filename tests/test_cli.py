@@ -24,11 +24,13 @@ from spikesoc.cli import (
     write_idx_images,
     write_idx_labels,
 )
+from spikesoc.oracle import dense_infer
 from helpers import (
     image_with_t_max,
     make_rng,
     one_hot_output_model,
     random_frame,
+    random_layer,
     random_model,
 )
 
@@ -323,3 +325,28 @@ class TestMainExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert "divergence" in err and "sample 0" in err
+
+    @pytest.mark.parametrize(
+        "layer, flags, rc",
+        [
+            (0, [], 3),
+            (0, ["--no-early-stop"], 3),
+            (1, ["--no-early-stop"], 3),
+            (1, [], 0),  # an early-stopped output layer is not compared
+        ],
+    )
+    def test_one_potential_off_by_one_diverges(self, tmp_path, capsys, monkeypatch, layer, flags, rc):
+        rng = make_rng(115)
+        layers = [random_layer(rng, 12, 8, WeightMode.BINARY), random_layer(rng, 8, 3, WeightMode.BINARY)]
+        model = NetworkModel(mode=WeightMode.BINARY, t_max=16, layers=layers)
+        model_path, images_path, labels_path = _write_dataset(tmp_path, rng, model, 3)
+
+        def off_by_one(model, frame, **kwargs):
+            ref = dense_infer(model, frame, **kwargs)
+            ref.layer_states[layer].potentials[2] += 1
+            return ref
+
+        monkeypatch.setattr("spikesoc.cli.dense_infer", off_by_one)
+        assert main([str(model_path), str(images_path), str(labels_path), "--oracle", *flags]) == rc
+        if rc:
+            assert f"sample 0: layer {layer} neuron 2 potential" in capsys.readouterr().err

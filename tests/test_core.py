@@ -139,6 +139,38 @@ class TestOverflowRule:
             run_layer(*queue, cfg, w)
 
 
+class TestAccumulatorWidth:
+    """run_layer's blocked scan sums in int16 while events x the largest
+    |weight| fits, so the edges of that rule must not wrap, and the fire
+    test compares an int16 prefix with thresholds far outside int16
+    exactly."""
+
+    @pytest.mark.parametrize("events", [32767, 32768])
+    @pytest.mark.parametrize("out_dim", [1, 2])  # one cumsum, and the blocked scan
+    def test_all_plus_one_neurons_count_every_event(self, events, out_dim):
+        cfg = LayerConfig(events, out_dim, threshold=2**31 - 1)
+        w = BinaryWeights.from_rows([[1] * events] * out_dim)
+        state, tally = run_layer(*as_queue([(3, list(range(events)))]), cfg, w)
+        assert state.potentials == [events] * out_dim
+        assert state.fire_times == [NO_SPIKE] * out_dim
+        assert (tally.additions, tally.subtractions) == (events * out_dim, 0)
+
+    @pytest.mark.parametrize("alpha_raw", [256, 1])  # 1: the folded threshold passes 2**38
+    def test_threshold_beyond_int16_compares_exactly(self, alpha_raw):
+        # 16384 events x 2 neurons reach the blocked scan, summed in int16.
+        n = 16384
+        w = BinaryWeights.from_rows([[1] * n, [-1] * n])
+        queue = as_queue([(2, list(range(n // 2))), (6, list(range(n // 2, n)))])
+        never = LayerConfig(n, 2, alpha_raw, threshold=2**31 - 1)
+        state, _ = run_layer(*queue, never, w)
+        assert state.fire_times == [NO_SPIKE, NO_SPIKE]
+        assert state.potentials == [n, -n]
+        always = LayerConfig(n, 2, alpha_raw, threshold=-(2**31 - 1))
+        state, _ = run_layer(*queue, always, w)
+        assert state.fire_times == [2, 2]
+        assert state.potentials == [n // 2, -n // 2]
+
+
 class TestFireCheck:
     def test_fires_at_threshold(self):
         cfg = LayerConfig(4, 1, threshold=2)

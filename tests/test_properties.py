@@ -8,6 +8,7 @@ import io
 import struct
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
+from math import isqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,6 +48,7 @@ from spikesoc.cli import (
     main,
 )
 from spikesoc.controller import UART_MARKER, xor_checksum
+from spikesoc.core import BLOCKED_SCAN_CELLS
 from spikesoc.errors import CorruptFrame
 from helpers import (
     as_groups,
@@ -250,9 +252,7 @@ def small_layers(draw):
     return sort_spikes(SpikeTrain(tuple(times), t_max)), layer, weights
 
 
-@PROPERTY
-@given(case=small_layers(), stop_at_first_fire=st.booleans())
-def test_run_layer_equals_the_one_event_at_a_time_reference(case, stop_at_first_fire):
+def _assert_run_layer_matches_reference(case, stop_at_first_fire):
     queue, layer, weights = case
     got, got_tally = run_layer(*queue, layer, weights, stop_at_first_fire=stop_at_first_fire)
     groups = as_groups(*queue)
@@ -261,6 +261,50 @@ def test_run_layer_equals_the_one_event_at_a_time_reference(case, stop_at_first_
     assert got.fire_times == ref.fire_times
     assert dataclasses.asdict(got_tally) == dataclasses.asdict(ref_tally)
     assert got_tally.events_skipped == ref_tally.events_skipped
+
+
+@PROPERTY
+@given(case=small_layers(), stop_at_first_fire=st.booleans())
+def test_run_layer_equals_the_one_event_at_a_time_reference(case, stop_at_first_fire):
+    _assert_run_layer_matches_reference(case, stop_at_first_fire)
+
+
+# A prime event count n is never a multiple of the blocked scan's rows per
+# block b, as 2 <= b < n, so those layers end in a partial block.
+_PRIMES = [n for n in range(100, 700) if all(n % d for d in range(2, isqrt(n) + 1))]
+
+
+@st.composite
+def large_layers(draw):
+    """A layer of either mode whose n x out_dim gathered event matrix reaches
+    the blocked prefix scan, with its weights, spike times and input order
+    drawn from one seed, and the sorted event queue of that input train."""
+    out_dim = draw(st.integers(48, 160))
+    low = -(-BLOCKED_SCAN_CELLS // out_dim)
+    n = draw(st.sampled_from([p for p in _PRIMES if p >= low]) | st.integers(low, 2 * low))
+    in_dim = n + draw(st.integers(0, 40))  # the rest stay silent
+    binary = draw(st.booleans())
+    magnitude = 1 if binary else draw(st.sampled_from((64, 32767)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if binary:
+        weights = BinaryWeights.from_rows(gen.choice((-1, 1), (out_dim, in_dim)).tolist())
+    else:
+        weights = Fixed16Weights(rows=gen.integers(-magnitude, magnitude + 1, (out_dim, in_dim)))
+    # Potentials walk about sqrt(n) * magnitude: thresholds around that fire
+    # neurons at many different groups, and some never.
+    threshold = draw(st.integers(-3 * magnitude, 2 * isqrt(n) * magnitude))
+    layer = LayerConfig(in_dim, out_dim, draw(st.sampled_from((256, 128, 512))), threshold)
+    t_max = draw(st.sampled_from((4, 16, 256)))
+    times = [None] * in_dim
+    for i in gen.permutation(in_dim)[:n].tolist():
+        times[i] = int(gen.integers(t_max))
+    return sort_spikes(SpikeTrain(tuple(times), t_max)), layer, weights
+
+
+@settings(PROPERTY, max_examples=12)
+@given(case=large_layers(), stop_at_first_fire=st.booleans())
+def test_blocked_scan_equals_the_one_event_at_a_time_reference(case, stop_at_first_fire):
+    _assert_run_layer_matches_reference(case, stop_at_first_fire)
 
 
 T_MAXES = st.sampled_from([1 << n for n in range(9)])
