@@ -63,7 +63,6 @@ from .model import (
 )
 from .oracle import dense_infer, dense_layer_sweep
 from .perf import (
-    CycleCostTable,
     CycleReport,
     LayerTally,
     MemoryReport,
@@ -85,7 +84,6 @@ __all__ = [
     "CorruptDataset",
     "CorruptImage",
     "CorruptWeightWord",
-    "CycleCostTable",
     "CycleReport",
     "DimensionMismatch",
     "Fixed16Weights",

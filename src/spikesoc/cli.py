@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import struct
 import sys
 from typing import Optional, Sequence
@@ -240,6 +241,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.t_max is not None and not valid_t_max(args.t_max):
         parser.error(f"--t-max {args.t_max} is not a power of two in [1, 256]")
+    if not 0 < args.clock_mhz < math.inf:
+        parser.error(f"--clock-mhz {args.clock_mhz:g} is not a positive finite number")
     try:
         report = run_batch(
             args.model,

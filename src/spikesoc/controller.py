@@ -40,7 +40,6 @@ from .errors import (
     UnsupportedModel,
 )
 from .model import NetworkModel, deserialize_model
-from .perf import CycleCostTable
 
 UART_MARKER = 0xA5
 UART_FRAME_LEN = 12
@@ -190,14 +189,8 @@ class Controller:
     batch: it discards any pending input and zeroes the sample index.
     """
 
-    def __init__(
-        self,
-        *,
-        early_stop: bool = True,
-        costs: Optional[CycleCostTable] = None,
-    ):
+    def __init__(self, *, early_stop: bool = True):
         self.early_stop = early_stop
-        self.costs = costs
         self.model: Optional[NetworkModel] = None
         self.pending_input: Optional[bytes] = None
         self.last_result: Optional[InferenceResult] = None
@@ -246,12 +239,7 @@ class Controller:
         if isinstance(command, Run):
             if self.pending_input is None:
                 raise ProtocolViolation(f"Run is illegal in phase {self.phase.value}")
-            result = run_network(
-                self.model,
-                self.pending_input,
-                early_stop=self.early_stop,
-                costs=self.costs,
-            )
+            result = run_network(self.model, self.pending_input, early_stop=self.early_stop)
             frame = format_uart_frame(self.sample_index, result)
             # Only a run that produced its frame changes state.
             self.last_result = result

@@ -63,7 +63,7 @@ from .model import (
     WeightMode,
     slot_values,
 )
-from .perf import CycleCostTable, CycleReport, LayerTally, OpCounters, RunTrace, estimate_cycles
+from .perf import CycleReport, LayerTally, OpCounters, RunTrace, estimate_cycles
 from .sorter import sort_spikes
 
 
@@ -224,7 +224,6 @@ def run_network(
     *,
     early_stop: bool = True,
     spike_on_zero: bool = False,
-    costs: Optional[CycleCostTable] = None,
 ) -> InferenceResult:
     """Full pipeline: encode, then per layer sort and run, then decode.
 
@@ -248,14 +247,13 @@ def run_network(
             weights,
             stop_at_first_fire=early_stop and k == last_layer,
         )
-        train = SpikeTrain(state.fire_times, model.t_max, state.fire_codes)
+        train = SpikeTrain.from_codes(state.fire_codes, model.t_max)
         tallies.append(tally)
         layer_trains.append(train)
         layer_states.append(state)
 
     predicted, decision_time = decode(layer_trains[-1], layer_states[-1].potentials)
     trace = RunTrace(t_max=model.t_max, input_dim=model.input_dim, layers=tuple(tallies))
-    cycles = estimate_cycles(trace, costs)
     return InferenceResult(
         predicted=predicted,
         decision_time=decision_time,
@@ -263,6 +261,6 @@ def run_network(
         layer_trains=layer_trains,
         layer_states=layer_states,
         counters=OpCounters.total(tallies),
-        cycles=cycles,
+        cycles=estimate_cycles(trace),
         trace=trace,
     )

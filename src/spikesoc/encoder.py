@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatch
-from .model import SpikeTrain, slot_codes, slot_values, valid_t_max
+from .model import SpikeTrain, slot_codes, valid_t_max
 
 InputFrame = Union[bytes, bytearray, Sequence[int]]
 
@@ -45,7 +45,7 @@ def encode_ttfs(
         if bad.size:
             raise ValueError(f"pixel {frame[bad[0]]!r} at index {bad[0]} outside [0, 255]")
     codes = _code_table(t_max, spike_on_zero)[pixels]
-    return SpikeTrain(slot_values(codes), t_max, codes)
+    return SpikeTrain.from_codes(codes, t_max)
 
 
 @lru_cache(maxsize=None)

@@ -31,7 +31,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import repeat
 from operator import attrgetter, is_
-from typing import ClassVar, Iterator, Sequence, Union
+from typing import ClassVar, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -289,29 +289,54 @@ def slot_codes(values: Sequence, t_max: int, kinds=int) -> np.ndarray:
     return codes.astype(np.int16)
 
 
+def _check_t_max(t_max: int) -> None:
+    if not valid_t_max(t_max):
+        raise ValueError(f"t_max {t_max} is not a power of two in [1, 256]")
+
+
+def _check_codes(codes: np.ndarray, t_max: int, times: Optional[Sequence] = None) -> None:
+    """Raise ValueError naming the first slot whose code is outside
+    [-1, t_max - 1], shown as its time when times are given."""
+    last = t_max - 1
+    if codes.size and (codes.min() < -1 or codes.max() > last):
+        i = int(((codes < -1) | (codes > last)).argmax())
+        shown = times[i] if times is not None else int(codes[i])
+        raise ValueError(f"spike time {shown!r} at neuron {i} outside [0, {last}]")
+
+
 @dataclass(frozen=True)
 class SpikeTrain:
     """Per-neuron first-spike times inside a discrete window of t_max steps.
 
     Each slot is a time in [0, t_max-1] or NO_SPIKE; single-spike coding
     means one slot per neuron is the entire train. codes: the slots as int16,
-    -1 for NO_SPIKE (derived from times unless passed with them).
+    -1 for NO_SPIKE, always derived: from times here, or times from codes
+    through from_codes, so the two views cannot disagree.
     """
 
     times: tuple
     t_max: int
-    codes: np.ndarray = field(default=None, repr=False, compare=False)
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(self.times))
-        if not valid_t_max(self.t_max):
-            raise ValueError(f"t_max {self.t_max} is not a power of two in [1, 256]")
-        if self.codes is None:
-            object.__setattr__(self, "codes", slot_codes(self.times, self.t_max))
-        codes, last = self.codes, self.t_max - 1
-        if codes.size and (codes.min() < -1 or codes.max() > last):
-            i = ((codes < -1) | (codes > last)).argmax()
-            raise ValueError(f"spike time {self.times[i]!r} at neuron {i} outside [0, {last}]")
+        _check_t_max(self.t_max)
+        codes = slot_codes(self.times, self.t_max)
+        _check_codes(codes, self.t_max, self.times)
+        object.__setattr__(self, "codes", codes)
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, t_max: int) -> "SpikeTrain":
+        """The train of int16 codes (-1 for NO_SPIKE), its times derived from
+        them: the array path's constructor, one array-wide range check and no
+        per-slot type test."""
+        _check_t_max(t_max)
+        _check_codes(codes, t_max)
+        train = object.__new__(cls)
+        object.__setattr__(train, "times", tuple(slot_values(codes)))
+        object.__setattr__(train, "t_max", t_max)
+        object.__setattr__(train, "codes", codes.astype(np.int16, copy=False))
+        return train
 
     def __len__(self) -> int:
         return len(self.times)
@@ -336,8 +361,7 @@ class NetworkModel:
     layers: list[tuple[LayerConfig, WeightMatrix]]
 
     def __post_init__(self):
-        if not valid_t_max(self.t_max):
-            raise ValueError(f"t_max {self.t_max} is not a power of two in [1, 256]")
+        _check_t_max(self.t_max)
         if not self.layers:
             raise ValueError("model needs at least one layer")
         prev_out = None

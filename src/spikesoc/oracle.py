@@ -55,7 +55,7 @@ def dense_layer_sweep(
 
     fire_times = slot_values(fire_codes)
     state = NeuronState([int(v) for v in potentials], fire_times, fire_codes)
-    return SpikeTrain(fire_times, train.t_max, fire_codes), state
+    return SpikeTrain.from_codes(fire_codes, train.t_max), state
 
 
 def dense_infer(

@@ -1,8 +1,8 @@
 """Cycle-cost and memory-footprint model.
 
-The pipeline is modeled as sequential per-layer stages. With the default
-cost table (one cycle per pixel, per sorted event, per neuron scanned, per
-decoded neuron, and a t_max bucket sweep per sort):
+The pipeline is modeled as sequential per-layer stages at one cycle per
+pixel, per sorted event, per neuron scanned and per decoded neuron, plus a
+t_max bucket sweep per sort:
 
     encode = in_dim
     sort   = sum over layers of (t_max + events entering the sorter)
@@ -12,44 +12,20 @@ decoded neuron, and a t_max bucket sweep per sort):
 
 Events skipped by early termination or by a fully-fired layer cost
 nothing in the neuron stage, which is the whole point of skipping them.
-Costs are configurable; the defaults are unit weights for internal
-consistency checks, not calibrated silicon timings. Energy is reported as
-operation counts, never as watts: each layer's LayerTally records its
-events and its adds, subs and multiplies, and OpCounters is their sum
-over the network.
+The model is fixed: unit costs keep the breakdown internally consistent,
+they are not calibrated silicon timings. Energy is reported as operation
+counts, never as watts: each layer's LayerTally records its events and its
+adds, subs and multiplies, and OpCounters is their sum over the network.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
-# The byte helpers live with the weight format; perf re-exports them.
-from .model import NetworkModel, binary_weight_bytes, fixed16_weight_bytes  # noqa: F401
-
-
-@dataclass(frozen=True)
-class CycleCostTable:
-    """Stage costs in cycles. sort_base None means "use the run's t_max"."""
-
-    encode_per_pixel: int = 1
-    sort_base: Optional[int] = None
-    sort_per_event: int = 1
-    scc_per_event_per_neuron: int = 1
-    decode_per_neuron: int = 1
-
-    def __post_init__(self):
-        for name in (
-            "encode_per_pixel",
-            "sort_per_event",
-            "scc_per_event_per_neuron",
-            "decode_per_neuron",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.sort_base is not None and self.sort_base < 0:
-            raise ValueError("sort_base must be >= 0")
+from .model import NetworkModel
 
 
 @dataclass(frozen=True)
@@ -121,14 +97,12 @@ class CycleReport:
             raise ValueError(f"total {self.total_cycles} != stage sum {stages}")
 
 
-def estimate_cycles(trace: RunTrace, costs: Optional[CycleCostTable] = None) -> CycleReport:
-    """Apply the cost table to a run trace (formulas in the module docstring)."""
-    c = costs if costs is not None else CycleCostTable()
-    sort_base = c.sort_base if c.sort_base is not None else trace.t_max
-    encode = trace.input_dim * c.encode_per_pixel
-    sort = sum(sort_base + t.events_sorted * c.sort_per_event for t in trace.layers)
-    neuron = sum(t.events_processed * t.out_dim * c.scc_per_event_per_neuron for t in trace.layers)
-    decode = trace.output_dim * c.decode_per_neuron
+def estimate_cycles(trace: RunTrace) -> CycleReport:
+    """The stage cycles of a run trace (formulas in the module docstring)."""
+    encode = trace.input_dim
+    sort = sum(trace.t_max + t.events_sorted for t in trace.layers)
+    neuron = sum(t.events_processed * t.out_dim for t in trace.layers)
+    decode = trace.output_dim
     return CycleReport(
         encode_cycles=encode,
         sort_cycles=sort,
@@ -178,8 +152,8 @@ def memory_footprint(model: NetworkModel) -> MemoryReport:
 
 def cycles_to_ms(cycles: int, clock_mhz: float = 163.0) -> float:
     """Wall time for a cycle count at a given clock, for report readability only."""
-    if clock_mhz <= 0:
-        raise ValueError("clock_mhz must be positive")
+    if not 0 < clock_mhz < math.inf:
+        raise ValueError("clock_mhz must be positive and finite")
     return cycles / (clock_mhz * 1e3)
 
 

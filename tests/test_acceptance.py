@@ -33,7 +33,7 @@ from spikesoc import (
 )
 from spikesoc.cli import main, write_idx_images, write_idx_labels
 from spikesoc.controller import UART_FRAME_LEN, parse_uart_frame
-from spikesoc.perf import fixed16_weight_bytes
+from spikesoc.model import fixed16_weight_bytes
 from helpers import (
     make_rng,
     random_binary_weights,

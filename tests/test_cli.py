@@ -285,6 +285,19 @@ class TestMainExitCodes:
         rc = main([str(tmp_path / "no-model.bin"), str(images_path), str(labels_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("clock", ["0", "-163", "nan", "inf"])
+    def test_bad_clock_exit_2_before_any_sample(self, tmp_path, capsys, monkeypatch, clock):
+        rng = make_rng(120)
+        model = random_model(rng, max_layers=1, max_dim=8)
+        paths = _write_dataset(tmp_path, rng, model, 2)
+        json_path = tmp_path / "report.json"
+        monkeypatch.setattr("spikesoc.cli.run_batch", lambda *a, **k: pytest.fail("a sample ran"))
+        with pytest.raises(SystemExit) as exc:
+            main([*map(str, paths), "--clock-mhz", clock, "--report-json", str(json_path)])
+        assert exc.value.code == 2
+        assert "--clock-mhz" in capsys.readouterr().err
+        assert not json_path.exists()
+
     def test_console_entry_point_in_subprocess(self, tmp_path):
         rng = make_rng(115)
         model = random_model(rng, max_layers=1, max_dim=8)

@@ -4,7 +4,6 @@ from spikesoc import (
     Controller,
     CorruptImage,
     CycleReport,
-    CycleCostTable,
     DimensionMismatch,
     InferenceResult,
     InterruptKind,
@@ -103,6 +102,19 @@ class TestUartFrame:
         with pytest.raises(CorruptFrame):
             parse_uart_frame(bytes(damaged))
 
+    @pytest.mark.parametrize(
+        "sample_index, decision_time, total_cycles",
+        [
+            (1 << 32, 17, 1040),  # sample index past u32
+            (-1, 17, 1040),  # negative sample index
+            (0, 255, 1040),  # decision time on the fallback sentinel
+            (0, 17, 1 << 32),  # cycle count past u32
+        ],
+    )
+    def test_every_field_overflow_is_typed(self, sample_index, decision_time, total_cycles):
+        with pytest.raises(FrameFieldOverflow):
+            format_uart_frame(sample_index, _result(3, decision_time, total_cycles))
+
 
 class TestStateMachine:
     def test_run_from_idle_rejected(self):
@@ -170,10 +182,11 @@ class TestStateMachine:
         assert c.phase is Phase.INPUT_LOADED
 
     def test_failed_run_leaves_state_untouched(self):
-        # The cost table pushes the cycle count past the frame's u32 field.
-        c = Controller(costs=CycleCostTable(scc_per_event_per_neuron=10**9))
+        # The inference runs, then the sample index overflows the frame's u32 field.
+        c = Controller()
         c.handle(LoadModel(image=serialize_model(_small_model())))
         c.handle(LoadInput(pixels=bytes([200] * 16)))
+        c.sample_index = 1 << 32
         before = _snapshot(c)
         with pytest.raises(FrameFieldOverflow):
             c.handle(Run())

@@ -227,6 +227,23 @@ class TestSpikeTrain:
         with pytest.raises(ValueError):
             SpikeTrain((0, 1), 100)
 
+    def test_codes_cannot_be_passed_beside_times(self):
+        # Codes that disagree with times would give the sorter and the decoder
+        # two different trains; codes are always derived.
+        with pytest.raises(TypeError):
+            SpikeTrain((0, 1, None), 16, np.array([5, 5, 5], np.int16))
+
+    def test_from_codes_derives_times(self):
+        train = SpikeTrain.from_codes(np.array([0, 15, -1], np.int16), 16)
+        assert train == SpikeTrain((0, 15, None), 16)
+        assert train.codes.tolist() == [0, 15, -1]
+        assert train.active_count == 2
+
+    @pytest.mark.parametrize("codes, t_max", [([16], 16), ([-2], 16), ([0], 100)])
+    def test_from_codes_rejects_what_times_would(self, codes, t_max):
+        with pytest.raises(ValueError):
+            SpikeTrain.from_codes(np.array(codes, np.int16), t_max)
+
 
 class TestNetworkModel:
     def test_chain_mismatch_rejected(self):

@@ -1,10 +1,10 @@
 import csv
+import math
 
 import pytest
 
 from spikesoc import (
     BinaryWeights,
-    CycleCostTable,
     CycleReport,
     LayerConfig,
     LayerTally,
@@ -17,7 +17,7 @@ from spikesoc import (
     run_network,
     write_breakdown_csv,
 )
-from spikesoc.perf import binary_weight_bytes, fixed16_weight_bytes
+from spikesoc.model import binary_weight_bytes, fixed16_weight_bytes
 from helpers import make_rng, random_frame, random_instance, random_model
 
 
@@ -105,22 +105,6 @@ class TestEstimateCycles:
                 r.encode_cycles + r.sort_cycles + r.neuron_cycles + r.decode_cycles
             )
 
-    def test_custom_cost_table(self):
-        costs = CycleCostTable(
-            encode_per_pixel=2, sort_base=0, sort_per_event=3,
-            scc_per_event_per_neuron=5, decode_per_neuron=7,
-        )
-        trace = RunTrace(t_max=16, input_dim=4, layers=(LayerTally(4, 2, 3, 2),))
-        report = estimate_cycles(trace, costs)
-        assert report.encode_cycles == 8
-        assert report.sort_cycles == 9
-        assert report.neuron_cycles == 2 * 2 * 5
-        assert report.decode_cycles == 14
-
-    def test_negative_costs_rejected(self):
-        with pytest.raises(ValueError):
-            CycleCostTable(encode_per_pixel=-1)
-
 
 class TestMemoryFootprint:
     def test_binary_784_128_10(self):
@@ -171,8 +155,9 @@ class TestReporting:
     def test_cycles_to_ms_at_163_mhz(self):
         assert cycles_to_ms(163_000, 163.0) == 1.0
         assert cycles_to_ms(0) == 0.0
-        with pytest.raises(ValueError):
-            cycles_to_ms(100, 0.0)
+        for clock in (0.0, -163.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cycles_to_ms(100, clock)
 
     def test_breakdown_csv(self, tmp_path):
         report = estimate_cycles(_trace_600_10())

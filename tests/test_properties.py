@@ -212,6 +212,9 @@ def cli_runs(draw):
     t_max = draw(st.none() | st.sampled_from([1 << n for n in range(9)]))
     if t_max is not None:
         flags += ["--t-max", str(t_max)]
+    clock = draw(st.none() | st.floats(1e-3, 1e4))
+    if clock is not None:
+        flags += ["--clock-mhz", repr(clock)]
     return files, flags, draw(st.booleans())
 
 
