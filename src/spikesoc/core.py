@@ -42,7 +42,8 @@ network total (OpCounters, the cycle report) is a sum of those tallies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 from typing import Optional
 
@@ -55,7 +56,6 @@ from .model import (
     INT16_MAX,
     INT32_MAX,
     INT32_MIN,
-    NO_SPIKE,
     LayerConfig,
     NetworkModel,
     SpikeTrain,
@@ -100,13 +100,24 @@ def _prefix_rows(columns: np.ndarray, events: np.ndarray, rows: np.ndarray, acc)
     return flat[np.where(rows < full, (rows % b) * blocks + rows // b, rows)]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NeuronState:
-    """Membrane accumulators and firing record (also as int16 codes) for one layer."""
+    """One layer's potentials and fire times: fire_codes, int16 with -1 for
+    NO_SPIKE, made read-only when stored, and fire_times, its list, derived on first read."""
 
     potentials: list
-    fire_times: list
-    fire_codes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    fire_codes: np.ndarray
+
+    def __post_init__(self):
+        self.fire_codes.flags.writeable = False
+
+    def __eq__(self, other):
+        same = type(other) is type(self) and self.potentials == other.potentials
+        return same and np.array_equal(self.fire_codes, other.fire_codes)
+
+    @cached_property
+    def fire_times(self) -> list:
+        return slot_values(self.fire_codes)
 
 
 def run_layer(
@@ -128,8 +139,7 @@ def run_layer(
     if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
         raise DimensionMismatch("weight shape disagrees with layer config")
     if not len(events):
-        silent = np.full(layer.out_dim, -1, np.int16)
-        state = NeuronState([0] * layer.out_dim, [NO_SPIKE] * layer.out_dim, silent)
+        state = NeuronState([0] * layer.out_dim, np.full(layer.out_dim, -1, np.int16))
         return state, LayerTally(layer.in_dim, layer.out_dim, 0, 0)
     if events.astype(np.uintp, copy=False).max() >= layer.in_dim:  # negatives wrap high
         bad = events[(events < 0) | (events >= layer.in_dim)][0]
@@ -170,7 +180,7 @@ def run_layer(
         ops = (0, 0, touched)
     tally = LayerTally(layer.in_dim, layer.out_dim, len(events), int(stop_rows.max()) + 1, *ops)
     fire_codes = np.where(fires, group_times[stop], -1).astype(np.int16)
-    return NeuronState(potentials.tolist(), slot_values(fire_codes), fire_codes), tally
+    return NeuronState(potentials.tolist(), fire_codes), tally
 
 
 @dataclass

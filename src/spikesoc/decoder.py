@@ -14,8 +14,8 @@ def decode(fire_times: SpikeTrain, potentials: Sequence[int]) -> tuple[int, Opti
     """Return (class index, decision time); decision time is NO_SPIKE on fallback."""
     if len(fire_times) == 0 or len(fire_times) != len(potentials):
         raise DimensionMismatch(f"{len(fire_times)} fire times vs {len(potentials)} potentials")
-    fired = [(t, j) for j, t in enumerate(fire_times) if t is not NO_SPIKE]
-    if fired:
-        t, j = min(fired)  # the earliest time, then the lowest index
-        return j, t
+    codes = fire_times.codes.view("u2")  # NO_SPIKE's -1 reads 65535, after every time
+    j = int(codes.argmin())  # the earliest time, then the lowest index
+    if codes[j] != 0xFFFF:
+        return j, int(codes[j])
     return max(range(len(potentials)), key=potentials.__getitem__), NO_SPIKE  # the first maximum

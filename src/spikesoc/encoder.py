@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatch
-from .model import SpikeTrain, slot_codes, valid_t_max
+from .model import SpikeTrain, check_t_max, slot_codes
 
 InputFrame = Union[bytes, bytearray, Sequence[int]]
 
@@ -33,8 +33,7 @@ def encode_ttfs(
     the intensity first so the inverted code still fits. A pixel that is
     not an integer in [0, 255] raises ValueError naming the first one.
     """
-    if not valid_t_max(t_max):
-        raise ValueError(f"t_max {t_max} is not a power of two in [1, 256]")
+    check_t_max(t_max)
     if expected_dim is not None and len(frame) != expected_dim:
         raise DimensionMismatch(f"frame holds {len(frame)} pixels, expected {expected_dim}")
     if isinstance(frame, (bytes, bytearray)):

@@ -26,7 +26,7 @@ Flash image layout (little-endian throughout):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
@@ -137,6 +137,10 @@ class _CellMatrix:
         same_type = type(other) is type(self)
         return same_type and self.in_dim == other.in_dim and np.array_equal(self.cells, other.cells)
 
+    def matrix(self) -> np.ndarray:
+        """(out_dim, in_dim) int64 weight matrix, decoded from the cells."""
+        return self._narrow().astype(np.int64)
+
     @property
     def out_dim(self) -> int:
         return len(self.cells)
@@ -150,7 +154,7 @@ class _CellMatrix:
     def columns(self) -> np.ndarray:
         """`matrix().T` as a read-only C-ordered (in_dim, out_dim) int16 array:
         columns[i][j] is the weight from presynaptic i to neuron j."""
-        columns = self.matrix().T.astype(np.int16, order="C")
+        columns = self._narrow().T.astype(np.int16, order="C")  # no int64 temporary
         columns.flags.writeable = False
         return columns
 
@@ -187,12 +191,12 @@ class BinaryWeights(_CellMatrix):
                 raise ValueError(f"row {j} length {len(row)} != {in_dim}")
         return cls(in_dim=in_dim, words=_pack_signs(rows))
 
-    def matrix(self) -> np.ndarray:
-        """(out_dim, in_dim) int64 matrix of +1/-1 weights, decoded from the words."""
+    def _narrow(self) -> np.ndarray:
+        """(out_dim, in_dim) int8 matrix of +1/-1 weights, decoded from the words."""
         # Little-endian words viewed as bytes, unpacked LSB first, give bit b
-        # of word w at column 16*w + b; int8 signs, widened once, beat an int64 np.where 10x.
+        # of word w at column 16*w + b; int8 signs beat an int64 np.where 10x.
         bits = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
-        return (bits[:, : self.in_dim].view(np.int8) * 2 - 1).astype(np.int64)
+        return bits[:, : self.in_dim].view(np.int8) * 2 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +220,8 @@ class Fixed16Weights(_CellMatrix):
     def in_dim(self) -> int:
         return self.rows.shape[1]
 
-    def matrix(self) -> np.ndarray:
-        """(out_dim, in_dim) int64 weight matrix."""
-        return self.rows.astype(np.int64)
+    def _narrow(self) -> np.ndarray:
+        return self.rows
 
 
 WeightMatrix = Union[BinaryWeights, Fixed16Weights]
@@ -289,63 +292,68 @@ def slot_codes(values: Sequence, t_max: int, kinds=int) -> np.ndarray:
     return codes.astype(np.int16)
 
 
-def _check_t_max(t_max: int) -> None:
+def check_t_max(t_max: int) -> None:
     if not valid_t_max(t_max):
         raise ValueError(f"t_max {t_max} is not a power of two in [1, 256]")
 
 
-def _check_codes(codes: np.ndarray, t_max: int, times: Optional[Sequence] = None) -> None:
-    """Raise ValueError naming the first slot whose code is outside
-    [-1, t_max - 1], shown as its time when times are given."""
-    last = t_max - 1
-    if codes.size and (codes.min() < -1 or codes.max() > last):
-        i = int(((codes < -1) | (codes > last)).argmax())
-        shown = times[i] if times is not None else int(codes[i])
-        raise ValueError(f"spike time {shown!r} at neuron {i} outside [0, {last}]")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SpikeTrain:
     """Per-neuron first-spike times inside a discrete window of t_max steps.
 
     Each slot is a time in [0, t_max-1] or NO_SPIKE; single-spike coding
-    means one slot per neuron is the entire train. codes: the slots as int16,
-    -1 for NO_SPIKE, always derived: from times here, or times from codes
-    through from_codes, so the two views cannot disagree.
+    means one slot per neuron is the entire train. The one stored form is
+    codes, a read-only int16 array with -1 for NO_SPIKE, as the spike memories
+    hold it; times, the slots as a tuple, is derived from it on first read.
     """
 
-    times: tuple
+    codes: np.ndarray
     t_max: int
-    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", tuple(self.times))
-        _check_t_max(self.t_max)
-        codes = slot_codes(self.times, self.t_max)
-        _check_codes(codes, self.t_max, self.times)
-        object.__setattr__(self, "codes", codes)
+    def __init__(self, times: Sequence, t_max: int):
+        times = tuple(times)
+        self._store(slot_codes(times, t_max), t_max, times)
 
     @classmethod
     def from_codes(cls, codes: np.ndarray, t_max: int) -> "SpikeTrain":
-        """The train of int16 codes (-1 for NO_SPIKE), its times derived from
-        them: the array path's constructor, one array-wide range check and no
-        per-slot type test."""
-        _check_t_max(t_max)
-        _check_codes(codes, t_max)
+        """The train of a 1-D integer array of codes (-1 for NO_SPIKE): the
+        array path's constructor, with no per-slot type test."""
+        if codes.ndim != 1 or codes.dtype.kind not in "iu":
+            raise ValueError(f"codes must be a 1-D integer array, got {codes.ndim}-D {codes.dtype}")
         train = object.__new__(cls)
-        object.__setattr__(train, "times", tuple(slot_values(codes)))
-        object.__setattr__(train, "t_max", t_max)
-        object.__setattr__(train, "codes", codes.astype(np.int16, copy=False))
+        train._store(codes, t_max)
         return train
 
+    def _store(self, codes: np.ndarray, t_max: int, times: Optional[tuple] = None) -> None:
+        """Keep t_max and a read-only int16 copy of codes after one array-wide check, whose
+        ValueError names the first slot outside [-1, t_max - 1], as its time if times are given."""
+        check_t_max(t_max)
+        last = t_max - 1
+        if codes.size and (codes.min() < -1 or codes.max() > last):
+            i = int(((codes < -1) | (codes > last)).argmax())
+            shown = times[i] if times is not None else int(codes[i])
+            raise ValueError(f"spike time {shown!r} at neuron {i} outside [0, {last}]")
+        codes = codes.astype(np.int16)
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "t_max", t_max)
+
+    def __eq__(self, other):
+        same_type = type(other) is type(self)
+        return same_type and self.t_max == other.t_max and np.array_equal(self.codes, other.codes)
+
+    def __hash__(self) -> int:
+        return hash((self.times, self.t_max))
+
+    @cached_property
+    def times(self) -> tuple:
+        return tuple(slot_values(self.codes))
+
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator:
         return iter(self.times)
-
-    def __getitem__(self, i):
-        return self.times[i]
 
     @property
     def active_count(self) -> int:
@@ -361,7 +369,7 @@ class NetworkModel:
     layers: list[tuple[LayerConfig, WeightMatrix]]
 
     def __post_init__(self):
-        _check_t_max(self.t_max)
+        check_t_max(self.t_max)
         if not self.layers:
             raise ValueError("model needs at least one layer")
         prev_out = None

@@ -20,7 +20,7 @@ from .core import InferenceResult, NeuronState
 from .decoder import decode
 from .encoder import InputFrame, encode_ttfs
 from .errors import DimensionMismatch
-from .model import LayerConfig, NetworkModel, SpikeTrain, WeightMatrix, slot_values
+from .model import LayerConfig, NetworkModel, SpikeTrain, WeightMatrix
 
 
 def dense_layer_sweep(
@@ -53,8 +53,7 @@ def dense_layer_sweep(
         fire_codes[newly] = t
         unfired ^= newly
 
-    fire_times = slot_values(fire_codes)
-    state = NeuronState([int(v) for v in potentials], fire_times, fire_codes)
+    state = NeuronState(potentials.tolist(), fire_codes)
     return SpikeTrain.from_codes(fire_codes, train.t_max), state
 
 

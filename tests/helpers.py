@@ -250,7 +250,8 @@ def reference_run_layer(groups, layer, weights, *, stop_at_first_fire=False):
         subtractions=subtractions,
         multiplications=multiplications,
     )
-    return NeuronState(potentials, fire_times), tally
+    fire_codes = np.array([-1 if t is NO_SPIKE else t for t in fire_times], np.int16)
+    return NeuronState(potentials, fire_codes), tally
 
 
 def dense_potentials(rows, arrived_indices):

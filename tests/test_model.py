@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -239,10 +241,56 @@ class TestSpikeTrain:
         assert train.codes.tolist() == [0, 15, -1]
         assert train.active_count == 2
 
-    @pytest.mark.parametrize("codes, t_max", [([16], 16), ([-2], 16), ([0], 100)])
+    @pytest.mark.parametrize(
+        "codes, t_max",
+        [
+            (np.array([16], np.int16), 16),
+            (np.array([-2], np.int16), 16),
+            (np.array([0], np.int16), 100),
+            (np.array([0, 65535]), 256),  # checked before narrowing: int16 reads -1
+            # Only 1-D integer arrays are codes; astype would truncate floats.
+            (np.array([0.0, 1.5]), 16),
+            (np.array([True, False]), 16),
+            (np.array([[0, 1], [2, 3]]), 16),
+            (np.array(3), 16),
+        ],
+    )
     def test_from_codes_rejects_what_times_would(self, codes, t_max):
         with pytest.raises(ValueError):
-            SpikeTrain.from_codes(np.array(codes, np.int16), t_max)
+            SpikeTrain.from_codes(codes, t_max)
+
+    def test_times_and_codes_build_one_value(self):
+        by_times = SpikeTrain((0, 15, None, 7), 16)
+        by_codes = SpikeTrain.from_codes(np.array([0, 15, -1, 7], np.int64), 16)
+        assert by_times == by_codes
+        assert hash(by_times) == hash(by_codes) == hash(((0, 15, None, 7), 16))
+        assert by_codes.times == by_times.times == (0, 15, None, 7)
+        assert len(by_codes) == 4
+        assert list(by_codes) == [0, 15, None, 7]
+
+    def test_one_code_or_t_max_makes_a_different_train(self):
+        train = SpikeTrain((0, 15, None), 16)
+        assert train != SpikeTrain((0, 14, None), 16)
+        assert train != SpikeTrain((0, 15, 0), 16)
+        assert train != SpikeTrain((0, 15, None), 32)
+        assert train != SpikeTrain((0, 15), 16)
+        assert train != (0, 15, None)
+
+    def test_codes_are_read_only_and_private(self):
+        source = np.array([1, -1, 2], np.int16)
+        by_codes = SpikeTrain.from_codes(source, 16)
+        for train in (SpikeTrain((1, None, 2), 16), by_codes):
+            with pytest.raises(ValueError):
+                train.codes[0] = 5
+        source[0] = 5  # the caller's array stays writable and is not the train's
+        assert by_codes.codes.tolist() == [1, -1, 2]
+
+    def test_attributes_cannot_be_assigned(self):
+        train = SpikeTrain((1, None), 16)
+        for name, value in (("t_max", 32), ("codes", np.array([0, 0], np.int16))):
+            with pytest.raises(FrozenInstanceError):
+                setattr(train, name, value)
+        assert train == SpikeTrain((1, None), 16)
 
 
 class TestNetworkModel:

@@ -1,3 +1,6 @@
+from dataclasses import FrozenInstanceError
+
+import numpy as np
 import pytest
 
 from spikesoc import (
@@ -7,6 +10,7 @@ from spikesoc import (
     Fixed16Weights,
     LayerConfig,
     NetworkModel,
+    NeuronState,
     WeightMode,
     dense_infer,
     dense_layer_sweep,
@@ -157,3 +161,53 @@ def test_equivalence_holds_under_spike_on_zero_variant():
         dense = dense_infer(model, frame, spike_on_zero=True)
         event = run_network(model, frame, early_stop=False, spike_on_zero=True)
         assert_same_state(event, dense)
+
+
+def test_datapath_states_equal_the_oracle_states_as_values():
+    rng = make_rng(76)
+    for _ in range(100):
+        model = random_model(rng)
+        frame = random_frame(rng, model.input_dim)
+        event = run_network(model, frame, early_stop=False)
+        dense = dense_infer(model, frame)
+        for a, b in zip(event.layer_states, dense.layer_states):
+            assert a == b
+            assert a.fire_times == b.fire_times  # the derived views agree too
+            bumped = list(b.potentials)
+            bumped[-1] += 1
+            assert a != NeuronState(bumped, b.fire_codes)
+            codes = b.fire_codes.copy()
+            codes[0] = 0 if codes[0] else 1
+            assert a != NeuronState(a.potentials, codes)
+            assert a != b.fire_codes
+
+
+def test_states_are_frozen_and_their_codes_read_only():
+    model = random_model(make_rng(77))
+    frame = random_frame(make_rng(78), model.input_dim)
+    for result in (run_network(model, frame), dense_infer(model, frame)):
+        for state in result.layer_states:
+            with pytest.raises(ValueError):
+                state.fire_codes[0] = 0
+            with pytest.raises(FrozenInstanceError):
+                state.potentials = [0] * len(state.potentials)
+            with pytest.raises(FrozenInstanceError):
+                state.fire_codes = np.zeros_like(state.fire_codes)
+
+
+@pytest.mark.parametrize("infer", [run_network, dense_infer])
+def test_inference_builds_no_python_view(infer):
+    """Trains and states store only int16 codes; times and fire_times are
+    built on first read and then equal those of SpikeTrain(times, t_max)."""
+    rng = make_rng(79)
+    for _ in range(50):
+        model = random_model(rng)
+        result = infer(model, random_frame(rng, model.input_dim))
+        trains = [result.input_train, *result.layer_trains]
+        assert all("times" not in vars(train) for train in trains)
+        assert all("fire_times" not in vars(state) for state in result.layer_states)
+        for train in trains:
+            times = tuple(None if c < 0 else c for c in train.codes.tolist())
+            assert train.times == SpikeTrain(times, model.t_max).times == times
+        for train, state in zip(result.layer_trains, result.layer_states):
+            assert state.fire_times == list(train.times)
