@@ -24,12 +24,11 @@ int16 while that bound fits (every binary layer of up to 32767 events),
 else int32, else int64, and only then can a prefix leave the 32-bit range
 the overflow check guards. np.cumsum along the event axis is a scalar loop,
 about 2.3 ns per cell, while adding one whole row slice into another costs
-about 0.07 ns per cell. So a large layer is scanned in blocks of rows:
-running sums inside every block at once, one cumsum over the block totals,
-one broadcast add of those offsets. Each step is a few Python-level numpy
-calls, which cost more than they save on a small matrix, so below
-BLOCKED_SCAN_CELLS gathered cells (every layer of the acceptance corpus)
-the layer keeps the single in-place np.cumsum, in int32 at least.
+about 0.07 ns per cell. So a large layer is scanned in blocks of rows by
+row-slice adds, within every block at once, then over the block totals and
+the tail; only the rows read get their block's offset, and only the columns
+that fire are searched for a first crossing. Below BLOCKED_SCAN_CELLS
+gathered cells (every acceptance-corpus layer) one cumsum and argmax are faster.
 
 Non-informative events are skipped, never processed: events into a layer
 whose neurons have all fired, and events behind the output layer's
@@ -73,12 +72,12 @@ from .sorter import sort_spikes
 BLOCKED_SCAN_CELLS = 1 << 15
 
 
-def _prefix_rows(columns: np.ndarray, events: np.ndarray, rows: np.ndarray, acc) -> np.ndarray:
-    """Rows `rows` of columns[events].cumsum(axis=0), summed in dtype acc
-    (int32 at least below BLOCKED_SCAN_CELLS), which the caller has checked
-    can hold every prefix."""
+def _prefix_rows(columns: np.ndarray, events: np.ndarray, rows: np.ndarray, acc, blocked: bool):
+    """Rows `rows` of columns[events].cumsum(axis=0), summed in dtype acc (int32 at
+    least unless blocked) that the caller has checked can hold every prefix. Blocked,
+    each row read is its within-block or tail sum plus the sum of the blocks before."""
     n, width = len(events), columns.shape[1]
-    if n * width < BLOCKED_SCAN_CELLS:
+    if not blocked:
         # At least int32: numpy's int16 accumulate runs up to 2x slower here.
         prefix = columns[events].astype(np.promote_types(acc, np.int32))
         prefix.cumsum(axis=0, out=prefix)  # in place: 2x faster than into a new array
@@ -94,10 +93,12 @@ def _prefix_rows(columns: np.ndarray, events: np.ndarray, rows: np.ndarray, acc)
     scan = flat[:full].reshape(b, blocks, width)
     for r in range(1, b):
         scan[r] += scan[r - 1]
-    scan[:, 1:] += np.cumsum(scan[-1, :-1], axis=0, dtype=acc)  # dtype: else int64
-    tail = flat[full - 1 :]  # the last full block's total, then the rows after it
-    tail.cumsum(axis=0, out=tail)
-    return flat[np.where(rows < full, (rows % b) * blocks + rows // b, rows)]
+    offsets = np.zeros((blocks + 1, width), acc)  # row k: the sum of blocks < k
+    for k in range(blocks):
+        np.add(offsets[k], scan[-1, k], out=offsets[k + 1])
+    for r in range(full + 1, n):  # the tail, fewer than b rows, summed from zero
+        flat[r] += flat[r - 1]
+    return flat[np.where(rows < full, (rows % b) * blocks + rows // b, rows)] + offsets[rows // b]
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +115,9 @@ class NeuronState:
     def __eq__(self, other):
         same = type(other) is type(self) and self.potentials == other.potentials
         return same and np.array_equal(self.fire_codes, other.fire_codes)
+
+    def __reduce__(self):  # pickle and copy rebuild, so the copy's codes are read-only too
+        return type(self), (self.potentials, self.fire_codes)
 
     @cached_property
     def fire_times(self) -> list:
@@ -148,18 +152,26 @@ def run_layer(
     bound = len(events) * weights.max_abs  # no prefix of these events goes past it
     acc = np.int16 if bound <= INT16_MAX else np.int32 if bound <= INT32_MAX else np.int64
     wide = acc is np.int64  # only then can a prefix leave the 32-bit range
+    blocked = len(events) * layer.out_dim >= BLOCKED_SCAN_CELLS
     # ends[g, j]: neuron j's potential after group g, had it never frozen.
     if wide:
-        prefix = _prefix_rows(weights.columns, events, np.arange(len(events)), acc)
+        prefix = _prefix_rows(weights.columns, events, np.arange(len(events)), acc, blocked)
         ends = prefix[group_ends]
     else:
-        ends = _prefix_rows(weights.columns, events, group_ends, acc)
-    crossed = ends >= layer.effective_threshold(weights.mode)
-    fires = crossed.any(axis=0)
-    stop = np.where(fires, crossed.argmax(axis=0), len(group_ends) - 1)  # each neuron's last group
+        ends = _prefix_rows(weights.columns, events, group_ends, acc, blocked)
+    threshold = layer.effective_threshold(weights.mode)
+    if blocked:  # few columns fire: find first crossings only in those
+        fires = ends.max(axis=0) >= threshold
+        stop = np.full(layer.out_dim, len(group_ends) - 1)  # each neuron's last group
+        stop[fires] = (ends[:, fires] >= threshold).argmax(axis=0)
+    else:
+        crossed = ends >= threshold
+        fires = crossed.any(axis=0)
+        stop = np.where(fires, crossed.argmax(axis=0), len(group_ends) - 1)
     if stop_at_first_fire and fires.any():
         first = stop[fires].min()
-        stop, fires = np.minimum(stop, first), crossed[first]
+        stop = np.minimum(stop, first)
+        fires = ends[first] >= threshold if blocked else crossed[first]
     stop_rows = group_ends[stop]
     if wide and (prefix.min() < INT32_MIN or prefix.max() > INT32_MAX):
         live = np.arange(len(events))[:, None] <= stop_rows

@@ -345,6 +345,9 @@ class SpikeTrain:
     def __hash__(self) -> int:
         return hash((self.times, self.t_max))
 
+    def __reduce__(self):  # pickle and copy rebuild, so the copy's codes are read-only too
+        return type(self).from_codes, (self.codes, self.t_max)
+
     @cached_property
     def times(self) -> tuple:
         return tuple(slot_values(self.codes))

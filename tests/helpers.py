@@ -1,5 +1,7 @@
 """Shared generators and independent reference implementations for the suite."""
 
+import copy
+import pickle
 import random
 from dataclasses import dataclass
 
@@ -25,6 +27,9 @@ from spikesoc.core import first_divergence
 from spikesoc.model import INT32_MAX, INT32_MIN
 
 T_MAX_CHOICES = (16, 64, 256)
+
+# Each way to copy a value: a pickle round trip, copy.deepcopy and copy.copy.
+COPIES = (lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy, copy.copy)
 
 
 def random_binary_weights(rng, in_dim, out_dim):

@@ -23,6 +23,7 @@ from spikesoc import (
     unpack_binary_row,
 )
 from helpers import (
+    COPIES,
     image_with_t_max,
     make_rng,
     random_binary_weights,
@@ -284,6 +285,15 @@ class TestSpikeTrain:
                 train.codes[0] = 5
         source[0] = 5  # the caller's array stays writable and is not the train's
         assert by_codes.codes.tolist() == [1, -1, 2]
+
+    @pytest.mark.parametrize("clone", COPIES, ids=["pickle", "deepcopy", "copy"])
+    def test_pickled_and_copied_trains_stay_read_only(self, clone):
+        train = SpikeTrain((1, None, 2), 16)
+        assert train.times == (1, None, 2)  # cached before the copy is made
+        twin = clone(train)
+        with pytest.raises(ValueError):
+            twin.codes[0] = 5
+        assert twin == train and twin.times == (1, None, 2) and hash(twin) == hash(train)
 
     def test_attributes_cannot_be_assigned(self):
         train = SpikeTrain((1, None), 16)

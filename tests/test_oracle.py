@@ -18,6 +18,7 @@ from spikesoc import (
     SpikeTrain,
 )
 from helpers import (
+    COPIES,
     assert_same_state,
     dense_potentials,
     make_rng,
@@ -193,6 +194,19 @@ def test_states_are_frozen_and_their_codes_read_only():
                 state.potentials = [0] * len(state.potentials)
             with pytest.raises(FrozenInstanceError):
                 state.fire_codes = np.zeros_like(state.fire_codes)
+
+
+@pytest.mark.parametrize("clone", COPIES, ids=["pickle", "deepcopy", "copy"])
+def test_pickled_and_copied_states_stay_read_only(clone):
+    model = random_model(make_rng(80))
+    frame = random_frame(make_rng(81), model.input_dim)
+    for result in (run_network(model, frame), dense_infer(model, frame)):
+        for state in result.layer_states:
+            times = state.fire_times  # cached before the copy is made
+            twin = clone(state)
+            with pytest.raises(ValueError):
+                twin.fire_codes[0] = 0
+            assert twin == state and twin.fire_times == times
 
 
 @pytest.mark.parametrize("infer", [run_network, dense_infer])

@@ -310,6 +310,67 @@ def test_blocked_scan_equals_the_one_event_at_a_time_reference(case, stop_at_fir
     _assert_run_layer_matches_reference(case, stop_at_first_fire)
 
 
+def _blocked_edge_case(kind, binary):
+    """A fixed layer on the blocked scan, summed in int16 (binary) or int32
+    (fixed16 at full scale), whose threshold makes `kind` true."""
+    gen = np.random.default_rng(12)
+    magnitude = 1 if binary else 32767
+    if kind == "one_event_per_group":
+        # b = isqrt(255 * 129 // 512) = 8 rows per block: 31 blocks and a
+        # 7-row tail, and every row is a group end, so every row is read.
+        n, out_dim, t_max = 255, 129, 256
+        times = gen.permutation(t_max)[:n]
+    else:
+        n, out_dim, t_max = 331, 100, 16  # b = 8: 41 blocks and a 3-row tail
+        times = gen.integers(t_max, size=n)
+    rows = gen.integers(-magnitude, magnitude + 1, (out_dim, n))
+    if binary:
+        rows = np.where(rows < 0, -1, 1)
+    if kind == "one_column_fires":
+        rows[out_dim // 3] = magnitude  # the only column that reaches n * magnitude
+    queue = sort_spikes(SpikeTrain(tuple(times.tolist()), t_max))
+    events, _, group_ends = queue
+    # Each neuron's highest potential at a group end, had it never frozen.
+    peaks = np.sort(rows.T[events].cumsum(axis=0)[group_ends].max(axis=0))
+    threshold = {
+        "all_fire_in_group_0": -n * magnitude,
+        "none_fire": n * magnitude + 1,
+        "one_column_fires": n * magnitude,  # reached exactly, at the last group
+        "over_90_percent_fire": int(peaks[0]) + 1,  # all but the lowest peaks
+        "one_event_per_group": int(peaks[out_dim // 2]),
+    }[kind]
+    weights = BinaryWeights.from_rows(rows.tolist()) if binary else Fixed16Weights(rows=rows)
+    return queue, LayerConfig(n, out_dim, 256, threshold), weights
+
+
+@pytest.mark.parametrize("stop_at_first_fire", [False, True])
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "fixed16"])
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "all_fire_in_group_0",
+        "none_fire",
+        "one_column_fires",
+        "over_90_percent_fire",
+        "one_event_per_group",
+    ],
+)
+def test_blocked_scan_edge_cases_equal_the_reference(kind, binary, stop_at_first_fire):
+    case = _blocked_edge_case(kind, binary)
+    (events, group_times, group_ends), layer, weights = case
+    assert len(events) * layer.out_dim >= BLOCKED_SCAN_CELLS
+    _assert_run_layer_matches_reference(case, stop_at_first_fire)
+    fire_codes = run_layer(events, group_times, group_ends, layer, weights)[0].fire_codes
+    fired = np.count_nonzero(fire_codes >= 0)
+    assert {
+        "all_fire_in_group_0": (fire_codes == group_times[0]).all(),
+        "none_fire": fired == 0,
+        "one_column_fires": fired == 1 and fire_codes.max() == group_times[-1],
+        "over_90_percent_fire": 0.9 * layer.out_dim < fired < layer.out_dim,
+        "one_event_per_group": len(group_ends) == len(events) and 0 < fired < layer.out_dim,
+    }[kind]
+
+
 T_MAXES = st.sampled_from([1 << n for n in range(9)])
 
 
