@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import struct
 import sys
 from typing import Optional, Sequence
@@ -22,15 +21,9 @@ from .errors import (
     OracleDivergence,
     SpikeSocError,
 )
-from .model import (
-    binary_weight_bytes,
-    deserialize_model,
-    fixed16_weight_bytes,
-    serialize_model,
-    valid_t_max,
-)
+from .model import deserialize_model, serialize_model, valid_t_max
 from .oracle import dense_infer
-from .perf import cycles_to_ms, write_breakdown_csv
+from .perf import cycles_to_ms, memory_footprint, write_breakdown_csv
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -169,12 +162,7 @@ def run_batch(
             }
         )
 
-    binary_bytes = sum(
-        binary_weight_bytes(cfg.in_dim, cfg.out_dim) for cfg, _ in model.layers
-    )
-    fixed_bytes = sum(
-        fixed16_weight_bytes(cfg.in_dim, cfg.out_dim) for cfg, _ in model.layers
-    )
+    memory = memory_footprint(model)
     return {
         "model": str(model_path),
         "dataset": str(images_path),
@@ -183,9 +171,9 @@ def run_batch(
         "total_cycles": sum(totals.values()),
         "cycles_breakdown": totals,
         "memory": {
-            "binary_bytes": binary_bytes,
-            "fixed_equiv_bytes": fixed_bytes,
-            "ratio": fixed_bytes / binary_bytes,
+            "binary_bytes": memory.binary_bytes,
+            "fixed_equiv_bytes": memory.fixed16_bytes,
+            "ratio": memory.fixed16_bytes / memory.binary_bytes,
         },
         "per_sample": per_sample,
     }
@@ -241,8 +229,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.t_max is not None and not valid_t_max(args.t_max):
         parser.error(f"--t-max {args.t_max} is not a power of two in [1, 256]")
-    if not 0 < args.clock_mhz < math.inf:
-        parser.error(f"--clock-mhz {args.clock_mhz:g} is not a positive finite number")
+    try:
+        cycles_to_ms(1, args.clock_mhz)  # a sample costs at least one cycle
+    except ValueError:
+        parser.error(f"--clock-mhz {args.clock_mhz:g} is not positive with a finite rate in Hz")
     try:
         report = run_batch(
             args.model,
@@ -270,7 +260,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     n = report["n_samples"]
     ms_per_sample = cycles_to_ms(report["total_cycles"] / n, args.clock_mhz)
-    fps = 1000.0 / ms_per_sample if ms_per_sample > 0 else float("inf")
+    fps = 1000.0 / ms_per_sample
     print(f"samples:            {n}")
     print(f"accuracy:           {report['accuracy']:.4f}")
     print(f"avg cycles/sample:  {report['total_cycles'] / n:.1f}")

@@ -3,7 +3,9 @@ completion interrupts, emit UART result frames.
 
 The controller is modeled at protocol level, not as an instruction-set
 interpreter; the CPU only orchestrates. Commands arrive either as command
-objects or as a byte-tagged stream:
+objects or as a byte-tagged stream. `COMMANDS` is the one definition of
+that stream: each command's tag and the little-endian length field before
+its payload, which both `encode_command` and `parse_command_stream` read:
 
     0x01  LoadModel  + u32le length + flash image bytes
     0x02  LoadInput  + u16le length + pixel bytes
@@ -11,9 +13,11 @@ objects or as a byte-tagged stream:
     0x0F  Reset
 
 Each completed run emits, in order: an InferenceDone interrupt, one UART
-result frame, and a LoadNextSample interrupt.
+result frame, and a LoadNextSample interrupt. Interrupts are
+`InterruptKind` members.
 
-UART result frame, 12 bytes little-endian:
+UART result frame, 12 bytes little-endian; `UART_BODY` packs and unpacks
+the 11 bytes before the checksum:
 
     offset  size  field
     0       1     marker 0xA5
@@ -42,14 +46,10 @@ from .errors import (
 from .model import NetworkModel, deserialize_model
 
 UART_MARKER = 0xA5
-UART_FRAME_LEN = 12
+UART_BODY = struct.Struct("<BIBBI")  # marker, sample index, label, time byte, cycles
+UART_FRAME_LEN = UART_BODY.size + 1  # the body, then the checksum byte
 FALLBACK_TIME_BYTE = 0xFF
 MAX_CLASSES = 256  # the UART label field is one byte
-
-CMD_LOAD_MODEL = 0x01
-CMD_LOAD_INPUT = 0x02
-CMD_RUN = 0x03
-CMD_RESET = 0x0F
 
 
 class Phase(Enum):
@@ -61,11 +61,6 @@ class Phase(Enum):
 class InterruptKind(Enum):
     INFERENCE_DONE = "InferenceDone"
     LOAD_NEXT_SAMPLE = "LoadNextSample"
-
-
-@dataclass(frozen=True)
-class Interrupt:
-    kind: InterruptKind
 
 
 @dataclass(frozen=True)
@@ -90,6 +85,15 @@ class Reset:
 
 Command = Union[LoadModel, LoadInput, Run, Reset]
 
+# Each command's stream tag and the length field before its payload (None:
+# the command carries no payload). A payload command has one bytes field.
+COMMANDS = {
+    LoadModel: (0x01, struct.Struct("<I")),
+    LoadInput: (0x02, struct.Struct("<H")),
+    Run: (0x03, None),
+    Reset: (0x0F, None),
+}
+
 
 def xor_checksum(data: bytes) -> int:
     chk = 0
@@ -111,9 +115,7 @@ def format_uart_frame(sample_index: int, result: InferenceResult) -> bytes:
     total_cycles = result.cycles.total_cycles if result.cycles is not None else 0
     if total_cycles > 0xFFFFFFFF:
         raise FrameFieldOverflow("cycle count outside u32 range")
-    body = struct.pack(
-        "<BIBBI", UART_MARKER, sample_index, result.predicted, time_byte, total_cycles
-    )
+    body = UART_BODY.pack(UART_MARKER, sample_index, result.predicted, time_byte, total_cycles)
     return body + bytes([xor_checksum(body[1:])])
 
 
@@ -125,7 +127,7 @@ def parse_uart_frame(frame: bytes) -> dict:
         raise CorruptFrame(f"bad marker {frame[0]:#04x}")
     if frame[-1] != xor_checksum(frame[1:-1]):
         raise CorruptFrame("checksum mismatch")
-    _, sample_index, label, time_byte, cycles = struct.unpack("<BIBBI", frame[:-1])
+    _, sample_index, label, time_byte, cycles = UART_BODY.unpack_from(frame)
     return {
         "sample_index": sample_index,
         "predicted": label,
@@ -136,15 +138,13 @@ def parse_uart_frame(frame: bytes) -> dict:
 
 def encode_command(command: Command) -> bytes:
     """Byte-tagged stream form of one command."""
-    if isinstance(command, LoadModel):
-        return bytes([CMD_LOAD_MODEL]) + struct.pack("<I", len(command.image)) + command.image
-    if isinstance(command, LoadInput):
-        return bytes([CMD_LOAD_INPUT]) + struct.pack("<H", len(command.pixels)) + command.pixels
-    if isinstance(command, Run):
-        return bytes([CMD_RUN])
-    if isinstance(command, Reset):
-        return bytes([CMD_RESET])
-    raise TypeError(f"not a command: {command!r}")
+    if type(command) not in COMMANDS:
+        raise TypeError(f"not a command: {command!r}")
+    tag, length = COMMANDS[type(command)]
+    if length is None:
+        return bytes([tag])
+    (payload,) = vars(command).values()
+    return bytes([tag]) + length.pack(len(payload)) + payload
 
 
 def parse_command_stream(stream: bytes) -> list:
@@ -155,30 +155,22 @@ def parse_command_stream(stream: bytes) -> list:
     while offset < n:
         tag = stream[offset]
         offset += 1
-        if tag == CMD_LOAD_MODEL:
-            if offset + 4 > n:
-                raise ProtocolViolation("LoadModel length field truncated")
-            (length,) = struct.unpack_from("<I", stream, offset)
-            offset += 4
-            if offset + length > n:
-                raise ProtocolViolation("LoadModel payload truncated")
-            commands.append(LoadModel(image=bytes(stream[offset : offset + length])))
-            offset += length
-        elif tag == CMD_LOAD_INPUT:
-            if offset + 2 > n:
-                raise ProtocolViolation("LoadInput length field truncated")
-            (length,) = struct.unpack_from("<H", stream, offset)
-            offset += 2
-            if offset + length > n:
-                raise ProtocolViolation("LoadInput payload truncated")
-            commands.append(LoadInput(pixels=bytes(stream[offset : offset + length])))
-            offset += length
-        elif tag == CMD_RUN:
-            commands.append(Run())
-        elif tag == CMD_RESET:
-            commands.append(Reset())
+        for cls, (cls_tag, length) in COMMANDS.items():
+            if cls_tag == tag:
+                break
         else:
             raise ProtocolViolation(f"unknown command tag {tag:#04x}")
+        if length is None:
+            commands.append(cls())
+            continue
+        if offset + length.size > n:
+            raise ProtocolViolation(f"{cls.__name__} length field truncated")
+        (size,) = length.unpack_from(stream, offset)
+        offset += length.size
+        if offset + size > n:
+            raise ProtocolViolation(f"{cls.__name__} payload truncated")
+        commands.append(cls(bytes(stream[offset : offset + size])))
+        offset += size
     return commands
 
 
@@ -245,10 +237,7 @@ class Controller:
             self.last_result = result
             self.sample_index += 1
             self.pending_input = None
-            return (
-                [Interrupt(InterruptKind.INFERENCE_DONE), Interrupt(InterruptKind.LOAD_NEXT_SAMPLE)],
-                frame,
-            )
+            return [InterruptKind.INFERENCE_DONE, InterruptKind.LOAD_NEXT_SAMPLE], frame
 
         raise TypeError(f"not a command: {command!r}")
 

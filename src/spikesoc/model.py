@@ -51,6 +51,8 @@ NO_SPIKE = None
 
 FLASH_MAGIC = b"SNN1"
 FLASH_VERSION = 1
+FLASH_HEADER = struct.Struct("<HBBH")  # after the magic: version, mode, layer count, t_max
+FLASH_LAYER = struct.Struct("<HHHi")  # in_dim, out_dim, alpha_raw, threshold
 
 INT16_MAX = (1 << 15) - 1
 INT32_MIN = -(1 << 31)
@@ -406,11 +408,11 @@ def serialize_model(model: NetworkModel) -> bytes:
         raise ValueError("flash image caps layer count at 255")
     out = bytearray()
     out += FLASH_MAGIC
-    out += struct.pack("<HBBH", FLASH_VERSION, model.mode.value, len(model.layers), model.t_max)
+    out += FLASH_HEADER.pack(FLASH_VERSION, model.mode.value, len(model.layers), model.t_max)
     for cfg, _ in model.layers:
         if cfg.in_dim > 0xFFFF or cfg.out_dim > 0xFFFF:
             raise ValueError("flash image caps layer dimensions at 65535")
-        out += struct.pack("<HHHi", cfg.in_dim, cfg.out_dim, cfg.alpha_raw, cfg.threshold)
+        out += FLASH_LAYER.pack(cfg.in_dim, cfg.out_dim, cfg.alpha_raw, cfg.threshold)
     for _, weights in model.layers:
         out += weights.cells.tobytes()
     return bytes(out)
@@ -420,9 +422,10 @@ def deserialize_model(data: bytes) -> NetworkModel:
     """Parse a flash image back into a NetworkModel, validating every field."""
     if len(data) < 4 or data[:4] != FLASH_MAGIC:
         raise NotAModelImage("missing SNN1 magic")
-    if len(data) < 10:
+    offset = len(FLASH_MAGIC) + FLASH_HEADER.size
+    if len(data) < offset:
         raise TruncatedImage("header ends early")
-    version, mode_byte, layer_count, t_max = struct.unpack_from("<HBBH", data, 4)
+    version, mode_byte, layer_count, t_max = FLASH_HEADER.unpack_from(data, len(FLASH_MAGIC))
     if version != FLASH_VERSION:
         raise UnsupportedVersion(f"format version {version}, expected {FLASH_VERSION}")
     if mode_byte not in (0, 1):
@@ -433,13 +436,12 @@ def deserialize_model(data: bytes) -> NetworkModel:
         raise CorruptImage(f"t_max {t_max} is not a power of two in [1, 256]")
     mode = WeightMode(mode_byte)
 
-    offset = 10
     configs = []
     for k in range(layer_count):
-        if offset + 10 > len(data):
+        if offset + FLASH_LAYER.size > len(data):
             raise TruncatedImage(f"layer record {k} ends early")
-        in_dim, out_dim, alpha_raw, threshold = struct.unpack_from("<HHHi", data, offset)
-        offset += 10
+        in_dim, out_dim, alpha_raw, threshold = FLASH_LAYER.unpack_from(data, offset)
+        offset += FLASH_LAYER.size
         if in_dim < 1 or out_dim < 1:
             raise CorruptImage(f"layer {k} declares a zero dimension")
         if alpha_raw < 1:

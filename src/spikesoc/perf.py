@@ -8,7 +8,7 @@ t_max bucket sweep per sort:
     sort   = sum over layers of (t_max + events entering the sorter)
     neuron = sum over layers of (events processed * out_dim)
     decode = out_dim of the last layer
-    total  = encode + sort + neuron + decode, exactly
+    total  = encode + sort + neuron + decode, derived, never stored
 
 Events skipped by early termination or by a fully-fired layer cost
 nothing in the neuron stage, which is the whole point of skipping them.
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import NetworkModel
+from .model import NetworkModel, binary_weight_bytes, fixed16_weight_bytes
 
 
 @dataclass(frozen=True)
@@ -81,34 +81,25 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Latency breakdown; total is the exact sum of the four stages."""
+    """Latency breakdown by stage; the total is derived from the stages."""
 
     encode_cycles: int
     sort_cycles: int
     neuron_cycles: int
     decode_cycles: int
-    total_cycles: int
 
-    def __post_init__(self):
-        stages = (
-            self.encode_cycles + self.sort_cycles + self.neuron_cycles + self.decode_cycles
-        )
-        if self.total_cycles != stages:
-            raise ValueError(f"total {self.total_cycles} != stage sum {stages}")
+    @property
+    def total_cycles(self) -> int:
+        return self.encode_cycles + self.sort_cycles + self.neuron_cycles + self.decode_cycles
 
 
 def estimate_cycles(trace: RunTrace) -> CycleReport:
     """The stage cycles of a run trace (formulas in the module docstring)."""
-    encode = trace.input_dim
-    sort = sum(trace.t_max + t.events_sorted for t in trace.layers)
-    neuron = sum(t.events_processed * t.out_dim for t in trace.layers)
-    decode = trace.output_dim
     return CycleReport(
-        encode_cycles=encode,
-        sort_cycles=sort,
-        neuron_cycles=neuron,
-        decode_cycles=decode,
-        total_cycles=encode + sort + neuron + decode,
+        encode_cycles=trace.input_dim,
+        sort_cycles=sum(trace.t_max + t.events_sorted for t in trace.layers),
+        neuron_cycles=sum(t.events_processed * t.out_dim for t in trace.layers),
+        decode_cycles=trace.output_dim,
     )
 
 
@@ -124,36 +115,44 @@ class MemoryReport:
 
     Spike memories hold one byte per neuron per layer boundary; the first
     layer also owns the input spike buffer, every layer owns its output
-    codes.
+    codes. binary_bytes and fixed16_bytes are the weight bytes the model's
+    topology takes in each format, whichever format the model uses.
     """
 
     layers: tuple
     weight_bytes: int
     spike_bytes: int
+    binary_bytes: int
+    fixed16_bytes: int
 
 
 def memory_footprint(model: NetworkModel) -> MemoryReport:
     """Exact byte counts for the model's weight and spike memories."""
-    layers = []
-    weight_total = 0
-    spike_total = 0
-    for k, (cfg, weights) in enumerate(model.layers):
-        wb = weights.weight_bytes
-        sb = cfg.out_dim + (cfg.in_dim if k == 0 else 0)
-        layers.append(LayerMemory(weight_bytes=wb, spike_bytes=sb))
-        weight_total += wb
-        spike_total += sb
+    layers = tuple(
+        LayerMemory(
+            weight_bytes=weights.weight_bytes,
+            spike_bytes=cfg.out_dim + (cfg.in_dim if k == 0 else 0),
+        )
+        for k, (cfg, weights) in enumerate(model.layers)
+    )
+    configs = [cfg for cfg, _ in model.layers]
     return MemoryReport(
-        layers=tuple(layers),
-        weight_bytes=weight_total,
-        spike_bytes=spike_total,
+        layers=layers,
+        weight_bytes=sum(m.weight_bytes for m in layers),
+        spike_bytes=sum(m.spike_bytes for m in layers),
+        binary_bytes=sum(binary_weight_bytes(c.in_dim, c.out_dim) for c in configs),
+        fixed16_bytes=sum(fixed16_weight_bytes(c.in_dim, c.out_dim) for c in configs),
     )
 
 
 def cycles_to_ms(cycles: int, clock_mhz: float = 163.0) -> float:
-    """Wall time for a cycle count at a given clock, for report readability only."""
-    if not 0 < clock_mhz < math.inf:
-        raise ValueError("clock_mhz must be positive and finite")
+    """Wall time for a cycle count at a given clock, for report readability only.
+
+    The clock must be positive with a finite rate in Hz. A sample costs at
+    least one cycle, so no rate derived from these times can pass that one.
+    """
+    if not 0 < clock_mhz * 1e6 < math.inf:
+        raise ValueError(f"clock_mhz {clock_mhz:g} is not positive with a finite rate in Hz")
     return cycles / (clock_mhz * 1e3)
 
 

@@ -9,21 +9,19 @@ import numpy as np
 
 from spikesoc import (
     NO_SPIKE,
-    AccumulatorOverflow,
     BinaryWeights,
-    DimensionMismatch,
     Fixed16Weights,
     InferenceResult,
     LayerConfig,
     LayerTally,
     NetworkModel,
-    NeuronState,
     SpikeTrain,
     WeightMode,
     run_network,
     serialize_model,
 )
-from spikesoc.core import first_divergence
+from spikesoc.core import NeuronState, first_divergence
+from spikesoc.errors import AccumulatorOverflow, DimensionMismatch
 from spikesoc.model import INT32_MAX, INT32_MIN
 
 T_MAX_CHOICES = (16, 64, 256)

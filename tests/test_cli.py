@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import subprocess
 import sys
 
@@ -6,12 +8,10 @@ import pytest
 
 from spikesoc import (
     BinaryWeights,
-    CorruptDataset,
     InferenceResult,
     LayerConfig,
     NO_SPIKE,
     NetworkModel,
-    NotIdx,
     SpikeTrain,
     WeightMode,
     serialize_model,
@@ -24,6 +24,7 @@ from spikesoc.cli import (
     write_idx_images,
     write_idx_labels,
 )
+from spikesoc.errors import CorruptDataset, NotIdx
 from spikesoc.oracle import dense_infer
 from helpers import (
     image_with_t_max,
@@ -285,7 +286,8 @@ class TestMainExitCodes:
         rc = main([str(tmp_path / "no-model.bin"), str(images_path), str(labels_path)])
         assert rc == 2
 
-    @pytest.mark.parametrize("clock", ["0", "-163", "nan", "inf"])
+    # 1e306 MHz and the largest float are finite, but their rates in Hz are not.
+    @pytest.mark.parametrize("clock", ["0", "-163", "nan", "inf", "1e306", repr(sys.float_info.max)])
     def test_bad_clock_exit_2_before_any_sample(self, tmp_path, capsys, monkeypatch, clock):
         rng = make_rng(120)
         model = random_model(rng, max_layers=1, max_dim=8)
@@ -297,6 +299,16 @@ class TestMainExitCodes:
         assert exc.value.code == 2
         assert "--clock-mhz" in capsys.readouterr().err
         assert not json_path.exists()
+
+    def test_fastest_accepted_clock_prints_finite_figures(self, tmp_path, capsys):
+        rng = make_rng(121)
+        model = random_model(rng, max_layers=1, max_dim=8)
+        paths = _write_dataset(tmp_path, rng, model, 2)
+        assert main([*map(str, paths), "--clock-mhz", "1e302"]) == 0
+        out = capsys.readouterr().out
+        latency = float(re.search(r"avg latency: +(\S+) ms", out).group(1))
+        fps = float(re.search(r"throughput: +(\S+) fps", out).group(1))
+        assert latency == 0.0 and 0 < fps < math.inf
 
     def test_console_entry_point_in_subprocess(self, tmp_path):
         rng = make_rng(115)

@@ -2,31 +2,38 @@ import pytest
 
 from spikesoc import (
     Controller,
-    CorruptImage,
-    CycleReport,
-    DimensionMismatch,
     InferenceResult,
-    InterruptKind,
     LayerConfig,
     LoadInput,
     LoadModel,
     NetworkModel,
     NotAModelImage,
-    Phase,
     ProtocolViolation,
     Reset,
     Run,
     SpikeTrain,
-    UnsupportedModel,
     WeightMode,
     encode_command,
+    serialize_model,
+)
+from spikesoc.controller import (
+    COMMANDS,
+    UART_FRAME_LEN,
+    InterruptKind,
+    Phase,
     format_uart_frame,
     parse_command_stream,
     parse_uart_frame,
-    serialize_model,
+    xor_checksum,
 )
-from spikesoc.controller import UART_FRAME_LEN, xor_checksum
-from spikesoc.errors import CorruptFrame, FrameFieldOverflow
+from spikesoc.errors import (
+    CorruptFrame,
+    CorruptImage,
+    DimensionMismatch,
+    FrameFieldOverflow,
+    UnsupportedModel,
+)
+from spikesoc.perf import CycleReport
 from helpers import (
     image_with_t_max,
     make_rng,
@@ -50,6 +57,16 @@ def _small_model(in_dim=16, out_dim=4, seed=91):
     )
 
 
+COMMAND_CASES = (
+    LoadModel(image=b"\x01\x02\x03"),
+    LoadModel(image=b""),
+    LoadInput(pixels=b"\xaa\xbb"),
+    LoadInput(pixels=b""),
+    Run(),
+    Reset(),
+)
+
+
 def _snapshot(c):
     return (c.phase, c.model, c.pending_input, c.last_result, c.sample_index)
 
@@ -67,7 +84,6 @@ def _result(predicted, decision_time, total_cycles):
             sort_cycles=0,
             neuron_cycles=0,
             decode_cycles=0,
-            total_cycles=total_cycles,
         ),
     )
 
@@ -145,7 +161,7 @@ class TestStateMachine:
         irqs, uart = c.handle(LoadInput(pixels=bytes([200] * 16)))
         assert irqs == [] and uart == b""
         irqs, uart = c.handle(Run())
-        assert [i.kind for i in irqs] == [
+        assert irqs == [
             InterruptKind.INFERENCE_DONE,
             InterruptKind.LOAD_NEXT_SAMPLE,
         ]
@@ -243,8 +259,41 @@ class TestCommandStream:
         stream = b"".join(encode_command(c) for c in cmds)
         assert parse_command_stream(stream) == cmds
 
+    @pytest.mark.parametrize("command", COMMAND_CASES, ids=repr)
+    def test_each_command_round_trips_alone(self, command):
+        assert parse_command_stream(encode_command(command)) == [command]
+
+    def test_round_trip_cases_cover_every_command_class(self):
+        assert {type(c) for c in COMMAND_CASES} == set(COMMANDS)
+
+    def test_wire_bytes_of_each_command(self):
+        # tag, then a little-endian u32 (LoadModel) or u16 (LoadInput) length
+        assert encode_command(LoadModel(image=b"\xab")) == b"\x01\x01\x00\x00\x00\xab"
+        assert encode_command(LoadInput(pixels=b"\xaa\xbb")) == b"\x02\x02\x00\xaa\xbb"
+        assert encode_command(Run()) == b"\x03"
+        assert encode_command(Reset()) == b"\x0f"
+
+    @pytest.mark.parametrize("not_a_command", [None, "Run", b"\x03", Run])
+    def test_encoding_a_non_command_is_a_type_error(self, not_a_command):
+        with pytest.raises(TypeError, match="not a command"):
+            encode_command(not_a_command)
+
+    @pytest.mark.parametrize("prefix", [b"", b"\x03"], ids=["first", "after-run"])
+    @pytest.mark.parametrize(
+        "command, length_size",
+        [(LoadModel(image=b"\x01\x02\x03"), 4), (LoadInput(pixels=b"\xaa\xbb\xcc"), 2)],
+        ids=["LoadModel", "LoadInput"],
+    )
+    def test_every_truncation_names_the_command(self, prefix, command, length_size):
+        stream = prefix + encode_command(command)
+        name = type(command).__name__
+        for end in range(len(prefix) + 1, len(stream)):
+            part = "length field" if end < len(prefix) + 1 + length_size else "payload"
+            with pytest.raises(ProtocolViolation, match=f"^{name} {part} truncated$"):
+                parse_command_stream(stream[:end])
+
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(ProtocolViolation, match="^unknown command tag 0x7f$"):
             parse_command_stream(b"\x7f")
 
     def test_truncated_payload_rejected(self):

@@ -2,20 +2,19 @@ import pytest
 
 from spikesoc import (
     NO_SPIKE,
-    AccumulatorOverflow,
     BinaryWeights,
-    DimensionMismatch,
     Fixed16Weights,
     LayerConfig,
     NetworkModel,
     SpikeTrain,
     WeightMode,
-    dense_layer_sweep,
     estimate_cycles,
-    run_layer,
     run_network,
-    sort_spikes,
 )
+from spikesoc.core import run_layer
+from spikesoc.errors import AccumulatorOverflow, DimensionMismatch
+from spikesoc.oracle import dense_layer_sweep
+from spikesoc.sorter import sort_spikes
 from helpers import (
     as_groups,
     as_queue,

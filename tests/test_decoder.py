@@ -1,6 +1,8 @@
 import pytest
 
-from spikesoc import NO_SPIKE, DimensionMismatch, SpikeTrain, decode
+from spikesoc import NO_SPIKE, SpikeTrain
+from spikesoc.decoder import decode
+from spikesoc.errors import DimensionMismatch
 from helpers import make_rng
 
 

@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from spikesoc import NO_SPIKE, DimensionMismatch, encode_ttfs
+from spikesoc import NO_SPIKE
+from spikesoc.encoder import encode_ttfs
+from spikesoc.errors import DimensionMismatch
 from spikesoc.oracle import dense_infer
 from helpers import conditioned_instance, make_rng
 

@@ -5,22 +5,24 @@ import pytest
 
 from spikesoc import (
     BinaryWeights,
-    CorruptImage,
     CorruptWeightWord,
     Fixed16Weights,
-    InconsistentDims,
-    InvalidWeight,
     LayerConfig,
     NetworkModel,
     NotAModelImage,
     SpikeTrain,
-    TruncatedImage,
-    UnsupportedVersion,
     WeightMode,
     deserialize_model,
     pack_binary_row,
     serialize_model,
     unpack_binary_row,
+)
+from spikesoc.errors import (
+    CorruptImage,
+    InconsistentDims,
+    InvalidWeight,
+    TruncatedImage,
+    UnsupportedVersion,
 )
 from helpers import (
     COPIES,

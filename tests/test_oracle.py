@@ -6,17 +6,17 @@ import pytest
 from spikesoc import (
     NO_SPIKE,
     BinaryWeights,
-    DimensionMismatch,
     Fixed16Weights,
     LayerConfig,
     NetworkModel,
-    NeuronState,
     WeightMode,
     dense_infer,
-    dense_layer_sweep,
     run_network,
     SpikeTrain,
 )
+from spikesoc.core import NeuronState
+from spikesoc.errors import DimensionMismatch
+from spikesoc.oracle import dense_layer_sweep
 from helpers import (
     COPIES,
     assert_same_state,

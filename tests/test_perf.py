@@ -1,23 +1,22 @@
 import csv
 import math
+import sys
 
 import pytest
 
 from spikesoc import (
     BinaryWeights,
-    CycleReport,
     LayerConfig,
     LayerTally,
     NetworkModel,
     RunTrace,
     WeightMode,
-    cycles_to_ms,
     estimate_cycles,
     memory_footprint,
     run_network,
-    write_breakdown_csv,
 )
 from spikesoc.model import binary_weight_bytes, fixed16_weight_bytes
+from spikesoc.perf import CycleReport, cycles_to_ms, write_breakdown_csv
 from helpers import make_rng, random_frame, random_instance, random_model
 
 
@@ -87,7 +86,7 @@ class TestEstimateCycles:
             assert b.decode_cycles >= a.decode_cycles
 
     def test_additivity_enforced_by_construction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             CycleReport(
                 encode_cycles=1,
                 sort_cycles=1,
@@ -95,6 +94,7 @@ class TestEstimateCycles:
                 decode_cycles=1,
                 total_cycles=5,
             )
+        assert CycleReport(1, 1, 1, 1).total_cycles == 4
 
     def test_additivity_on_real_runs(self):
         rng = make_rng(82)
@@ -155,9 +155,12 @@ class TestReporting:
     def test_cycles_to_ms_at_163_mhz(self):
         assert cycles_to_ms(163_000, 163.0) == 1.0
         assert cycles_to_ms(0) == 0.0
-        for clock in (0.0, -163.0, math.nan, math.inf):
+        # 1e306 MHz and the largest float are finite, but their rates in Hz are not.
+        for clock in (0.0, -163.0, math.nan, math.inf, 1e306, sys.float_info.max):
             with pytest.raises(ValueError):
                 cycles_to_ms(100, clock)
+        # One cycle at the fastest accepted clock: a finite time and a finite rate.
+        assert 0 < 1000.0 / cycles_to_ms(1, 1e302) < math.inf
 
     def test_breakdown_csv(self, tmp_path):
         report = estimate_cycles(_trace_600_10())

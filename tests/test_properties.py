@@ -18,13 +18,11 @@ from hypothesis import strategies as st
 
 from spikesoc import (
     BinaryWeights,
-    CorruptDataset,
     Fixed16Weights,
     LayerConfig,
     LoadInput,
     LoadModel,
     ModelImageError,
-    NotIdx,
     ProtocolViolation,
     Reset,
     Run,
@@ -32,13 +30,7 @@ from spikesoc import (
     WeightMode,
     deserialize_model,
     encode_command,
-    encode_ttfs,
-    format_uart_frame,
-    parse_command_stream,
-    parse_uart_frame,
-    run_layer,
     serialize_model,
-    sort_spikes,
 )
 from spikesoc.cli import (
     IDX_IMAGES_MAGIC,
@@ -47,9 +39,17 @@ from spikesoc.cli import (
     load_idx_labels,
     main,
 )
-from spikesoc.controller import UART_MARKER, xor_checksum
-from spikesoc.core import BLOCKED_SCAN_CELLS
-from spikesoc.errors import CorruptFrame
+from spikesoc.controller import (
+    UART_MARKER,
+    format_uart_frame,
+    parse_command_stream,
+    parse_uart_frame,
+    xor_checksum,
+)
+from spikesoc.core import BLOCKED_SCAN_CELLS, run_layer
+from spikesoc.encoder import encode_ttfs
+from spikesoc.errors import CorruptDataset, CorruptFrame, NotIdx
+from spikesoc.sorter import sort_spikes
 from helpers import (
     as_groups,
     make_rng,

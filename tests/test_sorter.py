@@ -1,4 +1,5 @@
-from spikesoc import NO_SPIKE, SpikeTrain, sort_spikes
+from spikesoc import NO_SPIKE, SpikeTrain
+from spikesoc.sorter import sort_spikes
 from helpers import as_groups, make_rng, reference_sort, truncate_after
 
 
