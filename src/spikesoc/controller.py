@@ -144,6 +144,11 @@ def encode_command(command: Command) -> bytes:
     if length is None:
         return bytes([tag])
     (payload,) = vars(command).values()
+    if len(payload) >= 1 << (8 * length.size):
+        raise ProtocolViolation(
+            f"{type(command).__name__} payload of {len(payload)} bytes overflows its"
+            f" {8 * length.size}-bit length field"
+        )
     return bytes([tag]) + length.pack(len(payload)) + payload
 
 

@@ -223,16 +223,19 @@ def first_divergence(
     leaves the last layer's fire times and potentials out: an early-stopped
     output layer legitimately stops short of a full run. The answer names
     the field, the layer and neuron where there is one, and both values.
+    Fire codes are compared as arrays: the `fire_times` lists are built
+    only for the layer whose codes differ.
     """
     states = list(zip(a.layer_states, b.layer_states))
     for k, (sa, sb) in enumerate(states if output_layer else states[:-1]):
-        for name, xs, ys in (
-            ("fire time", sa.fire_times, sb.fire_times),
-            ("potential", sa.potentials, sb.potentials),
-        ):
-            if xs != ys:
-                j = next(j for j, (x, y) in enumerate(zip(xs, ys)) if x != y)
-                return f"layer {k} neuron {j} {name} {xs[j]} vs {ys[j]}"
+        if not np.array_equal(sa.fire_codes, sb.fire_codes):
+            name, xs, ys = "fire time", sa.fire_times, sb.fire_times
+        elif sa.potentials != sb.potentials:
+            name, xs, ys = "potential", sa.potentials, sb.potentials
+        else:
+            continue
+        j = next(j for j, (x, y) in enumerate(zip(xs, ys)) if x != y)
+        return f"layer {k} neuron {j} {name} {xs[j]} vs {ys[j]}"
     for name in ("predicted", "decision_time"):
         x, y = getattr(a, name), getattr(b, name)
         if x != y:

@@ -140,8 +140,8 @@ class _CellMatrix:
         return same_type and self.in_dim == other.in_dim and np.array_equal(self.cells, other.cells)
 
     def matrix(self) -> np.ndarray:
-        """(out_dim, in_dim) int64 weight matrix, decoded from the cells."""
-        return self._narrow().astype(np.int64)
+        """(out_dim, in_dim) int64 weights from the cells, in Fortran order: `.T` is C-contiguous."""
+        return self._narrow().astype(np.int64, order="F")
 
     @property
     def out_dim(self) -> int:

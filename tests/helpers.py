@@ -269,6 +269,12 @@ def fired_flags(state: NeuronState):
     return [t is not NO_SPIKE for t in state.fire_times]
 
 
+def states_result(states, predicted=0, decision_time=NO_SPIKE):
+    """An InferenceResult around layer states alone: all that first_divergence
+    reads besides the class and the decision time."""
+    return InferenceResult(predicted, decision_time, SpikeTrain((), 1), [], list(states))
+
+
 def assert_same_outcome(a: InferenceResult, b: InferenceResult):
     assert a.predicted == b.predicted
     assert a.decision_time == b.decision_time

@@ -292,6 +292,17 @@ class TestCommandStream:
             with pytest.raises(ProtocolViolation, match=f"^{name} {part} truncated$"):
                 parse_command_stream(stream[:end])
 
+    def test_largest_load_input_round_trips(self):
+        command = LoadInput(pixels=bytes(range(256)) * 255 + bytes(255))  # 65535 pixels
+        stream = encode_command(command)
+        assert stream[:3] == b"\x02\xff\xff"
+        assert parse_command_stream(stream) == [command]
+
+    def test_oversized_load_input_is_a_protocol_violation(self):
+        message = "^LoadInput payload of 65536 bytes overflows its 16-bit length field$"
+        with pytest.raises(ProtocolViolation, match=message):
+            encode_command(LoadInput(pixels=bytes(65536)))
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(ProtocolViolation, match="^unknown command tag 0x7f$"):
             parse_command_stream(b"\x7f")

@@ -1,0 +1,93 @@
+"""Bounded-exhaustive oracle checks: every one-layer network in a small scope.
+
+The random corpus and the Hypothesis properties sample; these tests
+enumerate. Each case runs the dense oracle, the event-driven datapath
+(`run_layer` on `sort_spikes`) and the one-event-at-a-time reference (on
+the naive insertion sort) and compares them through `first_divergence`:
+- binary layers with in_dim, out_dim <= 2, every sign pattern, with alpha_raw
+  256 and 512 (whose threshold fold meets ties at every odd threshold);
+- fixed16 layers of one or two inputs, every weight from FIXED16_CELLS;
+- every input code vector at t_max 4 (codes -1..3);
+- thresholds at every reachable potential and one above it, so negatives,
+  0, a potential met exactly and one missed by one are all in scope.
+"""
+
+import itertools
+from fractions import Fraction
+from operator import itemgetter
+
+import numpy as np
+
+from spikesoc import BinaryWeights, Fixed16Weights, LayerConfig, SpikeTrain, WeightMode
+from spikesoc.core import first_divergence, run_layer
+from spikesoc.oracle import dense_layer_sweep
+from spikesoc.sorter import sort_spikes
+from helpers import reference_run_layer, reference_sort, states_result
+
+T_MAX = 4
+FIXED16_CELLS = (-32768, -1, 0, 1, 32767)
+
+
+def _trains(in_dim):
+    """Every train of in_dim inputs at T_MAX, each with its reference groups."""
+    for codes in itertools.product(range(-1, T_MAX), repeat=in_dim):
+        train = SpikeTrain.from_codes(np.array(codes, dtype=np.int16), T_MAX)
+        pairs = reference_sort(train)
+        groups = [
+            (t, [i for i, _ in group]) for t, group in itertools.groupby(pairs, key=itemgetter(1))
+        ]
+        yield train, groups
+
+
+def _assert_all_agree(train, groups, layer, weights):
+    dense_train, dense = dense_layer_sweep(train, layer, weights)
+    event, _ = run_layer(*sort_spikes(train), layer, weights)
+    reference, _ = reference_run_layer(groups, layer, weights)
+    for other in (event, reference):
+        divergence = first_divergence(states_result([dense]), states_result([other]))
+        assert divergence is None, f"{weights.matrix().tolist()} {train.codes} {layer}: {divergence}"
+    assert np.array_equal(dense_train.codes, dense.fire_codes)
+
+
+def _fold(threshold, alpha_raw):
+    """threshold * 256 / alpha_raw rounded half away from zero, in exact rationals."""
+    q = Fraction(threshold * 256, alpha_raw)
+    magnitude = int(abs(q) + Fraction(1, 2))
+    return magnitude if q >= 0 else -magnitude
+
+
+def test_every_small_binary_layer_agrees():
+    cases = 0
+    for in_dim, out_dim in itertools.product((1, 2), repeat=2):
+        trains = list(_trains(in_dim))
+        for signs in itertools.product((-1, 1), repeat=in_dim * out_dim):
+            rows = [list(signs[j * in_dim : (j + 1) * in_dim]) for j in range(out_dim)]
+            weights = BinaryWeights.from_rows(rows)
+            # Reachable potentials are -2..2 at most. Alpha 1.0 takes thresholds
+            # -3..3 as they are; alpha 2.0 folds the odd ones from -5 to 5, each
+            # a tie, onto -3, -2, -1, 1, 2, 3.
+            for alpha_raw, threshold in [(256, t) for t in range(-3, 4)] + [
+                (512, t) for t in range(-5, 6, 2)
+            ]:
+                layer = LayerConfig(in_dim, out_dim, alpha_raw, threshold)
+                assert layer.effective_threshold(WeightMode.BINARY) == _fold(threshold, alpha_raw)
+                for train, groups in trains:
+                    _assert_all_agree(train, groups, layer, weights)
+                    cases += 1
+    assert cases == 13 * (6 * 5 + 20 * 25)
+
+
+def test_every_small_fixed16_layer_agrees():
+    cases = 0
+    for in_dim in (1, 2):
+        trains = list(_trains(in_dim))
+        for row in itertools.product(FIXED16_CELLS, repeat=in_dim):
+            weights = Fixed16Weights.from_rows([list(row)])
+            # Each reachable potential p, and p + 1 just out of reach.
+            thresholds = sorted({p + d for p in (0, *row, sum(row)) for d in (0, 1)})
+            for threshold in thresholds:
+                layer = LayerConfig(in_dim, 1, 256, threshold)
+                for train, groups in trains:
+                    _assert_all_agree(train, groups, layer, weights)
+                    cases += 1
+    assert cases == 3080  # every (weights, threshold, train) triple

@@ -135,8 +135,10 @@ class TestWeightMatrices:
                 assert list(w.columns[i]) == [rows[j][i] for j in range(5)]
             assert w.matrix().dtype == np.int64
             assert w.matrix().tolist() == rows
+            assert w.matrix().T.flags.c_contiguous
             fortran = BinaryWeights(in_dim=in_dim, words=np.asfortranarray(w.words))
             assert fortran.matrix().tolist() == rows
+            assert fortran.matrix().T.flags.c_contiguous
 
     def test_fixed_column_matches_rows(self):
         rng = make_rng(15)
@@ -146,6 +148,7 @@ class TestWeightMatrices:
             assert list(w.columns[i]) == [rows[j][i] for j in range(4)]
         assert w.matrix().dtype == np.int64
         assert w.matrix().tolist() == rows
+        assert w.matrix().T.flags.c_contiguous
 
     def test_columns_are_one_read_only_int16_array(self):
         rng = make_rng(16)

@@ -14,7 +14,7 @@ from spikesoc import (
     run_network,
     SpikeTrain,
 )
-from spikesoc.core import NeuronState
+from spikesoc.core import NeuronState, first_divergence
 from spikesoc.errors import DimensionMismatch
 from spikesoc.oracle import dense_layer_sweep
 from helpers import (
@@ -22,8 +22,12 @@ from helpers import (
     assert_same_state,
     dense_potentials,
     make_rng,
+    random_binary_weights,
+    random_fixed_weights,
     random_frame,
+    random_layer,
     random_model,
+    states_result,
 )
 
 
@@ -61,6 +65,32 @@ def test_no_events_means_no_fire_even_below_zero_threshold():
     out, state = dense_layer_sweep(train, cfg, w)
     assert out.times == (NO_SPIKE, NO_SPIKE)
     assert state.potentials == [0, 0]
+    rng = make_rng(82)
+    for random_weights in (random_binary_weights, random_fixed_weights):
+        w = random_weights(rng, 40, 7)
+        for threshold in (0, -1, -(2**31)):
+            out, state = dense_layer_sweep(
+                SpikeTrain((NO_SPIKE,) * 40, 256), LayerConfig(40, 7, 256, threshold), w
+            )
+            assert out.times == (NO_SPIKE,) * 7
+            assert state.potentials == [0] * 7
+            assert state.fire_codes.tolist() == [-1] * 7
+
+
+@pytest.mark.parametrize("t_max", [1, 4, 256])
+def test_inputs_all_at_the_last_timestep_fire_there_or_never(t_max):
+    rng = make_rng(83)
+    outcomes = set()
+    for _ in range(20):
+        cfg, weights = random_layer(rng, rng.randint(1, 30), rng.randint(1, 12), rng.choice(list(WeightMode)))
+        out, state = dense_layer_sweep(SpikeTrain((t_max - 1,) * cfg.in_dim, t_max), cfg, weights)
+        sums = weights.matrix().sum(axis=1)
+        fired = sums >= cfg.effective_threshold(weights.mode)
+        assert state.fire_codes.tolist() == np.where(fired, t_max - 1, -1).tolist()
+        assert state.potentials == sums.tolist()
+        assert set(out.times) <= {t_max - 1, NO_SPIKE}
+        outcomes.update(fired.tolist())
+    assert outcomes == {True, False}
 
 
 def test_dimension_check():
@@ -225,3 +255,28 @@ def test_inference_builds_no_python_view(infer):
             assert train.times == SpikeTrain(times, model.t_max).times == times
         for train, state in zip(result.layer_trains, result.layer_states):
             assert state.fire_times == list(train.times)
+
+
+def test_divergence_messages_name_the_first_difference():
+    def states(p0=7, c1=4):
+        return [
+            NeuronState([5, -2, p0], np.array([3, -1, 3], np.int16)),
+            NeuronState([1, 2], np.array([-1, c1], np.int16)),
+        ]
+
+    clean = states_result(states())
+    assert first_divergence(clean, states_result(states())) is None
+    assert all("fire_times" not in vars(state) for state in clean.layer_states)
+    cases = [
+        (states(c1=-1), "layer 1 neuron 1 fire time 4 vs None"),
+        (states(p0=8), "layer 0 neuron 2 potential 7 vs 8"),
+        (states(p0=8, c1=-1), "layer 0 neuron 2 potential 7 vs 8"),
+    ]
+    for other, message in cases:
+        assert first_divergence(clean, states_result(other)) == message
+    one_layer = [NeuronState([5, -2, 8], np.array([3, -1, 2], np.int16))]
+    assert first_divergence(states_result(states()[:1]), states_result(one_layer)) == (
+        "layer 0 neuron 2 fire time 3 vs 2"
+    )
+    assert first_divergence(clean, states_result(states(), predicted=1)) == "predicted 0 vs 1"
+    assert first_divergence(clean, states_result(states(c1=-1)), output_layer=False) is None
