@@ -6,14 +6,17 @@ shares the convention constants with the event-driven datapath (the >=
 comparison, the threshold fold, firing only at timesteps that carried at
 least one event) through the same LayerConfig record, and the weights' one
 decoder `matrix()` (pinned by the packing tests), but none of its code paths.
-Each layer is two int64 passes, exact with no range argument. The first
-adds the full weight column of every spiking input into a table of t_max
-rows, one per timestep: O(spiking inputs * out_dim), each column read
-contiguously from `matrix().T`. The second scans the table at every
-timestep that carries spikes, O(out_dim) each, in place in buffers made
-once per layer. There is no BLAS raster product: its worker threads and
-temporaries slowed the single-threaded datapath run after it. Nor is there
-a gathered copy of the spiking columns: it was slower and took more memory.
+Each layer is two int64 passes over a table of t_max rows, one per timestep,
+exact with no range argument. The first adds the full weight column of every
+spiking input into the row of its spike time: O(spiking inputs * out_dim),
+each column read contiguously from `matrix().T`. The second is one running
+sum down the table, in place, then one fire test over every timestep and
+every neuron. A neuron's potential depends only on its own column, so a
+fired neuron's frozen potential is its running sum at the timestep it fired.
+There is no BLAS raster product: its worker threads and temporaries slowed
+the single-threaded datapath run after it. Nor is there a gathered copy of
+the spiking columns or of the table's rows: each took more memory, and its
+fresh pages faulting in made checked runs slower.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ def dense_layer_sweep(
     """Run one layer over the whole window with dense accumulation.
 
     Add each spiking input's full weight column into the table row of its
-    spike time (t_max rows; a silent input has no row); then at every
-    timestep that carries an input spike, in order, add its row into the
-    unfired neurons and fire all at or above the effective threshold.
+    spike time (t_max rows; a silent input has no row); sum the rows down
+    the window, so row t holds every neuron's potential after timestep t had
+    none frozen; then each neuron fires at the first timestep that carries
+    an input spike and finds it at or above the effective threshold, and
+    keeps the potential of that row (of the last row if it never fires).
     Timesteps with no events are not checked, as in the event-driven
     datapath.
     """
@@ -43,7 +48,6 @@ def dense_layer_sweep(
         raise DimensionMismatch(f"train length {len(train)} != layer in_dim {layer.in_dim}")
     if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
         raise DimensionMismatch("weight shape disagrees with layer config")
-    eff = layer.effective_threshold(weights.mode)
     spiking = np.flatnonzero(train.codes >= 0)
     times = train.codes[spiking]
     columns = weights.matrix().T  # C-contiguous (in_dim, out_dim)
@@ -52,18 +56,13 @@ def dense_layer_sweep(
         row = contributions[t]
         row += columns[i]  # `contributions[t] += ...` would also copy the row back
 
-    potentials = np.zeros(layer.out_dim, dtype=np.int64)
-    unfired = np.ones(layer.out_dim, dtype=bool)
-    newly = np.empty(layer.out_dim, dtype=bool)
-    fire_codes = np.full(layer.out_dim, -1, dtype=np.int16)
-    for t in np.flatnonzero(np.bincount(times, minlength=train.t_max)).tolist():
-        np.add(potentials, contributions[t], out=potentials, where=unfired)
-        np.greater_equal(potentials, eff, out=newly)
-        newly &= unfired
-        fire_codes[newly] = t
-        unfired ^= newly
-
-    state = NeuronState(potentials.tolist(), fire_codes)
+    np.cumsum(contributions, axis=0, out=contributions)  # in place: no second table
+    crossed = contributions >= layer.effective_threshold(weights.mode)
+    crossed[np.bincount(times, minlength=train.t_max) == 0] = False
+    fires = crossed.any(axis=0)
+    rows = np.where(fires, crossed.argmax(axis=0), train.t_max - 1)  # row t is time t
+    fire_codes = np.where(fires, rows, -1).astype(np.int16)
+    state = NeuronState(contributions[rows, np.arange(layer.out_dim)].tolist(), fire_codes)
     return SpikeTrain.from_codes(fire_codes, train.t_max), state
 
 

@@ -10,6 +10,10 @@ the naive insertion sort) and compares them through `first_divergence`:
 - every input code vector at t_max 4 (codes -1..3);
 - thresholds at every reachable potential and one above it, so negatives,
   0, a potential met exactly and one missed by one are all in scope.
+
+Two-layer networks run whole pipelines instead: `run_network` with early
+stop on and off, `dense_infer` and the reference chained layer by layer,
+from every frame of two pixels at t_max 4, with `spike_on_zero` on and off.
 """
 
 import itertools
@@ -18,25 +22,38 @@ from operator import itemgetter
 
 import numpy as np
 
-from spikesoc import BinaryWeights, Fixed16Weights, LayerConfig, SpikeTrain, WeightMode
+from spikesoc import (
+    BinaryWeights,
+    Fixed16Weights,
+    LayerConfig,
+    NetworkModel,
+    SpikeTrain,
+    WeightMode,
+    dense_infer,
+    run_network,
+)
 from spikesoc.core import first_divergence, run_layer
 from spikesoc.oracle import dense_layer_sweep
 from spikesoc.sorter import sort_spikes
-from helpers import reference_run_layer, reference_sort, states_result
+from helpers import reference_encode, reference_run_layer, reference_sort, states_result
 
 T_MAX = 4
 FIXED16_CELLS = (-32768, -1, 0, 1, 32767)
+# One pixel per code at T_MAX 4: silent (or 3 under spike_on_zero), 3, 2, 1, 0.
+PIXELS = (0, 1, 64, 128, 192)
+
+
+def _groups(train):
+    """The train's (time, indices) groups, from the naive insertion sort."""
+    pairs = reference_sort(train)
+    return [(t, [i for i, _ in group]) for t, group in itertools.groupby(pairs, key=itemgetter(1))]
 
 
 def _trains(in_dim):
     """Every train of in_dim inputs at T_MAX, each with its reference groups."""
     for codes in itertools.product(range(-1, T_MAX), repeat=in_dim):
         train = SpikeTrain.from_codes(np.array(codes, dtype=np.int16), T_MAX)
-        pairs = reference_sort(train)
-        groups = [
-            (t, [i for i, _ in group]) for t, group in itertools.groupby(pairs, key=itemgetter(1))
-        ]
-        yield train, groups
+        yield train, _groups(train)
 
 
 def _assert_all_agree(train, groups, layer, weights):
@@ -91,3 +108,56 @@ def test_every_small_fixed16_layer_agrees():
                     _assert_all_agree(train, groups, layer, weights)
                     cases += 1
     assert cases == 3080  # every (weights, threshold, train) triple
+
+
+def _decide(state):
+    """The decode rule on a reference state: the earliest fire time, then the
+    lowest index; with no fire, the first largest potential and no time."""
+    fired = [(t, j) for j, t in enumerate(state.fire_times) if t is not None]
+    if fired:
+        t, j = min(fired)
+        return j, t
+    return state.potentials.index(max(state.potentials)), None
+
+
+def test_every_small_two_layer_pipeline_agrees():
+    """Every 2-neuron binary output layer over 2 hidden neurons (16 sign
+    patterns, thresholds -1, 0 and 1) behind a hidden layer that passes its
+    input through: [[1, -1], [-1, 1]] at threshold 0 fires each hidden neuron
+    exactly when its own input spikes, and never at time 0 unless an input
+    does, so the output layer sees every code vector as its input train."""
+    hidden = (LayerConfig(2, 2, 256, 0), BinaryWeights.from_rows([[1, -1], [-1, 1]]))
+    inputs = []  # (frame, spike_on_zero, input train, hidden state, the train's groups)
+    for spike_on_zero in (False, True):
+        for pixels in itertools.product(PIXELS, repeat=2):
+            if spike_on_zero and 0 not in pixels:
+                continue  # a frame with no 0 encodes alike either way
+            train = SpikeTrain(reference_encode(pixels, T_MAX, spike_on_zero=spike_on_zero), T_MAX)
+            groups = _groups(train)
+            between, _ = reference_run_layer(groups, *hidden)
+            assert np.array_equal(between.fire_codes, train.codes)  # so the output layer reads groups too
+            inputs.append((bytes(pixels), spike_on_zero, train, between, groups))
+    cases = stopped_short = fallbacks = 0
+    for signs in itertools.product((-1, 1), repeat=4):
+        weights = BinaryWeights.from_rows([list(signs[:2]), list(signs[2:])])
+        for threshold in (-1, 0, 1):
+            output = LayerConfig(2, 2, 256, threshold)
+            model = NetworkModel(WeightMode.BINARY, T_MAX, [hidden, (output, weights)])
+            for frame, spike_on_zero, train, between, groups in inputs:
+                dense = dense_infer(model, frame, spike_on_zero=spike_on_zero)
+                for early_stop in (False, True):
+                    last, _ = reference_run_layer(groups, output, weights, stop_at_first_fire=early_stop)
+                    reference = states_result([between, last], *_decide(last))
+                    event = run_network(model, frame, early_stop=early_stop, spike_on_zero=spike_on_zero)
+                    assert event.input_train == dense.input_train == train
+                    # An early-stopped output layer stops short of the dense full run.
+                    pairs = [(event, reference), (dense, reference), (event, dense)]
+                    for (a, b), whole in zip(pairs, (True, not early_stop, not early_stop)):
+                        divergence = first_divergence(a, b, output_layer=whole)
+                        case = (signs, threshold, frame, spike_on_zero, early_stop)
+                        assert divergence is None, f"{case}: {divergence}"
+                    cases += 1
+                stopped_short += event.layer_states[1] != dense.layer_states[1]
+                fallbacks += dense.decision_time is None
+    assert cases == 16 * 3 * 34 * 2  # sign patterns, thresholds, frames, early stop
+    assert stopped_short and fallbacks  # early stop and the fallback decode both bite

@@ -1,3 +1,5 @@
+import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -14,9 +16,10 @@ from spikesoc import (
     run_network,
     SpikeTrain,
 )
-from spikesoc.core import NeuronState, first_divergence
+from spikesoc.core import NeuronState, _prefix_rows, first_divergence, run_layer
 from spikesoc.errors import DimensionMismatch
 from spikesoc.oracle import dense_layer_sweep
+from spikesoc.sorter import sort_spikes
 from helpers import (
     COPIES,
     assert_same_state,
@@ -105,19 +108,77 @@ def test_dimension_check():
 
 
 def test_independent_of_the_datapath_column_cache(monkeypatch):
-    """The oracle must not read `columns`, the datapath's transposed cache."""
+    """The oracle must not read `columns`, the datapath's transposed cache,
+    nor call the sorter, `run_layer` or its prefix scan, under any name."""
     rng = make_rng(74)
     models = [random_model(rng) for _ in range(60)]
     cases = [(model, random_frame(rng, model.input_dim)) for model in models]
     expected = [run_network(model, frame, early_stop=False) for model, frame in cases]
 
-    def forbidden(self):
-        raise AssertionError("the dense oracle read `columns`")
+    def forbidden(name):
+        def raise_(*args, **kwargs):
+            raise AssertionError(f"the dense oracle used `{name}`")
 
-    monkeypatch.setattr(BinaryWeights, "columns", property(forbidden))
-    monkeypatch.setattr(Fixed16Weights, "columns", property(forbidden))
+        return raise_
+
+    monkeypatch.setattr(BinaryWeights, "columns", property(forbidden("columns")))
+    monkeypatch.setattr(Fixed16Weights, "columns", property(forbidden("columns")))
+    datapath = [sort_spikes, run_layer, _prefix_rows]
+    patched = 0
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "spikesoc"]:
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in datapath):
+                monkeypatch.setattr(module, name, forbidden(name))
+                patched += 1
+    assert patched >= 4  # sort_spikes in sorter and core; run_layer and _prefix_rows in core
     for (model, frame), event in zip(cases, expected):
         assert_same_state(event, dense_infer(model, frame))
+
+
+@pytest.mark.parametrize("threshold", [0, -1, -100])
+@pytest.mark.parametrize("mode", list(WeightMode))
+def test_nonpositive_threshold_fires_at_the_first_spike_not_at_time_zero(mode, threshold):
+    """With an effective threshold <= 0 every potential already meets it at
+    time 0, but no neuron may fire before a timestep that carries a spike."""
+    rows = [[1, 1, -1], [-1, 1, -1], [1, 1, 1]]
+    weights = (BinaryWeights if mode is WeightMode.BINARY else Fixed16Weights).from_rows(rows)
+    layer = LayerConfig(3, 3, 256, threshold)
+    model = NetworkModel(mode=mode, t_max=8, layers=[(layer, weights)])
+    frame = bytes([0, 128, 64])  # t_max 8 reads pixel >> 5: silent, times 3 and 5
+    train = SpikeTrain((NO_SPIKE, 3, 5), 8)
+    out, dense = dense_layer_sweep(train, layer, weights)
+    event, _ = run_layer(*sort_spikes(train), layer, weights)
+    for state in (dense, event):
+        assert state.fire_times == [3, 3, 3]
+        assert state.potentials == [1, 1, 1]  # input 1's weights alone
+    assert out.times == (3, 3, 3)
+    for infer in (dense_infer, run_network):
+        result = infer(model, frame)
+        assert result.input_train == train
+        assert result.layer_states[0] == dense
+        assert (result.predicted, result.decision_time) == (0, 3)
+
+
+def test_sweep_makes_no_second_table():
+    """The running sum goes down the contribution table in place: one warmed
+    sweep of a 784x600 binary layer at t_max 256 holds the int64 weight
+    matrix, the table and less than half a table besides (a gathered copy of
+    the rows that carry spikes would pass that)."""
+    gen = np.random.default_rng(84)
+    weights = BinaryWeights.from_rows(gen.choice((-1, 1), size=(600, 784)).tolist())
+    layer = LayerConfig(784, 600, 256, 8)
+    codes = np.where(gen.random(784) < 0.1, -1, gen.integers(0, 256, 784)).astype(np.int16)
+    train = SpikeTrain.from_codes(codes, 256)
+    dense_layer_sweep(train, layer, weights)
+    tracemalloc.start()
+    try:
+        _, state = dense_layer_sweep(train, layer, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < (state.fire_codes >= 0).sum() < 600
+    matrix_bytes, table_bytes = 600 * 784 * 8, 256 * 600 * 8
+    assert peak < matrix_bytes + 1.5 * table_bytes, peak // 1024
 
 
 @pytest.mark.parametrize("fill", ["plus", "minus", "mixed"])
