@@ -1,7 +1,7 @@
 """Batch harness: IDX datasets in, controller-driven inference, reports out.
 
-Exit codes: 0 success, 1 dataset error, 2 model image error, 3 divergence
-from the dense reference simulator.
+Exit codes: 0 success, 1 dataset or output-file error, 2 model image error,
+3 divergence from the dense reference simulator.
 """
 
 from __future__ import annotations
@@ -274,12 +274,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.oracle:
         print(f"oracle cross-check: {n}/{n} samples agree")
 
-    if args.report_json:
-        with open(args.report_json, "w") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
-    if args.breakdown_csv:
-        write_breakdown_csv(report["cycles_breakdown"], args.breakdown_csv)
+    try:
+        if args.report_json:
+            with open(args.report_json, "w") as f:
+                json.dump(report, f, indent=2)
+                f.write("\n")
+        if args.breakdown_csv:
+            write_breakdown_csv(report["cycles_breakdown"], args.breakdown_csv)
+    except OSError as exc:  # names the path it could not write
+        print(f"error: output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

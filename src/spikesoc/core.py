@@ -21,14 +21,17 @@ group that fires anything).
 The prefix sum runs in the narrowest accumulator that is exact for the
 layer: no prefix of n events passes n times the largest |weight|, so it is
 int16 while that bound fits (every binary layer of up to 32767 events),
-else int32, else int64, and only then can a prefix leave the 32-bit range
-the overflow check guards. np.cumsum along the event axis is a scalar loop,
-about 2.3 ns per cell, while adding one whole row slice into another costs
-about 0.07 ns per cell. So a large layer is scanned in blocks of rows by
-row-slice adds, within every block at once, then over the block totals and
-the tail; only the rows read get their block's offset, and only the columns
-that fire are searched for a first crossing. Below BLOCKED_SCAN_CELLS
-gathered cells (every acceptance-corpus layer) one cumsum and argmax are faster.
+else int32. A layer has at most 65535 inputs (the flash record's u16
+in_dim) and sees at most one event per input, so no prefix passes
+65535 * 2^15 < 2^31: int32 is exact for every layer, and a hand-built queue
+that repeats inputs past that bound is rejected, never wrapped. np.cumsum
+along the event axis is a scalar loop, about 2.3 ns per cell, while adding
+one whole row slice into another costs about 0.07 ns per cell. So a large
+layer is scanned in blocks of rows by row-slice adds, within every block at
+once, then over the block totals and the tail; only the rows read get their
+block's offset, and only the columns that fire are searched for a first
+crossing. Below BLOCKED_SCAN_CELLS gathered cells (every acceptance-corpus
+layer) one cumsum and argmax are faster.
 
 Non-informative events are skipped, never processed: events into a layer
 whose neurons have all fired, and events behind the output layer's
@@ -50,11 +53,10 @@ import numpy as np
 
 from .decoder import decode
 from .encoder import InputFrame, encode_ttfs
-from .errors import AccumulatorOverflow, DimensionMismatch
+from .errors import DimensionMismatch
 from .model import (
     INT16_MAX,
     INT32_MAX,
-    INT32_MIN,
     LayerConfig,
     NetworkModel,
     SpikeTrain,
@@ -150,15 +152,12 @@ def run_layer(
         raise DimensionMismatch(f"event index {bad} outside the layer's inputs [0, {layer.in_dim})")
 
     bound = len(events) * weights.max_abs  # no prefix of these events goes past it
-    acc = np.int16 if bound <= INT16_MAX else np.int32 if bound <= INT32_MAX else np.int64
-    wide = acc is np.int64  # only then can a prefix leave the 32-bit range
+    if bound > INT32_MAX:  # only a queue that repeats inputs gets here
+        raise DimensionMismatch(f"{len(events)} events of |weight| {weights.max_abs} can pass int32")
+    acc = np.int16 if bound <= INT16_MAX else np.int32
     blocked = len(events) * layer.out_dim >= BLOCKED_SCAN_CELLS
     # ends[g, j]: neuron j's potential after group g, had it never frozen.
-    if wide:
-        prefix = _prefix_rows(weights.columns, events, np.arange(len(events)), acc, blocked)
-        ends = prefix[group_ends]
-    else:
-        ends = _prefix_rows(weights.columns, events, group_ends, acc, blocked)
+    ends = _prefix_rows(weights.columns, events, group_ends, acc, blocked)
     threshold = layer.effective_threshold(weights.mode)
     if blocked:  # few columns fire: find first crossings only in those
         fires = ends.max(axis=0) >= threshold
@@ -173,15 +172,6 @@ def run_layer(
         stop = np.minimum(stop, first)
         fires = ends[first] >= threshold if blocked else crossed[first]
     stop_rows = group_ends[stop]
-    if wide and (prefix.min() < INT32_MIN or prefix.max() > INT32_MAX):
-        live = np.arange(len(events))[:, None] <= stop_rows
-        bad = np.flatnonzero((live & ((prefix < INT32_MIN) | (prefix > INT32_MAX))).any(axis=1))
-        if bad.size:
-            time = group_times[np.searchsorted(group_ends, bad[0])]
-            raise AccumulatorOverflow(
-                f"event {events[bad[0]]} at time {time} took an accumulator out of 32-bit range"
-            )
-
     potentials = ends[stop, np.arange(layer.out_dim)]
     touched = int(stop_rows.sum()) + layer.out_dim
     if weights.mode is WeightMode.BINARY:

@@ -46,10 +46,6 @@ class DimensionMismatch(SpikeSocError):
     """Input length does not match the expected dimension."""
 
 
-class AccumulatorOverflow(SpikeSocError):
-    """A membrane accumulator left the signed 32-bit range."""
-
-
 class ProtocolViolation(SpikeSocError):
     """Controller command issued from an illegal state, or an unreadable command stream."""
 

@@ -245,7 +245,9 @@ class LayerConfig:
     accumulator units. In binary mode the scale is folded into the
     threshold instead of touching the add/sub datapath; fixed-point models
     are expected to carry the scale inside their weights, so the raw
-    threshold is used as-is.
+    threshold is used as-is. Both dimensions are in [1, 65535], the u16
+    fields of the flash layer record, so every layer that can be built can
+    be flashed.
     """
 
     in_dim: int
@@ -254,8 +256,8 @@ class LayerConfig:
     threshold: int = 0
 
     def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError("layer dimensions must be >= 1")
+        if not (1 <= self.in_dim <= 0xFFFF and 1 <= self.out_dim <= 0xFFFF):
+            raise ValueError("layer dimensions must be in [1, 65535]")
         if not 1 <= self.alpha_raw <= 0xFFFF:
             raise ValueError("alpha_raw must be in [1, 65535]")
         if not INT32_MIN <= self.threshold <= INT32_MAX:
@@ -367,7 +369,8 @@ class SpikeTrain:
 
 @dataclass
 class NetworkModel:
-    """Whole-network description: weight mode, time window, chained layers."""
+    """Whole-network description: weight mode, time window, chained layers,
+    1 to 255 of them (the flash header's u8 layer count)."""
 
     mode: WeightMode
     t_max: int
@@ -375,8 +378,8 @@ class NetworkModel:
 
     def __post_init__(self):
         check_t_max(self.t_max)
-        if not self.layers:
-            raise ValueError("model needs at least one layer")
+        if not 1 <= len(self.layers) <= 255:
+            raise ValueError(f"model needs 1 to 255 layers, got {len(self.layers)}")
         prev_out = None
         for k, (cfg, weights) in enumerate(self.layers):
             if weights.mode is not self.mode:
@@ -404,14 +407,10 @@ class NetworkModel:
 
 def serialize_model(model: NetworkModel) -> bytes:
     """Emit the flash image bytes for a model (see module docstring for layout)."""
-    if len(model.layers) > 255:
-        raise ValueError("flash image caps layer count at 255")
     out = bytearray()
     out += FLASH_MAGIC
     out += FLASH_HEADER.pack(FLASH_VERSION, model.mode.value, len(model.layers), model.t_max)
     for cfg, _ in model.layers:
-        if cfg.in_dim > 0xFFFF or cfg.out_dim > 0xFFFF:
-            raise ValueError("flash image caps layer dimensions at 65535")
         out += FLASH_LAYER.pack(cfg.in_dim, cfg.out_dim, cfg.alpha_raw, cfg.threshold)
     for _, weights in model.layers:
         out += weights.cells.tobytes()

@@ -21,7 +21,7 @@ from spikesoc import (
     serialize_model,
 )
 from spikesoc.core import NeuronState, first_divergence
-from spikesoc.errors import AccumulatorOverflow, DimensionMismatch
+from spikesoc.errors import DimensionMismatch
 from spikesoc.model import INT32_MAX, INT32_MIN
 
 T_MAX_CHOICES = (16, 64, 256)
@@ -196,9 +196,10 @@ def truncate_after(groups, cutoff):
 def reference_run_layer(groups, layer, weights, *, stop_at_first_fire=False):
     """The executable specification of run_layer: one event at a time.
 
-    Each event adds its weight column into every unfired neuron, then the
-    int32 overflow check; each group ends with one fire check in ascending
-    neuron order. Groups after every neuron has fired are skipped, and with
+    Each event adds its weight column into every unfired neuron, and every
+    potential must stay inside int32, the bound the datapath's accumulator
+    relies on; each group ends with one fire check in ascending neuron
+    order. Groups after every neuron has fired are skipped, and with
     stop_at_first_fire the layer stops after the first group that fires.
     """
     if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
@@ -223,10 +224,7 @@ def reference_run_layer(groups, layer, weights, *, stop_at_first_fire=False):
             column = columns[i]
             for j in unfired:
                 potentials[j] += column[j]
-            if min(potentials) < INT32_MIN or max(potentials) > INT32_MAX:
-                raise AccumulatorOverflow(
-                    f"event {i} at time {t} took an accumulator out of 32-bit range"
-                )
+            assert INT32_MIN <= min(potentials) and max(potentials) <= INT32_MAX, (i, t)
         touched = len(unfired) * len(indices)
         if binary:
             # Fired neurons are frozen, so the potentials' sum moved by the

@@ -221,6 +221,18 @@ class TestMainExitCodes:
         rc = main([str(model_path), str(tmp_path / "nope.idx"), str(labels_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag", ["--report-json", "--breakdown-csv"])
+    def test_unwritable_output_exit_1(self, tmp_path, capsys, flag):
+        rng = make_rng(123)
+        model = random_model(rng, max_layers=1, max_dim=8)
+        model_path, images_path, labels_path = _write_dataset(tmp_path, rng, model, 2)
+        out_path = tmp_path / "missing-dir" / "out"
+        rc = main([str(model_path), str(images_path), str(labels_path), flag, str(out_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output: ") and str(out_path) in err
+        assert err.count("\n") == 1
+
     def test_model_error_exit_2(self, tmp_path, capsys):
         rng = make_rng(112)
         model = random_model(rng, max_layers=1, max_dim=8)

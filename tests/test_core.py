@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from spikesoc import (
@@ -8,11 +9,13 @@ from spikesoc import (
     NetworkModel,
     SpikeTrain,
     WeightMode,
+    deserialize_model,
     estimate_cycles,
     run_network,
+    serialize_model,
 )
 from spikesoc.core import run_layer
-from spikesoc.errors import AccumulatorOverflow, DimensionMismatch
+from spikesoc.errors import DimensionMismatch
 from spikesoc.oracle import dense_layer_sweep
 from spikesoc.sorter import sort_spikes
 from helpers import (
@@ -26,6 +29,7 @@ from helpers import (
     random_frame,
     random_instance,
     random_model,
+    reference_run_layer,
     truncate_after,
 )
 
@@ -62,15 +66,6 @@ class TestAccumulateBinary:
         state, _ = run_layer(*_one_event_per_timestep(arrived), cfg, w)
         assert state.potentials == dense_potentials(rows, arrived)
 
-    def test_overflow_is_diagnosed(self):
-        # A +-1 column cannot leave the 32-bit range in any layer an image
-        # can hold; the one accumulate loop is checked through 16-bit
-        # weights crossing the upper bound: 65539 * 32767 > 2**31 - 1.
-        cfg = LayerConfig(65539, 1, threshold=2**31 - 1)
-        w = Fixed16Weights.from_rows([[32767] * 65539])
-        with pytest.raises(AccumulatorOverflow):
-            run_layer(*as_queue([(0, list(range(65539)))]), cfg, w)
-
 
 class TestAccumulateFixed16:
     def test_single_event_weight_300(self):
@@ -95,54 +90,12 @@ class TestAccumulateFixed16:
         state, _ = run_layer(*_one_event_per_timestep(arrived), cfg, w)
         assert state.potentials == dense_potentials(rows, arrived)
 
-    def test_overflow_is_diagnosed(self):
-        # 65537 * -32768 < -2**31, all in one timestep
-        cfg = LayerConfig(65537, 1, threshold=0)
-        w = Fixed16Weights.from_rows([[-32768] * 65537])
-        with pytest.raises(AccumulatorOverflow):
-            run_layer(*as_queue([(0, list(range(65537)))]), cfg, w)
-
-
-class TestOverflowRule:
-    """The int32 check applies after every event into a neuron that is still
-    unfired and still processed, not only at group ends."""
-
-    def test_overflow_inside_a_group_that_ends_in_range(self):
-        # 65539 * 32767 passes 2**31 - 1 at event 65538; two -32768 events
-        # then bring the group's final potential back to 2**31 - 3.
-        cfg = LayerConfig(65541, 1, threshold=2**31 - 1)
-        w = Fixed16Weights.from_rows([[32767] * 65539 + [-32768] * 2])
-        with pytest.raises(AccumulatorOverflow, match="event 65538 at time 5 "):
-            run_layer(*as_queue([(5, list(range(65541)))]), cfg, w)
-
-    def test_frozen_neuron_may_leave_range_unseen(self):
-        # Neuron 0 fires on event 0; its unfrozen prefix would pass 2**31 - 1
-        # in the next group, which only neuron 1 (zero weights) still takes.
-        cfg = LayerConfig(65540, 2, threshold=1)
-        w = Fixed16Weights.from_rows([[32767] * 65540, [0] * 65540])
-        state, tally = run_layer(*as_queue([(0, [0]), (1, list(range(1, 65540)))]), cfg, w)
-        assert state.fire_times == [0, NO_SPIKE]
-        assert state.potentials == [32767, 0]
-        assert tally.multiplications == 1 + 65540
-        assert tally.events_processed == 65540
-
-    def test_events_after_the_first_fire_cut_are_not_checked(self):
-        cfg = LayerConfig(65540, 2, threshold=1)
-        w = Fixed16Weights.from_rows([[1] + [0] * 65539, [0] + [32767] * 65539])
-        queue = as_queue([(0, [0]), (1, list(range(1, 65540)))])
-        state, tally = run_layer(*queue, cfg, w, stop_at_first_fire=True)
-        assert state.fire_times == [0, NO_SPIKE]
-        assert state.potentials == [1, 0]
-        assert (tally.events_processed, tally.events_skipped) == (1, 65539)
-        with pytest.raises(AccumulatorOverflow, match="event 65539 at time 1 "):
-            run_layer(*queue, cfg, w)
-
 
 class TestAccumulatorWidth:
-    """run_layer's blocked scan sums in int16 while events x the largest
-    |weight| fits, so the edges of that rule must not wrap, and the fire
-    test compares an int16 prefix with thresholds far outside int16
-    exactly."""
+    """run_layer sums in int16 while events x the largest |weight| fits, else
+    in int32, which holds every layer a flash record can declare (65535 x
+    2**15 < 2**31). The edges of that rule must not wrap, and the fire test
+    compares an int16 prefix with thresholds far outside int16 exactly."""
 
     @pytest.mark.parametrize("events", [32767, 32768])
     @pytest.mark.parametrize("out_dim", [1, 2])  # one cumsum, and the blocked scan
@@ -168,6 +121,30 @@ class TestAccumulatorWidth:
         state, _ = run_layer(*queue, always, w)
         assert state.fire_times == [2, 2]
         assert state.potentials == [n // 2, -n // 2]
+
+    @pytest.mark.parametrize("weight, potential", [(-32768, -2147450880), (32767, 2147385345)])
+    def test_widest_flashable_fixed16_layer_agrees_everywhere(self, weight, potential):
+        n = 0xFFFF  # the largest in_dim a flash layer record holds
+        layer = (LayerConfig(n, 1, threshold=2**31 - 1), Fixed16Weights.from_rows([[weight] * n]))
+        model = NetworkModel(mode=WeightMode.FIXED16, t_max=256, layers=[layer])
+        [(cfg, w)] = deserialize_model(serialize_model(model)).layers
+        train = SpikeTrain.from_codes(np.arange(n) % 256, 256)  # every input spikes once
+        queue = sort_spikes(train)
+        state, tally = run_layer(*queue, cfg, w)
+        assert state.potentials == [potential]
+        assert state.fire_times == [NO_SPIKE]
+        assert dense_layer_sweep(train, cfg, w)[1] == state
+        assert reference_run_layer(as_groups(*queue), cfg, w) == (state, tally)
+
+    def test_a_queue_that_could_leave_int32_is_rejected(self):
+        # Only a hand-built queue repeats an input, so only it can hold more
+        # events than a flash record allows inputs.
+        cfg = LayerConfig(1, 1, threshold=0)
+        w = Fixed16Weights.from_rows([[-32768]])
+        state, _ = run_layer(*as_queue([(0, [0] * 0xFFFF)]), cfg, w)
+        assert state.potentials == [-2147450880]
+        with pytest.raises(DimensionMismatch, match="65536 events"):
+            run_layer(*as_queue([(0, [0] * 0x10000)]), cfg, w)
 
 
 class TestFireCheck:

@@ -196,6 +196,13 @@ class TestLayerConfig:
         with pytest.raises(ValueError):
             LayerConfig(1, 1, threshold=1 << 31)
 
+    @pytest.mark.parametrize("field", ["in_dim", "out_dim"])
+    def test_dimensions_stop_at_the_flash_record_u16(self, field):
+        other = "out_dim" if field == "in_dim" else "in_dim"
+        assert getattr(LayerConfig(**{field: 0xFFFF, other: 1}), field) == 0xFFFF
+        with pytest.raises(ValueError, match=r"\[1, 65535\]"):
+            LayerConfig(**{field: 0x10000, other: 1})
+
     def test_effective_threshold_folds_alpha_in_binary_mode(self):
         # alpha = 2.0 stored as 512; raw threshold 4 -> effective 2
         cfg = LayerConfig(8, 1, alpha_raw=512, threshold=4)
@@ -327,6 +334,18 @@ class TestNetworkModel:
         for t_max in (257, 3, 100, 255):  # above the cap, or not a power of two
             with pytest.raises(ValueError):
                 NetworkModel(mode=WeightMode.BINARY, t_max=t_max, layers=layers)
+
+    @pytest.mark.parametrize("count", [1, 255])
+    def test_every_layer_count_the_flash_header_u8_holds_builds(self, count):
+        layers = [(LayerConfig(1, 1), BinaryWeights.from_rows([[1]]))] * count
+        model = NetworkModel(mode=WeightMode.BINARY, t_max=4, layers=layers)
+        assert len(deserialize_model(serialize_model(model)).layers) == count
+
+    @pytest.mark.parametrize("count", [0, 256])
+    def test_other_layer_counts_are_rejected(self, count):
+        layers = [(LayerConfig(1, 1), BinaryWeights.from_rows([[1]]))] * count
+        with pytest.raises(ValueError, match=f"1 to 255 layers, got {count}"):
+            NetworkModel(mode=WeightMode.BINARY, t_max=4, layers=layers)
 
 
 def _minimal_model():
