@@ -6,15 +6,18 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatch
-from .model import NO_SPIKE, SpikeTrain
+from .model import NO_SPIKE
 
 
-def decode(fire_times: SpikeTrain, potentials: Sequence[int]) -> tuple[int, Optional[int]]:
-    """Return (class index, decision time); decision time is NO_SPIKE on fallback."""
-    if len(fire_times) == 0 or len(fire_times) != len(potentials):
-        raise DimensionMismatch(f"{len(fire_times)} fire times vs {len(potentials)} potentials")
-    codes = fire_times.codes.view("u2")  # NO_SPIKE's -1 reads 65535, after every time
+def decode(fire_codes: np.ndarray, potentials: Sequence[int]) -> tuple[int, Optional[int]]:
+    """Return (class index, decision time) of the output layer's int16 fire
+    codes (-1: no spike) and potentials; decision time is NO_SPIKE on fallback."""
+    if len(fire_codes) == 0 or len(fire_codes) != len(potentials):
+        raise DimensionMismatch(f"{len(fire_codes)} fire times vs {len(potentials)} potentials")
+    codes = fire_codes.view("u2")  # NO_SPIKE's -1 reads 65535, after every time
     j = int(codes.argmin())  # the earliest time, then the lowest index
     if codes[j] != 0xFFFF:
         return j, int(codes[j])

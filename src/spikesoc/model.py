@@ -236,7 +236,7 @@ def _div_round_half_away(num: int, den: int) -> int:
     return -((-2 * num + den) // (2 * den))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerConfig:
     """Per-layer parameter memory: dimensions, current scale, firing threshold.
 
@@ -247,7 +247,7 @@ class LayerConfig:
     are expected to carry the scale inside their weights, so the raw
     threshold is used as-is. Both dimensions are in [1, 65535], the u16
     fields of the flash layer record, so every layer that can be built can
-    be flashed.
+    be flashed; it is frozen, so a config keeps the values it was checked with.
     """
 
     in_dim: int
@@ -367,16 +367,19 @@ class SpikeTrain:
         return int(np.count_nonzero(self.codes >= 0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkModel:
     """Whole-network description: weight mode, time window, chained layers,
-    1 to 255 of them (the flash header's u8 layer count)."""
+    1 to 255 of them (the flash header's u8 layer count). Frozen, with the
+    layers stored as a tuple of (config, weights) pairs, so a model that was
+    built can always be flashed."""
 
     mode: WeightMode
     t_max: int
-    layers: list[tuple[LayerConfig, WeightMatrix]]
+    layers: tuple[tuple[LayerConfig, WeightMatrix], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(map(tuple, self.layers)))
         check_t_max(self.t_max)
         if not 1 <= len(self.layers) <= 255:
             raise ValueError(f"model needs 1 to 255 layers, got {len(self.layers)}")
@@ -402,7 +405,7 @@ class NetworkModel:
 
     def with_t_max(self, t_max: int) -> "NetworkModel":
         """Same topology and weights under a different time window."""
-        return NetworkModel(mode=self.mode, t_max=t_max, layers=list(self.layers))
+        return NetworkModel(mode=self.mode, t_max=t_max, layers=self.layers)
 
 
 def serialize_model(model: NetworkModel) -> bytes:

@@ -74,17 +74,9 @@ def dense_infer(
         frame, model.t_max, spike_on_zero=spike_on_zero, expected_dim=model.input_dim
     )
     input_train = train
-    layer_trains = []
     layer_states = []
     for cfg, weights in model.layers:
         train, state = dense_layer_sweep(train, cfg, weights)
-        layer_trains.append(train)
         layer_states.append(state)
-    predicted, decision_time = decode(layer_trains[-1], layer_states[-1].potentials)
-    return InferenceResult(
-        predicted=predicted,
-        decision_time=decision_time,
-        input_train=input_train,
-        layer_trains=layer_trains,
-        layer_states=layer_states,
-    )
+    predicted, decision_time = decode(train.codes, state.potentials)
+    return InferenceResult(predicted, decision_time, input_train, layer_states)

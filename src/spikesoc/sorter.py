@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SpikeTrain
 
-
-def sort_spikes(train: SpikeTrain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The datapath's queue: events (neuron indices in ascending time, ascending
-    index within a time), group_times (the times that carry events, ascending)
-    and group_ends (the position of each such time's last event)."""
-    buckets = np.bincount(train.codes + 1, minlength=train.t_max + 1)  # bucket 0: NO_SPIKE
-    events = train.codes.argsort(kind="stable")[buckets[0] :]
+def sort_spikes(codes: np.ndarray, t_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The datapath's queue of a layer's int16 spike codes in [-1, t_max - 1]
+    (-1: no spike), as `SpikeTrain.codes` and `NeuronState.fire_codes` hold
+    them: events (neuron indices in ascending time, ascending index within a
+    time), group_times (the times that carry events, ascending) and group_ends
+    (the position of each such time's last event)."""
+    buckets = np.bincount(codes + 1, minlength=t_max + 1)  # bucket 0: NO_SPIKE
+    events = codes.argsort(kind="stable")[buckets[0] :]
     group_times = buckets[1:].nonzero()[0]
     return events, group_times, buckets[1:][group_times].cumsum() - 1

@@ -267,10 +267,13 @@ def fired_flags(state: NeuronState):
     return [t is not NO_SPIKE for t in state.fire_times]
 
 
+_NO_INPUT = SpikeTrain((), 1)  # read-only, so every result can share it
+
+
 def states_result(states, predicted=0, decision_time=NO_SPIKE):
     """An InferenceResult around layer states alone: all that first_divergence
     reads besides the class and the decision time."""
-    return InferenceResult(predicted, decision_time, SpikeTrain((), 1), [], list(states))
+    return InferenceResult(predicted, decision_time, _NO_INPUT, list(states))
 
 
 def assert_same_outcome(a: InferenceResult, b: InferenceResult):

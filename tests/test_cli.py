@@ -353,7 +353,6 @@ class TestMainExitCodes:
                 predicted=10**6,
                 decision_time=NO_SPIKE,
                 input_train=train,
-                layer_trains=[train],
                 layer_states=[],
             )
 

@@ -33,7 +33,7 @@ from spikesoc.errors import (
     FrameFieldOverflow,
     UnsupportedModel,
 )
-from spikesoc.perf import CycleReport
+from spikesoc.perf import LayerTally, RunTrace, estimate_cycles
 from helpers import (
     image_with_t_max,
     make_rng,
@@ -73,18 +73,16 @@ def _snapshot(c):
 
 def _result(predicted, decision_time, total_cycles):
     train = SpikeTrain((decision_time,) if decision_time is not None else (None,), 256)
+    # One silent 1-1 layer at t_max 1 costs a 1-cycle bucket sweep and a
+    # 1-cycle decode, so the encoder's total_cycles - 2 pixels make the total.
+    trace = RunTrace(t_max=1, input_dim=total_cycles - 2, layers=(LayerTally(1, 1, 0, 0),))
+    assert estimate_cycles(trace).total_cycles == total_cycles
     return InferenceResult(
         predicted=predicted,
         decision_time=decision_time,
         input_train=train,
-        layer_trains=[train],
         layer_states=[],
-        cycles=CycleReport(
-            encode_cycles=total_cycles,
-            sort_cycles=0,
-            neuron_cycles=0,
-            decode_cycles=0,
-        ),
+        trace=trace,
     )
 
 

@@ -17,8 +17,10 @@ from spikesoc import (
 from spikesoc.core import run_layer
 from spikesoc.errors import DimensionMismatch
 from spikesoc.oracle import dense_layer_sweep
+from spikesoc.perf import OpCounters
 from spikesoc.sorter import sort_spikes
 from helpers import (
+    COPIES,
     as_groups,
     as_queue,
     dense_potentials,
@@ -129,7 +131,7 @@ class TestAccumulatorWidth:
         model = NetworkModel(mode=WeightMode.FIXED16, t_max=256, layers=[layer])
         [(cfg, w)] = deserialize_model(serialize_model(model)).layers
         train = SpikeTrain.from_codes(np.arange(n) % 256, 256)  # every input spikes once
-        queue = sort_spikes(train)
+        queue = sort_spikes(train.codes, train.t_max)
         state, tally = run_layer(*queue, cfg, w)
         assert state.potentials == [potential]
         assert state.fire_times == [NO_SPIKE]
@@ -195,7 +197,7 @@ class TestRunLayer:
     def test_crosses_on_second_event(self):
         cfg = LayerConfig(2, 1, threshold=2)
         w = BinaryWeights.from_rows([[1, 1]])
-        state, _ = run_layer(*sort_spikes(SpikeTrain((3, 9), 16)), cfg, w)
+        state, _ = run_layer(*sort_spikes(SpikeTrain((3, 9), 16).codes, 16), cfg, w)
         assert state.fire_times == [9]
 
     def test_event_index_out_of_range(self):
@@ -213,7 +215,7 @@ class TestRunLayer:
     def test_events_after_all_fired_are_skipped(self):
         cfg = LayerConfig(3, 1, threshold=1)
         w = BinaryWeights.from_rows([[1, 1, 1]])
-        state, tally = run_layer(*sort_spikes(SpikeTrain((0, 4, 8), 16)), cfg, w)
+        state, tally = run_layer(*sort_spikes(SpikeTrain((0, 4, 8), 16).codes, 16), cfg, w)
         assert state.fire_times == [0]
         assert tally.events_processed == 1
         assert tally.events_skipped == 2
@@ -246,7 +248,7 @@ class TestRunLayer:
                 NO_SPIKE if rng.random() < 0.2 else rng.randint(0, t_max - 1)
                 for _ in range(in_dim)
             ]
-            queue = sort_spikes(SpikeTrain(tuple(times), t_max))
+            queue = sort_spikes(SpikeTrain(tuple(times), t_max).codes, t_max)
             state_stop, _ = run_layer(*queue, cfg, w, stop_at_first_fire=True)
             groups = as_groups(*queue)
             fired = [t for t in state_stop.fire_times if t is not NO_SPIKE]
@@ -280,7 +282,7 @@ class TestRunLayer:
                 for _ in range(in_dim)
             )
             train = SpikeTrain(times, t_max)
-            got_state, _ = run_layer(*sort_spikes(train), cfg, w)
+            got_state, _ = run_layer(*sort_spikes(train.codes, train.t_max), cfg, w)
             ref_train, ref_state = dense_layer_sweep(train, cfg, w)
             assert tuple(got_state.fire_times) == ref_train.times
             assert got_state.potentials == ref_state.potentials
@@ -389,3 +391,38 @@ class TestRunNetwork:
                 inst.default.layer_trains[:-1], full.layer_trains[:-1]
             ):
                 assert a.times == b.times
+
+
+def _assert_views_derive_from_the_stored_fields(result, t_max):
+    assert len(result.layer_trains) == len(result.layer_states)
+    for train, state in zip(result.layer_trains, result.layer_states):
+        assert train == SpikeTrain.from_codes(state.fire_codes, t_max)
+        assert not train.codes.flags.writeable
+    if result.trace is None:
+        assert result.counters is None and result.cycles is None
+    else:
+        assert result.counters == OpCounters.total(result.trace.layers)
+        assert result.cycles == estimate_cycles(result.trace)
+
+
+def test_derived_views_equal_the_values_they_derive_from(corpus):
+    """layer_trains, counters and cycles are built on first read from the
+    layer states and the trace, early stop on and off; the dense reference
+    has no trace, so no counters or cycles."""
+    for runs in corpus:
+        t_max = runs.inst.model.t_max
+        for result in (runs.inst.default, runs.untruncated, runs.dense):
+            _assert_views_derive_from_the_stored_fields(result, t_max)
+        assert runs.dense.trace is None
+    runs = corpus[0]
+    fresh = run_network(runs.inst.model, runs.inst.frame)  # no view read yet
+    for clone in COPIES:
+        for result in (runs.inst.default, runs.dense, fresh):
+            twin = clone(result)
+            assert twin == result
+            _assert_views_derive_from_the_stored_fields(twin, runs.inst.model.t_max)
+            assert twin.layer_trains == result.layer_trains
+            assert (twin.counters, twin.cycles) == (result.counters, result.cycles)
+            codes = [twin.input_train.codes, *(s.fire_codes for s in twin.layer_states)]
+            assert not any(c.flags.writeable for c in codes)
+

@@ -50,18 +50,20 @@ def _groups(train):
 
 
 def _trains(in_dim):
-    """Every train of in_dim inputs at T_MAX, each with its reference groups."""
+    """Every train of in_dim inputs at T_MAX, each with its sorted queue and
+    its reference groups."""
     for codes in itertools.product(range(-1, T_MAX), repeat=in_dim):
         train = SpikeTrain.from_codes(np.array(codes, dtype=np.int16), T_MAX)
-        yield train, _groups(train)
+        yield train, sort_spikes(train.codes, T_MAX), _groups(train)
 
 
-def _assert_all_agree(train, groups, layer, weights):
+def _assert_all_agree(train, queue, groups, layer, weights):
     dense_train, dense = dense_layer_sweep(train, layer, weights)
-    event, _ = run_layer(*sort_spikes(train), layer, weights)
+    event, _ = run_layer(*queue, layer, weights)
     reference, _ = reference_run_layer(groups, layer, weights)
+    expected = states_result([dense])
     for other in (event, reference):
-        divergence = first_divergence(states_result([dense]), states_result([other]))
+        divergence = first_divergence(expected, states_result([other]))
         assert divergence is None, f"{weights.matrix().tolist()} {train.codes} {layer}: {divergence}"
     assert np.array_equal(dense_train.codes, dense.fire_codes)
 
@@ -88,8 +90,8 @@ def test_every_small_binary_layer_agrees():
             ]:
                 layer = LayerConfig(in_dim, out_dim, alpha_raw, threshold)
                 assert layer.effective_threshold(WeightMode.BINARY) == _fold(threshold, alpha_raw)
-                for train, groups in trains:
-                    _assert_all_agree(train, groups, layer, weights)
+                for train, queue, groups in trains:
+                    _assert_all_agree(train, queue, groups, layer, weights)
                     cases += 1
     assert cases == 13 * (6 * 5 + 20 * 25)
 
@@ -104,8 +106,8 @@ def test_every_small_fixed16_layer_agrees():
             thresholds = sorted({p + d for p in (0, *row, sum(row)) for d in (0, 1)})
             for threshold in thresholds:
                 layer = LayerConfig(in_dim, 1, 256, threshold)
-                for train, groups in trains:
-                    _assert_all_agree(train, groups, layer, weights)
+                for train, queue, groups in trains:
+                    _assert_all_agree(train, queue, groups, layer, weights)
                     cases += 1
     assert cases == 3080  # every (weights, threshold, train) triple
 

@@ -223,6 +223,17 @@ class TestLayerConfig:
     def test_alpha_property(self):
         assert LayerConfig(1, 1, alpha_raw=384).alpha == 1.5
 
+    @pytest.mark.parametrize(
+        "field, value", [("threshold", 2**40), ("in_dim", 0x10000), ("alpha_raw", 0)]
+    )
+    def test_fields_cannot_be_assigned(self, field, value):
+        """A config keeps the values it was checked with: each of these would
+        make an image that serialize_model cannot pack or the loader rejects."""
+        cfg = LayerConfig(4, 1)
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert cfg == LayerConfig(4, 1)
+
 
 class TestSpikeTrain:
     def test_rejects_time_at_t_max(self):
@@ -346,6 +357,25 @@ class TestNetworkModel:
         layers = [(LayerConfig(1, 1), BinaryWeights.from_rows([[1]]))] * count
         with pytest.raises(ValueError, match=f"1 to 255 layers, got {count}"):
             NetworkModel(mode=WeightMode.BINARY, t_max=4, layers=layers)
+
+    def test_a_built_model_cannot_change(self):
+        """Neither a 256th layer nor a field past its flash width can get into
+        a built model, so serialize_model never meets one."""
+        layer = (LayerConfig(1, 1), BinaryWeights.from_rows([[1]]))
+        model = NetworkModel(mode=WeightMode.BINARY, t_max=4, layers=[list(layer)] * 255)
+        assert model.layers == (layer,) * 255  # a tuple of (config, weights) tuples
+        with pytest.raises(AttributeError):
+            model.layers.append(layer)
+        with pytest.raises(TypeError):
+            model.layers[0] = layer
+        with pytest.raises(TypeError):
+            model.layers[0][0] = LayerConfig(1, 1, threshold=1)
+        with pytest.raises(FrozenInstanceError):
+            model.layers[0][0].threshold = 2**40
+        for field, value in [("layers", [layer] * 256), ("t_max", 512), ("mode", WeightMode.FIXED16)]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(model, field, value)
+        assert len(deserialize_model(serialize_model(model)).layers) == 255
 
 
 def _minimal_model():

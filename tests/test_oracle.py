@@ -147,7 +147,7 @@ def test_nonpositive_threshold_fires_at_the_first_spike_not_at_time_zero(mode, t
     frame = bytes([0, 128, 64])  # t_max 8 reads pixel >> 5: silent, times 3 and 5
     train = SpikeTrain((NO_SPIKE, 3, 5), 8)
     out, dense = dense_layer_sweep(train, layer, weights)
-    event, _ = run_layer(*sort_spikes(train), layer, weights)
+    event, _ = run_layer(*sort_spikes(train.codes, train.t_max), layer, weights)
     for state in (dense, event):
         assert state.fire_times == [3, 3, 3]
         assert state.potentials == [1, 1, 1]  # input 1's weights alone

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spikesoc import (
@@ -23,6 +23,7 @@ from spikesoc import (
     LoadInput,
     LoadModel,
     ModelImageError,
+    NetworkModel,
     ProtocolViolation,
     Reset,
     Run,
@@ -96,6 +97,37 @@ def test_model_image_parses_canonically_or_raises_model_image_error(image):
     except ModelImageError:
         return
     assert serialize_model(model) == image
+
+
+@st.composite
+def built_models(draw):
+    """Models at the edges of every field a flash image stores: dimensions 1,
+    2 and 65535, alpha_raw 1 and 65535, thresholds at both ends of int32, 255
+    layers (of 1 x 1) and t_max from 1 to 256."""
+    mode = draw(st.sampled_from(list(WeightMode)))
+    binary = mode is WeightMode.BINARY
+    count = draw(st.sampled_from((1, 2, 255)))
+    edges = st.lists(st.sampled_from((1, 2, 0xFFFF)), min_size=count + 1, max_size=count + 1)
+    dims = [1] * 256 if count == 255 else draw(edges)
+    assume(all(a * b < 1 << 17 for a, b in zip(dims, dims[1:])))  # no 65535 x 65535 matrix
+    alpha_raw = draw(st.sampled_from((1, 256, 0xFFFF)))
+    threshold = draw(st.sampled_from((-(2**31), -1, 0, 2**31 - 1)))
+    layers = []
+    for in_dim, out_dim in zip(dims, dims[1:]):
+        width = (in_dim + 15) // 16 if binary else in_dim
+        cells = np.zeros((out_dim, width), "<u2" if binary else "<i2")
+        weights = BinaryWeights(in_dim, cells) if binary else Fixed16Weights(cells)
+        layers.append((LayerConfig(in_dim, out_dim, alpha_raw, threshold), weights))
+    t_max = draw(st.sampled_from((1, 2, 16, 128, 256)))
+    return NetworkModel(mode=mode, t_max=t_max, layers=layers)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(model=built_models())
+def test_every_built_model_serializes(model):
+    """No built model makes serialize_model raise struct.error: construction
+    checks every field against its flash width, and a built model is frozen."""
+    assert deserialize_model(serialize_model(model)) == model
 
 
 _commands = st.lists(
@@ -252,7 +284,7 @@ def small_layers(draw):
     layer = LayerConfig(in_dim, out_dim, draw(st.sampled_from((256, 128, 512, 1))), threshold)
     t_max = draw(st.sampled_from((1, 4, 16)))
     times = draw(st.lists(st.none() | st.integers(0, t_max - 1), min_size=in_dim, max_size=in_dim))
-    return sort_spikes(SpikeTrain(tuple(times), t_max)), layer, weights
+    return sort_spikes(SpikeTrain(tuple(times), t_max).codes, t_max), layer, weights
 
 
 def _assert_run_layer_matches_reference(case, stop_at_first_fire):
@@ -301,7 +333,7 @@ def large_layers(draw):
     times = [None] * in_dim
     for i in gen.permutation(in_dim)[:n].tolist():
         times[i] = int(gen.integers(t_max))
-    return sort_spikes(SpikeTrain(tuple(times), t_max)), layer, weights
+    return sort_spikes(SpikeTrain(tuple(times), t_max).codes, t_max), layer, weights
 
 
 @settings(PROPERTY, max_examples=12)
@@ -328,7 +360,7 @@ def _blocked_edge_case(kind, binary):
         rows = np.where(rows < 0, -1, 1)
     if kind == "one_column_fires":
         rows[out_dim // 3] = magnitude  # the only column that reaches n * magnitude
-    queue = sort_spikes(SpikeTrain(tuple(times.tolist()), t_max))
+    queue = sort_spikes(SpikeTrain(tuple(times.tolist()), t_max).codes, t_max)
     events, _, group_ends = queue
     # Each neuron's highest potential at a group end, had it never frozen.
     peaks = np.sort(rows.T[events].cumsum(axis=0)[group_ends].max(axis=0))
@@ -433,7 +465,7 @@ def test_spike_train_accepts_exactly_what_the_reference_accepts(times, t_max):
 def test_sorter_arrays_flatten_to_the_reference_sort(data, t_max):
     times = data.draw(st.lists(st.none() | st.integers(0, t_max - 1), max_size=80))
     train = SpikeTrain(times, t_max)
-    events, group_times, group_ends = sort_spikes(train)
+    events, group_times, group_ends = sort_spikes(train.codes, t_max)
     groups = as_groups(events, group_times, group_ends)
     assert [(i, t) for t, indices in groups for i in indices] == reference_sort(train)
     assert all(indices for _, indices in groups)  # only timesteps that carry events

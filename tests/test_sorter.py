@@ -9,7 +9,7 @@ def _train(times, t_max=16):
 
 def _groups(train):
     """The sorter's queue for train as (time, indices) groups."""
-    return as_groups(*sort_spikes(train))
+    return as_groups(*sort_spikes(train.codes, train.t_max))
 
 
 def _events(groups):
@@ -24,7 +24,8 @@ def test_stable_tie_break_by_index():
 
 
 def test_queue_arrays():
-    events, group_times, group_ends = sort_spikes(_train([5, 2, NO_SPIKE, 2]))
+    train = _train([5, 2, NO_SPIKE, 2])
+    events, group_times, group_ends = sort_spikes(train.codes, train.t_max)
     assert events.tolist() == [1, 3, 0]
     assert group_times.tolist() == [2, 5]
     assert group_ends.tolist() == [1, 2]
