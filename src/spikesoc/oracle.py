@@ -6,13 +6,15 @@ shares the convention constants with the event-driven datapath (the >=
 comparison, the threshold fold, firing only at timesteps that carried at
 least one event) through the same LayerConfig record, and the weights' one
 decoder `matrix()` (pinned by the packing tests), but none of its code paths.
-Each layer is two int64 passes over a table of t_max rows, one per timestep,
-exact with no range argument. The first adds the full weight column of every
-spiking input into the row of its spike time: O(spiking inputs * out_dim),
-each column read contiguously from `matrix().T`. The second is one running
-sum down the table, in place, then one fire test over every timestep and
-every neuron. A neuron's potential depends only on its own column, so a
-fired neuron's frozen potential is its running sum at the timestep it fired.
+Each layer is two int64 passes over a table with one row per timestep that
+carries spikes, in time order, exact with no range argument. The rows are
+counted, not sorted: `bincount` marks the timesteps that carry spikes and a
+running sum of the marks numbers them, so no input is ordered. The first
+pass adds the full weight column of every spiking input into the row of its
+spike time, each column read contiguously from `matrix().T`. The second is
+one running sum down the rows, in place, then a fire test of every neuron
+at every row. A neuron's potential depends only on its own column, so a
+fired neuron's frozen potential is its running sum at the row it fired.
 There is no BLAS raster product: its worker threads and temporaries slowed
 the single-threaded datapath run after it. Nor is there a gathered copy of
 the spiking columns or of the table's rows: each took more memory, and its
@@ -36,33 +38,39 @@ def dense_layer_sweep(
     """Run one layer over the whole window with dense accumulation.
 
     Add each spiking input's full weight column into the table row of its
-    spike time (t_max rows; a silent input has no row); sum the rows down
-    the window, so row t holds every neuron's potential after timestep t had
-    none frozen; then each neuron fires at the first timestep that carries
-    an input spike and finds it at or above the effective threshold, and
-    keeps the potential of that row (of the last row if it never fires).
-    Timesteps with no events are not checked, as in the event-driven
-    datapath.
+    spike time (one row per timestep that carries spikes, in time order; a
+    silent input has no row); sum the rows down, so row k holds every
+    neuron's potential after the k-th such timestep had none frozen; then
+    each neuron fires at the first row where it is at or above the effective
+    threshold, and keeps the potential of that row (of the last row if it
+    never fires). Timesteps with no events have no row, so they are not
+    checked, as in the event-driven datapath.
     """
     if len(train) != layer.in_dim:
         raise DimensionMismatch(f"train length {len(train)} != layer in_dim {layer.in_dim}")
     if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
         raise DimensionMismatch("weight shape disagrees with layer config")
     spiking = np.flatnonzero(train.codes >= 0)
+    if not len(spiking):  # argmax over no rows would raise
+        silent = np.full(layer.out_dim, -1, dtype=np.int16)
+        return SpikeTrain.from_codes(silent, train.t_max), NeuronState([0] * layer.out_dim, silent)
     times = train.codes[spiking]
+    carries = np.bincount(times, minlength=train.t_max) > 0
+    steps = np.flatnonzero(carries)  # row k is timestep steps[k]
     columns = weights.matrix().T  # C-contiguous (in_dim, out_dim)
-    contributions = np.zeros((train.t_max, layer.out_dim), dtype=np.int64)
-    for i, t in zip(spiking.tolist(), times.tolist()):
-        row = contributions[t]
-        row += columns[i]  # `contributions[t] += ...` would also copy the row back
+    contributions = np.zeros((len(steps), layer.out_dim), dtype=np.int64)
+    row_of = np.add.accumulate(carries) - 1  # add counts bools in int, as np.cumsum does
+    for i, k in zip(spiking.tolist(), row_of[times].tolist()):
+        row = contributions[k]
+        row += columns[i]  # `contributions[k] += ...` would also copy the row back
 
-    np.cumsum(contributions, axis=0, out=contributions)  # in place: no second table
+    np.add.accumulate(contributions, axis=0, out=contributions)  # in place: no second table
     crossed = contributions >= layer.effective_threshold(weights.mode)
-    crossed[np.bincount(times, minlength=train.t_max) == 0] = False
-    fires = crossed.any(axis=0)
-    rows = np.where(fires, crossed.argmax(axis=0), train.t_max - 1)  # row t is time t
-    fire_codes = np.where(fires, rows, -1).astype(np.int16)
-    state = NeuronState(contributions[rows, np.arange(layer.out_dim)].tolist(), fire_codes)
+    first, neurons = crossed.argmax(axis=0), np.arange(layer.out_dim)
+    fires = crossed[first, neurons]  # False at row 0 for a neuron that never crosses
+    rows = np.where(fires, first, len(steps) - 1)
+    fire_codes = np.where(fires, steps[rows], -1).astype(np.int16)
+    state = NeuronState(contributions[rows, neurons].tolist(), fire_codes)
     return SpikeTrain.from_codes(fire_codes, train.t_max), state
 
 

@@ -61,10 +61,12 @@ def test_negative_threshold_fires_everything_at_first_event():
     assert (r.predicted, r.decision_time) == (0, 55)
 
 
-def test_no_events_means_no_fire_even_below_zero_threshold():
+@pytest.mark.parametrize("t_max", [1, 16, 64, 256])
+def test_no_events_means_no_fire_even_below_zero_threshold(t_max):
+    """An all-silent layer has no table rows: potentials 0 and codes -1."""
     cfg = LayerConfig(2, 2, 256, -5)
     w = BinaryWeights.from_rows([[1, 1], [-1, -1]])
-    train = SpikeTrain((NO_SPIKE, NO_SPIKE), 64)
+    train = SpikeTrain((NO_SPIKE, NO_SPIKE), t_max)
     out, state = dense_layer_sweep(train, cfg, w)
     assert out.times == (NO_SPIKE, NO_SPIKE)
     assert state.potentials == [0, 0]
@@ -73,9 +75,9 @@ def test_no_events_means_no_fire_even_below_zero_threshold():
         w = random_weights(rng, 40, 7)
         for threshold in (0, -1, -(2**31)):
             out, state = dense_layer_sweep(
-                SpikeTrain((NO_SPIKE,) * 40, 256), LayerConfig(40, 7, 256, threshold), w
+                SpikeTrain((NO_SPIKE,) * 40, t_max), LayerConfig(40, 7, 256, threshold), w
             )
-            assert out.times == (NO_SPIKE,) * 7
+            assert out == SpikeTrain((NO_SPIKE,) * 7, t_max)
             assert state.potentials == [0] * 7
             assert state.fire_codes.tolist() == [-1] * 7
 
@@ -131,8 +133,13 @@ def test_independent_of_the_datapath_column_cache(monkeypatch):
                 monkeypatch.setattr(module, name, forbidden(name))
                 patched += 1
     assert patched >= 4  # sort_spikes in sorter and core; run_layer and _prefix_rows in core
-    for (model, frame), event in zip(cases, expected):
-        assert_same_state(event, dense_infer(model, frame))
+    with monkeypatch.context() as numpy_patch:
+        # Its rows are numbered by a count of the timesteps that carry spikes, not an ordering.
+        for name in ("sort", "argsort", "lexsort", "searchsorted", "unique"):
+            numpy_patch.setattr(np, name, forbidden(f"np.{name}"))
+        dense = [dense_infer(model, frame) for model, frame in cases]
+    for event, reference in zip(expected, dense):
+        assert_same_state(event, reference)
 
 
 @pytest.mark.parametrize("threshold", [0, -1, -100])
@@ -179,6 +186,29 @@ def test_sweep_makes_no_second_table():
     assert 0 < (state.fire_codes >= 0).sum() < 600
     matrix_bytes, table_bytes = 600 * 784 * 8, 256 * 600 * 8
     assert peak < matrix_bytes + 1.5 * table_bytes, peak // 1024
+
+
+def test_table_has_a_row_only_per_timestep_that_carries_spikes():
+    """The sweep's peak, for the layer above with its spiking inputs on only
+    2 of 256 timesteps, stays below that of `matrix()` alone plus a tenth of a
+    t_max-row table: the table has a row per timestep that carries spikes."""
+    gen = np.random.default_rng(84)  # the layer of test_sweep_makes_no_second_table
+    weights = BinaryWeights.from_rows(gen.choice((-1, 1), size=(600, 784)).tolist())
+    layer = LayerConfig(784, 600, 256, 8)
+    codes = np.where(gen.random(784) < 0.1, -1, gen.choice((40, 200), 784)).astype(np.int16)
+    train = SpikeTrain.from_codes(codes, 256)
+    _, warm = dense_layer_sweep(train, layer, weights)
+    peaks = []
+    for call in (weights.matrix, lambda: dense_layer_sweep(train, layer, weights)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    matrix_peak, sweep_peak = peaks
+    assert set(warm.fire_codes.tolist()) == {-1, 40, 200}
+    assert sweep_peak < matrix_peak + 256 * 600 * 8 / 10, (sweep_peak // 1024, matrix_peak // 1024)
 
 
 @pytest.mark.parametrize("fill", ["plus", "minus", "mixed"])

@@ -1,6 +1,7 @@
 """In-process interleaved A/B of two spikesoc source trees on one perfbench workload.
 
     python3 tools/ab_inprocess.py --base ../parent/src --workload corpus_stream --pairs 15
+    python3 tools/ab_inprocess.py --base ../parent/src --workload fixed16_784_128_sparse --checked
 
 Each tree is imported under its own package name (spikesoc_base and
 spikesoc_change), so both live in one process and meet the same host load.
@@ -14,6 +15,22 @@ caches). Each pair then times one pass of each tree, base first in even
 pairs and change first in odd ones. The two trees' UART bytes must be
 equal on every pass, and a corpus pass's equal to its warm-up's, or the
 script exits 1.
+
+With --checked, a pass times what the benchmark's checked unit does: per
+sample, the same Run plus `oracle.dense_infer` on that sample's model (as
+the tree's own `deserialize_model` reads the image) and frame. The two
+trees' dense results must then also be equal on every pass (class, decision
+time, every layer's fire codes and potentials), or the script exits 1.
+
+An in-process ratio can disagree with perfbench when a change resizes the
+process's largest short-lived array: glibc moves its mmap and trim
+thresholds after the largest freed block, so the other code in a process
+pays for that size too, and here both trees share one heap. An int32
+oracle (table and `matrix()`) read 1.14x faster here with --checked on
+binary_784_600 (21/21 pairs), yet in three perfbench pairs it lowered
+checked_samples_per_s there from 171-186/s to 168-170/s and raised setup_s,
+which never calls the oracle, from 1.7-1.9 ms to 2.6-2.8 ms. Confirm an
+in-process gain with perfbench pairs.
 
 Prints, per pair, each tree's pass time and base/change (above 1: the
 change is faster), then the median ratio, the number of pairs the change
@@ -64,10 +81,14 @@ def load_workload(sk, name: str, seed: int):
 
 
 class Side:
-    """One tree's controller and the command streams of a pass."""
+    """One tree's controller and the command streams of a pass, and with
+    `checked` its models for the dense reference."""
 
-    def __init__(self, sk, work):
+    def __init__(self, sk, work, checked=False):
         C = sk.controller
+        self.dense_infer = sk.oracle.dense_infer
+        self.models = [sk.model.deserialize_model(image) for image in work.images] if checked else None
+        self.samples = list(zip(work.model_of, work.frames))
         self.controller = C.Controller()
         if len(work.images) == 1:
             self.controller.handle(C.LoadModel(image=work.images[0]))
@@ -83,15 +104,28 @@ class Side:
                 for image, frame in zip(work.images, work.frames)
             ]
 
-    def run_pass(self) -> tuple[float, bytes]:
-        """(seconds, UART bytes) of one pass over every sample; sample indices
-        count on, so only the corpus's frames repeat byte for byte."""
-        run_script = self.controller.run_script
-        uart = []
+    def run_pass(self) -> tuple[float, bytes, list]:
+        """(seconds, UART bytes, dense results) of one pass over every sample;
+        sample indices count on, so only the corpus's frames repeat byte for
+        byte. The dense results are empty unless the side is checked."""
+        run_script, dense_infer, models = self.controller.run_script, self.dense_infer, self.models
+        uart, dense = [], []
         t0 = perf_counter()
-        for script in self.scripts:
-            uart.append(run_script(script)[0])
-        return perf_counter() - t0, b"".join(uart)
+        if models is None:
+            for script in self.scripts:
+                uart.append(run_script(script)[0])
+        else:
+            for script, (m, frame) in zip(self.scripts, self.samples):
+                uart.append(run_script(script)[0])
+                dense.append(dense_infer(models[m], frame))
+        seconds = perf_counter() - t0
+        return seconds, b"".join(uart), [plain(result) for result in dense]
+
+
+def plain(result) -> tuple:
+    """A dense result's class, decision time and each layer's fire codes and potentials."""
+    layers = [(state.fire_codes.tolist(), list(state.potentials)) for state in result.layer_states]
+    return result.predicted, result.decision_time, layers
 
 
 def main(argv=None) -> int:
@@ -107,6 +141,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=15, help="timed pairs after the warm-up")
+    parser.add_argument(
+        "--checked", action="store_true", help="add oracle.dense_infer per sample, as a checked unit"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -114,27 +151,33 @@ def main(argv=None) -> int:
     base = import_tree(args.base.resolve(), "spikesoc_base")
     change = import_tree(args.change.resolve(), "spikesoc_change")
     work = load_workload(base, args.workload, args.seed)
-    sides = {"base": Side(base, work), "change": Side(change, work)}
+    sides = {"base": Side(base, work, args.checked), "change": Side(change, work, args.checked)}
     single = len(work.images) == 1
     warmup = {}
     for name, side in sides.items():
-        warmup[name] = side.run_pass()[1]
-    if warmup["base"] != warmup["change"]:
+        warmup[name] = side.run_pass()[1:]
+    if warmup["base"][0] != warmup["change"][0]:
         print("FAIL: the trees' UART bytes differ on the warm-up pass", file=sys.stderr)
+        return 1
+    if warmup["base"][1] != warmup["change"][1]:
+        print("FAIL: the trees' dense results differ on the warm-up pass", file=sys.stderr)
         return 1
 
     times = {"base": [], "change": []}
     ratios = []
     for pair in range(args.pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-        uart = {}
+        uart, dense = {}, {}
         for name in order:
-            seconds, uart[name] = sides[name].run_pass()
+            seconds, uart[name], dense[name] = sides[name].run_pass()
             times[name].append(seconds)
         # Both controllers have run as many passes, so their sample indices agree;
         # only the corpus, where every instance starts at index 0, repeats its frames.
-        if uart["base"] != uart["change"] or (not single and uart["base"] != warmup["base"]):
+        if uart["base"] != uart["change"] or (not single and uart["base"] != warmup["base"][0]):
             print(f"FAIL: pair {pair}: the UART bytes differ", file=sys.stderr)
+            return 1
+        if dense["base"] != dense["change"]:
+            print(f"FAIL: pair {pair}: the dense results differ", file=sys.stderr)
             return 1
         ratios.append(times["base"][-1] / times["change"][-1])
         print(
@@ -143,10 +186,11 @@ def main(argv=None) -> int:
         )
     wins = sum(r > 1 for r in ratios)
     q = statistics.quantiles(times["base"], n=4) if len(ratios) > 1 else times["base"] * 3
+    checked = (", checked", " and dense results") if args.checked else ("", "")
     print(
-        f"{args.workload} seed {args.seed}, {len(work.frames)} samples a pass, {args.pairs} pairs:"
+        f"{args.workload} seed {args.seed}{checked[0]}, {len(work.frames)} samples a pass, {args.pairs} pairs:"
         f" median base/change {statistics.median(ratios):.4f}, change faster in {wins}/{args.pairs};"
-        f" base pass quartiles {' / '.join(f'{x * 1e3:.2f}' for x in q)} ms; UART bytes equal"
+        f" base pass quartiles {' / '.join(f'{x * 1e3:.2f}' for x in q)} ms; UART bytes{checked[1]} equal"
     )
     return 0
 
