@@ -41,9 +41,9 @@ run_layer returns, with the layer's NeuronState, its LayerTally: events
 sorted and processed, and the adds, subs or multiplies they made. Every
 network total (OpCounters, the cycle report) is a sum of those tallies.
 run_network hands each layer's int16 fire codes to the next layer's sorter
-as they are, and stores only the states and the RunTrace of tallies; the
-result's layer trains, counters and cycle report are views derived from
-them on first read.
+as they are, as the dense oracle hands them to its next sweep, and stores
+only the states and the RunTrace of tallies; the result's counters and
+cycle report are views derived from them on first read.
 """
 
 from __future__ import annotations
@@ -204,10 +204,10 @@ class InferenceResult:
     """Everything one inference produced, stored once.
 
     Stored: the class and decision time, the input train, each layer's
-    NeuronState and the run's trace of layer tallies. Derived on first read:
-    layer_trains, each state's fire codes as a SpikeTrain; counters, the
-    tallies' OpCounters sum; and cycles, the trace's CycleReport. The dense
-    reference simulator leaves trace None, and so counters and cycles.
+    NeuronState (its output spikes are the state's fire codes) and the run's
+    trace of layer tallies. Derived on first read: counters, the tallies'
+    OpCounters sum, and cycles, the trace's CycleReport. The dense reference
+    simulator leaves trace None, and so counters and cycles.
     """
 
     predicted: int
@@ -215,11 +215,6 @@ class InferenceResult:
     input_train: SpikeTrain
     layer_states: list
     trace: Optional[RunTrace] = None
-
-    @cached_property
-    def layer_trains(self) -> list:
-        t_max = self.input_train.t_max
-        return [SpikeTrain.from_codes(state.fire_codes, t_max) for state in self.layer_states]
 
     @cached_property
     def counters(self) -> Optional[OpCounters]:
@@ -293,5 +288,5 @@ def run_network(
         layer_states.append(state)
 
     predicted, decision_time = decode(codes, state.potentials)
-    trace = RunTrace(t_max=model.t_max, input_dim=model.input_dim, layers=tuple(tallies))
+    trace = RunTrace(t_max=model.t_max, layers=tuple(tallies))
     return InferenceResult(predicted, decision_time, input_train, layer_states, trace)

@@ -6,6 +6,8 @@ shares the convention constants with the event-driven datapath (the >=
 comparison, the threshold fold, firing only at timesteps that carried at
 least one event) through the same LayerConfig record, and the weights' one
 decoder `matrix()` (pinned by the packing tests), but none of its code paths.
+Its layers keep the datapath's contract: int16 fire codes in (the input
+train's codes, then each layer's), a NeuronState out, no SpikeTrain between.
 Each layer is two int64 passes over a table with one row per timestep that
 carries spikes, in time order, exact with no range argument. The rows are
 counted, not sorted: `bincount` marks the timesteps that carry spikes and a
@@ -29,33 +31,31 @@ from .core import InferenceResult, NeuronState
 from .decoder import decode
 from .encoder import InputFrame, encode_ttfs
 from .errors import DimensionMismatch
-from .model import LayerConfig, NetworkModel, SpikeTrain, WeightMatrix
+from .model import LayerConfig, NetworkModel, WeightMatrix
 
 
-def dense_layer_sweep(
-    train: SpikeTrain, layer: LayerConfig, weights: WeightMatrix
-) -> tuple[SpikeTrain, NeuronState]:
+def dense_layer_sweep(codes: np.ndarray, layer: LayerConfig, weights: WeightMatrix) -> NeuronState:
     """Run one layer over the whole window with dense accumulation.
 
-    Add each spiking input's full weight column into the table row of its
-    spike time (one row per timestep that carries spikes, in time order; a
-    silent input has no row); sum the rows down, so row k holds every
-    neuron's potential after the k-th such timestep had none frozen; then
-    each neuron fires at the first row where it is at or above the effective
-    threshold, and keeps the potential of that row (of the last row if it
-    never fires). Timesteps with no events have no row, so they are not
-    checked, as in the event-driven datapath.
+    codes are its input spike times, int16 with -1 for none: the input
+    train's codes or the previous layer's fire codes. Add each spiking
+    input's full weight column into the table row of its spike time (one row
+    per timestep that carries spikes, in time order); sum the rows down, so
+    row k holds every neuron's potential after the k-th such timestep had
+    none frozen; then each neuron fires at the first row where it is at or
+    above the effective threshold, and keeps the potential of that row (of
+    the last row if it never fires). Timesteps with no events have no row, so
+    they are not checked, as in the event-driven datapath.
     """
-    if len(train) != layer.in_dim:
-        raise DimensionMismatch(f"train length {len(train)} != layer in_dim {layer.in_dim}")
+    if len(codes) != layer.in_dim:
+        raise DimensionMismatch(f"train length {len(codes)} != layer in_dim {layer.in_dim}")
     if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
         raise DimensionMismatch("weight shape disagrees with layer config")
-    spiking = np.flatnonzero(train.codes >= 0)
+    spiking = np.flatnonzero(codes >= 0)
     if not len(spiking):  # argmax over no rows would raise
-        silent = np.full(layer.out_dim, -1, dtype=np.int16)
-        return SpikeTrain.from_codes(silent, train.t_max), NeuronState([0] * layer.out_dim, silent)
-    times = train.codes[spiking]
-    carries = np.bincount(times, minlength=train.t_max) > 0
+        return NeuronState([0] * layer.out_dim, np.full(layer.out_dim, -1, dtype=np.int16))
+    times = codes[spiking]
+    carries = np.bincount(times) > 0  # up to the latest spike time: later steps carry none
     steps = np.flatnonzero(carries)  # row k is timestep steps[k]
     columns = weights.matrix().T  # C-contiguous (in_dim, out_dim)
     contributions = np.zeros((len(steps), layer.out_dim), dtype=np.int64)
@@ -70,21 +70,21 @@ def dense_layer_sweep(
     fires = crossed[first, neurons]  # False at row 0 for a neuron that never crosses
     rows = np.where(fires, first, len(steps) - 1)
     fire_codes = np.where(fires, steps[rows], -1).astype(np.int16)
-    state = NeuronState(contributions[rows, neurons].tolist(), fire_codes)
-    return SpikeTrain.from_codes(fire_codes, train.t_max), state
+    return NeuronState(contributions[rows, neurons].tolist(), fire_codes)
 
 
 def dense_infer(
     model: NetworkModel, frame: InputFrame, *, spike_on_zero: bool = False
 ) -> InferenceResult:
     """Whole-network dense sweep with the same decode rule as the datapath."""
-    train = encode_ttfs(
+    input_train = encode_ttfs(
         frame, model.t_max, spike_on_zero=spike_on_zero, expected_dim=model.input_dim
     )
-    input_train = train
+    codes = input_train.codes
     layer_states = []
     for cfg, weights in model.layers:
-        train, state = dense_layer_sweep(train, cfg, weights)
+        state = dense_layer_sweep(codes, cfg, weights)
+        codes = state.fire_codes  # the next layer's input, as they are
         layer_states.append(state)
-    predicted, decision_time = decode(train.codes, state.potentials)
+    predicted, decision_time = decode(codes, state.potentials)
     return InferenceResult(predicted, decision_time, input_train, layer_states)

@@ -71,8 +71,11 @@ class RunTrace:
     """One inference's layer tallies, in layer order."""
 
     t_max: int
-    input_dim: int
     layers: tuple
+
+    @property
+    def input_dim(self) -> int:
+        return self.layers[0].in_dim
 
     @property
     def output_dim(self) -> int:

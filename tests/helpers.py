@@ -285,11 +285,10 @@ def assert_same_state(a: InferenceResult, b: InferenceResult):
     divergence = first_divergence(a, b)
     assert divergence is None, divergence
     assert_same_outcome(a, b)
-    assert len(a.layer_trains) == len(b.layer_trains)
-    for ta, tb in zip(a.layer_trains, b.layer_trains):
-        assert ta.times == tb.times
-        assert ta.t_max == tb.t_max
+    assert len(a.layer_states) == len(b.layer_states)
+    assert a.input_train.t_max == b.input_train.t_max
     for sa, sb in zip(a.layer_states, b.layer_states):
+        assert np.array_equal(sa.fire_codes, sb.fire_codes)
         assert sa.potentials == sb.potentials
         assert sa.fire_times == sb.fire_times
         assert fired_flags(sa) == fired_flags(sb)

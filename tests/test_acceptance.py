@@ -59,8 +59,8 @@ def test_criterion_oracle_equivalence(corpus):
         if (full.predicted, full.decision_time) != (dense.predicted, dense.decision_time):
             failures.append(f"instance {k}: outcome differs")
             continue
-        for a, b in zip(full.layer_trains, dense.layer_trains):
-            if a.times != b.times:
+        for a, b in zip(full.layer_states, dense.layer_states):
+            if a.fire_times != b.fire_times:
                 failures.append(f"instance {k}: fire times differ")
                 break
         for a, b in zip(full.layer_states, dense.layer_states):
@@ -185,10 +185,9 @@ def test_criterion_latency_model_consistency(corpus):
             )
             for _ in range(rng.randint(1, 3))
         )
-        trace = RunTrace(t_max=rng.choice((16, 64, 256)), input_dim=rng.randint(1, 64), layers=layers)
+        trace = RunTrace(t_max=rng.choice((16, 64, 256)), layers=layers)
         grown = RunTrace(
             t_max=trace.t_max,
-            input_dim=trace.input_dim,
             layers=tuple(
                 LayerTally(t.in_dim, t.out_dim, t.events_sorted + 1, t.events_processed + 1)
                 for t in layers

@@ -73,9 +73,9 @@ def _snapshot(c):
 
 def _result(predicted, decision_time, total_cycles):
     train = SpikeTrain((decision_time,) if decision_time is not None else (None,), 256)
-    # One silent 1-1 layer at t_max 1 costs a 1-cycle bucket sweep and a
-    # 1-cycle decode, so the encoder's total_cycles - 2 pixels make the total.
-    trace = RunTrace(t_max=1, input_dim=total_cycles - 2, layers=(LayerTally(1, 1, 0, 0),))
+    # One silent layer of total_cycles - 2 inputs and 1 neuron at t_max 1 costs
+    # a 1-cycle bucket sweep and a 1-cycle decode, so its pixels make the total.
+    trace = RunTrace(t_max=1, layers=(LayerTally(total_cycles - 2, 1, 0, 0),))
     assert estimate_cycles(trace).total_cycles == total_cycles
     return InferenceResult(
         predicted=predicted,

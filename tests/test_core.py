@@ -135,7 +135,7 @@ class TestAccumulatorWidth:
         state, tally = run_layer(*queue, cfg, w)
         assert state.potentials == [potential]
         assert state.fire_times == [NO_SPIKE]
-        assert dense_layer_sweep(train, cfg, w)[1] == state
+        assert dense_layer_sweep(train.codes, cfg, w) == state
         assert reference_run_layer(as_groups(*queue), cfg, w) == (state, tally)
 
     def test_a_queue_that_could_leave_int32_is_rejected(self):
@@ -283,7 +283,8 @@ class TestRunLayer:
             )
             train = SpikeTrain(times, t_max)
             got_state, _ = run_layer(*sort_spikes(train.codes, train.t_max), cfg, w)
-            ref_train, ref_state = dense_layer_sweep(train, cfg, w)
+            ref_state = dense_layer_sweep(train.codes, cfg, w)
+            ref_train = SpikeTrain.from_codes(ref_state.fire_codes, t_max)
             assert tuple(got_state.fire_times) == ref_train.times
             assert got_state.potentials == ref_state.potentials
             assert got_state.fire_times == ref_state.fire_times
@@ -303,7 +304,7 @@ class TestRunNetwork:
         r = run_network(_identityish_net(), bytes(16))
         assert r.predicted == 0
         assert r.decision_time is NO_SPIKE
-        assert all(t is NO_SPIKE for t in r.layer_trains[-1].times)
+        assert all(t is NO_SPIKE for t in r.layer_states[-1].fire_times)
         assert r.layer_states[-1].potentials == [0, 0]
 
     def test_bright_frame_decides_class_zero_at_time_zero(self):
@@ -335,7 +336,8 @@ class TestRunNetwork:
         rng = make_rng(58)
         for _ in range(100):
             inst = random_instance(rng)
-            for train, state in zip(inst.default.layer_trains, inst.default.layer_states):
+            for state in inst.default.layer_states:
+                train = SpikeTrain.from_codes(state.fire_codes, inst.model.t_max)
                 assert train.times == tuple(state.fire_times)
 
     def test_event_bookkeeping_is_complete(self):
@@ -365,7 +367,8 @@ class TestRunNetwork:
                 "events_skipped",
             ):
                 assert getattr(r.counters, name) == sum(getattr(t, name) for t in tallies)
-            for tally, train in zip(tallies, [r.input_train, *r.layer_trains]):
+            outputs = [SpikeTrain.from_codes(s.fire_codes, model.t_max) for s in r.layer_states]
+            for tally, train in zip(tallies, [r.input_train, *outputs]):
                 assert tally.events_sorted == train.active_count
                 if mode is WeightMode.BINARY:
                     assert tally.multiplications == 0
@@ -387,17 +390,16 @@ class TestRunNetwork:
         for _ in range(50):
             inst = random_instance(rng)
             full = run_network(inst.model, inst.frame, early_stop=False)
-            for a, b in zip(
-                inst.default.layer_trains[:-1], full.layer_trains[:-1]
-            ):
-                assert a.times == b.times
+            for a, b in zip(inst.default.layer_states[:-1], full.layer_states[:-1]):
+                assert a.fire_times == b.fire_times
 
 
 def _assert_views_derive_from_the_stored_fields(result, t_max):
-    assert len(result.layer_trains) == len(result.layer_states)
-    for train, state in zip(result.layer_trains, result.layer_states):
-        assert train == SpikeTrain.from_codes(state.fire_codes, t_max)
-        assert not train.codes.flags.writeable
+    assert not hasattr(result, "layer_trains")  # a layer's output is its state's fire codes
+    for state in result.layer_states:
+        train = SpikeTrain.from_codes(state.fire_codes, t_max)  # the codes fit the window
+        assert np.array_equal(train.codes, state.fire_codes)
+        assert not state.fire_codes.flags.writeable
     if result.trace is None:
         assert result.counters is None and result.cycles is None
     else:
@@ -406,9 +408,9 @@ def _assert_views_derive_from_the_stored_fields(result, t_max):
 
 
 def test_derived_views_equal_the_values_they_derive_from(corpus):
-    """layer_trains, counters and cycles are built on first read from the
-    layer states and the trace, early stop on and off; the dense reference
-    has no trace, so no counters or cycles."""
+    """counters and cycles are built on first read from the trace, early
+    stop on and off; the dense reference has no trace, so no counters or
+    cycles. Every layer's fire codes fit the input's window."""
     for runs in corpus:
         t_max = runs.inst.model.t_max
         for result in (runs.inst.default, runs.untruncated, runs.dense):
@@ -421,7 +423,7 @@ def test_derived_views_equal_the_values_they_derive_from(corpus):
             twin = clone(result)
             assert twin == result
             _assert_views_derive_from_the_stored_fields(twin, runs.inst.model.t_max)
-            assert twin.layer_trains == result.layer_trains
+            assert twin.layer_states == result.layer_states
             assert (twin.counters, twin.cycles) == (result.counters, result.cycles)
             codes = [twin.input_train.codes, *(s.fire_codes for s in twin.layer_states)]
             assert not any(c.flags.writeable for c in codes)

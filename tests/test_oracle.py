@@ -16,7 +16,9 @@ from spikesoc import (
     run_network,
     SpikeTrain,
 )
+from spikesoc import core, oracle
 from spikesoc.core import NeuronState, _prefix_rows, first_divergence, run_layer
+from spikesoc.encoder import encode_ttfs
 from spikesoc.errors import DimensionMismatch
 from spikesoc.oracle import dense_layer_sweep
 from spikesoc.sorter import sort_spikes
@@ -57,7 +59,7 @@ def test_negative_threshold_fires_everything_at_first_event():
     )
     frame = bytes([200, 10, 90, 0])  # earliest event at 255 - 200 = 55
     r = dense_infer(model, frame)
-    assert r.layer_trains[0].times == (55, 55, 55)
+    assert r.layer_states[0].fire_times == [55, 55, 55]
     assert (r.predicted, r.decision_time) == (0, 55)
 
 
@@ -67,17 +69,17 @@ def test_no_events_means_no_fire_even_below_zero_threshold(t_max):
     cfg = LayerConfig(2, 2, 256, -5)
     w = BinaryWeights.from_rows([[1, 1], [-1, -1]])
     train = SpikeTrain((NO_SPIKE, NO_SPIKE), t_max)
-    out, state = dense_layer_sweep(train, cfg, w)
-    assert out.times == (NO_SPIKE, NO_SPIKE)
+    state = dense_layer_sweep(train.codes, cfg, w)
+    assert state.fire_times == [NO_SPIKE, NO_SPIKE]
     assert state.potentials == [0, 0]
     rng = make_rng(82)
     for random_weights in (random_binary_weights, random_fixed_weights):
         w = random_weights(rng, 40, 7)
         for threshold in (0, -1, -(2**31)):
-            out, state = dense_layer_sweep(
-                SpikeTrain((NO_SPIKE,) * 40, t_max), LayerConfig(40, 7, 256, threshold), w
+            state = dense_layer_sweep(
+                SpikeTrain((NO_SPIKE,) * 40, t_max).codes, LayerConfig(40, 7, 256, threshold), w
             )
-            assert out == SpikeTrain((NO_SPIKE,) * 7, t_max)
+            assert SpikeTrain.from_codes(state.fire_codes, t_max) == SpikeTrain((NO_SPIKE,) * 7, t_max)
             assert state.potentials == [0] * 7
             assert state.fire_codes.tolist() == [-1] * 7
 
@@ -88,12 +90,12 @@ def test_inputs_all_at_the_last_timestep_fire_there_or_never(t_max):
     outcomes = set()
     for _ in range(20):
         cfg, weights = random_layer(rng, rng.randint(1, 30), rng.randint(1, 12), rng.choice(list(WeightMode)))
-        out, state = dense_layer_sweep(SpikeTrain((t_max - 1,) * cfg.in_dim, t_max), cfg, weights)
+        state = dense_layer_sweep(SpikeTrain((t_max - 1,) * cfg.in_dim, t_max).codes, cfg, weights)
         sums = weights.matrix().sum(axis=1)
         fired = sums >= cfg.effective_threshold(weights.mode)
         assert state.fire_codes.tolist() == np.where(fired, t_max - 1, -1).tolist()
         assert state.potentials == sums.tolist()
-        assert set(out.times) <= {t_max - 1, NO_SPIKE}
+        assert set(state.fire_times) <= {t_max - 1, NO_SPIKE}
         outcomes.update(fired.tolist())
     assert outcomes == {True, False}
 
@@ -106,7 +108,7 @@ def test_dimension_check():
         (LayerConfig(3, 2, 256, 0), SpikeTrain((1, 2, 3), 16)),  # matrix has 1 neuron
     ]:
         with pytest.raises(DimensionMismatch, match="train length|weight shape"):
-            dense_layer_sweep(train, cfg, w)
+            dense_layer_sweep(train.codes, cfg, w)
 
 
 def test_independent_of_the_datapath_column_cache(monkeypatch):
@@ -142,6 +144,38 @@ def test_independent_of_the_datapath_column_cache(monkeypatch):
         assert_same_state(event, reference)
 
 
+def test_no_train_is_built_between_layers(monkeypatch):
+    """Both paths take a layer's int16 input codes and hand its fire codes on
+    as they are. With SpikeTrain unbuildable, the oracle's sweeps and the
+    datapath's sorted runs, chained from input codes encoded beforehand, give
+    the states of run_network with early stop off; so do dense_infer and
+    run_network themselves, handed those inputs' trains for their encoders'."""
+    rng = make_rng(85)
+    cases, trains = [], {}
+    for _ in range(60):
+        model = random_model(rng)
+        frame = random_frame(rng, model.input_dim)
+        trains[frame, model.t_max] = encode_ttfs(frame, model.t_max, expected_dim=model.input_dim)
+        cases.append((model, frame, run_network(model, frame, early_stop=False).layer_states))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a SpikeTrain was built")
+
+    monkeypatch.setattr(SpikeTrain, "__init__", forbidden)
+    monkeypatch.setattr(SpikeTrain, "from_codes", forbidden)
+    for module in (oracle, core):
+        monkeypatch.setattr(module, "encode_ttfs", lambda frame, t_max, **_: trains[frame, t_max])
+    for model, frame, expected in cases:
+        dense_codes = event_codes = trains[frame, model.t_max].codes
+        for (cfg, weights), state in zip(model.layers, expected, strict=True):
+            dense = dense_layer_sweep(dense_codes, cfg, weights)
+            event, _ = run_layer(*sort_spikes(event_codes, model.t_max), cfg, weights)
+            assert dense == state and event == state
+            dense_codes, event_codes = dense.fire_codes, event.fire_codes
+        assert dense_infer(model, frame).layer_states == expected
+        assert run_network(model, frame, early_stop=False).layer_states == expected
+
+
 @pytest.mark.parametrize("threshold", [0, -1, -100])
 @pytest.mark.parametrize("mode", list(WeightMode))
 def test_nonpositive_threshold_fires_at_the_first_spike_not_at_time_zero(mode, threshold):
@@ -153,12 +187,12 @@ def test_nonpositive_threshold_fires_at_the_first_spike_not_at_time_zero(mode, t
     model = NetworkModel(mode=mode, t_max=8, layers=[(layer, weights)])
     frame = bytes([0, 128, 64])  # t_max 8 reads pixel >> 5: silent, times 3 and 5
     train = SpikeTrain((NO_SPIKE, 3, 5), 8)
-    out, dense = dense_layer_sweep(train, layer, weights)
+    dense = dense_layer_sweep(train.codes, layer, weights)
     event, _ = run_layer(*sort_spikes(train.codes, train.t_max), layer, weights)
     for state in (dense, event):
         assert state.fire_times == [3, 3, 3]
         assert state.potentials == [1, 1, 1]  # input 1's weights alone
-    assert out.times == (3, 3, 3)
+    assert SpikeTrain.from_codes(dense.fire_codes, 8).times == (3, 3, 3)
     for infer in (dense_infer, run_network):
         result = infer(model, frame)
         assert result.input_train == train
@@ -175,11 +209,11 @@ def test_sweep_makes_no_second_table():
     weights = BinaryWeights.from_rows(gen.choice((-1, 1), size=(600, 784)).tolist())
     layer = LayerConfig(784, 600, 256, 8)
     codes = np.where(gen.random(784) < 0.1, -1, gen.integers(0, 256, 784)).astype(np.int16)
-    train = SpikeTrain.from_codes(codes, 256)
-    dense_layer_sweep(train, layer, weights)
+    codes = SpikeTrain.from_codes(codes, 256).codes
+    dense_layer_sweep(codes, layer, weights)
     tracemalloc.start()
     try:
-        _, state = dense_layer_sweep(train, layer, weights)
+        state = dense_layer_sweep(codes, layer, weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -196,10 +230,10 @@ def test_table_has_a_row_only_per_timestep_that_carries_spikes():
     weights = BinaryWeights.from_rows(gen.choice((-1, 1), size=(600, 784)).tolist())
     layer = LayerConfig(784, 600, 256, 8)
     codes = np.where(gen.random(784) < 0.1, -1, gen.choice((40, 200), 784)).astype(np.int16)
-    train = SpikeTrain.from_codes(codes, 256)
-    _, warm = dense_layer_sweep(train, layer, weights)
+    codes = SpikeTrain.from_codes(codes, 256).codes
+    warm = dense_layer_sweep(codes, layer, weights)
     peaks = []
-    for call in (weights.matrix, lambda: dense_layer_sweep(train, layer, weights)):
+    for call in (weights.matrix, lambda: dense_layer_sweep(codes, layer, weights)):
         tracemalloc.start()
         try:
             call()
@@ -338,13 +372,14 @@ def test_inference_builds_no_python_view(infer):
     for _ in range(50):
         model = random_model(rng)
         result = infer(model, random_frame(rng, model.input_dim))
-        trains = [result.input_train, *result.layer_trains]
+        outputs = [SpikeTrain.from_codes(s.fire_codes, model.t_max) for s in result.layer_states]
+        trains = [result.input_train, *outputs]
         assert all("times" not in vars(train) for train in trains)
         assert all("fire_times" not in vars(state) for state in result.layer_states)
         for train in trains:
             times = tuple(None if c < 0 else c for c in train.codes.tolist())
             assert train.times == SpikeTrain(times, model.t_max).times == times
-        for train, state in zip(result.layer_trains, result.layer_states):
+        for train, state in zip(outputs, result.layer_states):
             assert state.fire_times == list(train.times)
 
 

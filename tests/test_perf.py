@@ -25,7 +25,6 @@ def _trace_600_10():
     # 40 hidden spikes, nothing skipped.
     return RunTrace(
         t_max=256,
-        input_dim=784,
         layers=(
             LayerTally(in_dim=784, out_dim=600, events_sorted=600, events_processed=600),
             LayerTally(in_dim=600, out_dim=10, events_sorted=40, events_processed=40),
@@ -45,7 +44,6 @@ class TestEstimateCycles:
     def test_zero_events(self):
         trace = RunTrace(
             t_max=64,
-            input_dim=32,
             layers=(
                 LayerTally(32, 16, 0, 0),
                 LayerTally(16, 4, 0, 0),
@@ -69,10 +67,9 @@ class TestEstimateCycles:
                 )
                 for _ in range(rng.randint(1, 3))
             )
-            trace = RunTrace(t_max=64, input_dim=rng.randint(1, 100), layers=layers)
+            trace = RunTrace(t_max=64, layers=layers)
             doubled = RunTrace(
                 t_max=64,
-                input_dim=trace.input_dim,
                 layers=tuple(
                     LayerTally(t.in_dim, t.out_dim, 2 * t.events_sorted, 2 * t.events_processed)
                     for t in layers
