@@ -31,7 +31,11 @@ layer is scanned in blocks of rows by row-slice adds, within every block at
 once, then over the block totals and the tail; only the rows read get their
 block's offset, and only the columns that fire are searched for a first
 crossing. Below BLOCKED_SCAN_CELLS gathered cells (every acceptance-corpus
-layer) one cumsum and argmax are faster.
+layer) one cumsum and argmax are faster. There a numpy call's fixed cost
+outweighs its data, so the range check reads one argmin and one argmax (a
+reduction costs 4x as much), an early-stopped layer finds its stop group by
+one argmax over the row-major fire test, and a neuron that never crosses
+stops at the last group because that row of the fire test is set.
 
 Non-informative events are skipped, never processed: events into a layer
 whose neurons have all fired, and events behind the output layer's
@@ -151,7 +155,7 @@ def run_layer(
     if not len(events):
         state = NeuronState([0] * layer.out_dim, np.full(layer.out_dim, -1, np.int16))
         return state, LayerTally(layer.in_dim, layer.out_dim, 0, 0)
-    if events.astype(np.uintp, copy=False).max() >= layer.in_dim:  # negatives wrap high
+    if events[events.argmin()] < 0 or events[events.argmax()] >= layer.in_dim:
         bad = events[(events < 0) | (events >= layer.in_dim)][0]
         raise DimensionMismatch(f"event index {bad} outside the layer's inputs [0, {layer.in_dim})")
 
@@ -164,39 +168,38 @@ def run_layer(
     ends = _prefix_rows(weights.columns, events, group_ends, acc, blocked)
     threshold = layer.effective_threshold(weights.mode)
     last = len(group_ends) - 1
-    neurons = np.arange(layer.out_dim)
-    if blocked:  # few columns fire: find first crossings only in those
-        fires = ends.max(axis=0) >= threshold
-        stop = np.full(layer.out_dim, last)  # each neuron's last group
-        stop[fires] = (ends[:, fires] >= threshold).argmax(axis=0)
-    else:
-        crossed = ends >= threshold
-        stop = crossed.argmax(axis=0)  # 0 where no group crossed
-        fires = crossed[stop, neurons]
-        stop = np.where(fires, stop, last)
     if stop_at_first_fire:  # every neuron stops at the first group that fires anything
-        first = stop.min()  # the last group if none fires
-        potentials = ends[first]
-        fires = potentials >= threshold
+        crossed = ends >= threshold
+        k = crossed.argmax()  # row-major, so the first crossing lies in that group
+        first = k // layer.out_dim if crossed.item(k) else last
+        potentials, fires = ends[first], crossed[first]
         processed = int(group_ends[first]) + 1
         touched = processed * layer.out_dim
         fire_codes = np.where(fires, group_times[first], -1)
     else:
+        if blocked:  # few columns fire: find first crossings only in those
+            firing = ends.max(axis=0) >= threshold
+            stop = np.full(layer.out_dim, last)  # each neuron's last group
+            stop[firing] = (ends[:, firing] >= threshold).argmax(axis=0)
+        else:
+            crossed = ends >= threshold
+            crossed[last] = True  # so a neuron that never crosses stops at the last group
+            stop = crossed.argmax(axis=0)
+        potentials = ends[stop, np.arange(layer.out_dim)]
+        fires = potentials >= threshold  # at its stop group, only where the neuron fired
         stop_rows = group_ends[stop]
-        potentials = ends[stop, neurons]
-        # Numpy reductions, not Python sums of the lists: those take about 4x as
-        # long on a 600-neuron layer, more than they save on a 32-neuron one.
-        touched = int(stop_rows.sum()) + layer.out_dim
-        processed = int(stop_rows.max()) + 1
+        touched = int(stop_rows.sum()) + layer.out_dim  # tolist and sum: 3x as long at 600 neurons
+        processed = int(stop_rows[stop.argmax()]) + 1  # group_ends ascends
         fire_codes = np.where(fires, group_times[stop], -1)
+    values = potentials.tolist()
     if weights.mode is WeightMode.BINARY:
         # Every touch adds or subtracts 1, so the potentials' sum is adds - subs.
-        adds = (touched + int(potentials.sum())) // 2
+        adds = (touched + sum(values)) // 2
         ops = (adds, touched - adds, 0)
     else:
         ops = (0, 0, touched)
     tally = LayerTally(layer.in_dim, layer.out_dim, len(events), processed, *ops)
-    return NeuronState(potentials.tolist(), fire_codes.astype(np.int16)), tally
+    return NeuronState(values, fire_codes.astype(np.int16)), tally
 
 
 @dataclass

@@ -46,6 +46,16 @@ class DimensionMismatch(SpikeSocError):
     """Input length does not match the expected dimension."""
 
 
+class InvalidSpikeCode(SpikeSocError):
+    """A layer was handed a spike code below -1, the no-spike code."""
+
+    @classmethod
+    def first_in(cls, codes) -> "InvalidSpikeCode":
+        """The error naming the first input of the integer array codes below -1."""
+        i = int((codes < -1).argmax())
+        return cls(f"input {i} has spike code {codes[i]}, below -1 (no spike)")
+
+
 class ProtocolViolation(SpikeSocError):
     """Controller command issued from an illegal state, or an unreadable command stream."""
 

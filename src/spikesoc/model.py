@@ -177,11 +177,10 @@ class BinaryWeights(_CellMatrix):
         per_row = words_per_row(self.in_dim)
         if self.words.shape[1] != per_row:
             raise ValueError(f"rows hold {self.words.shape[1]} words, expected {per_row}")
-        tail_bits = self.in_dim & 15
-        if tail_bits:
-            padded = np.flatnonzero(self.words[:, -1] >> tail_bits)
-            if padded.size:
-                raise CorruptWeightWord(f"row {padded[0]} has nonzero padding bits")
+        tail_bits, last_words = self.in_dim & 15, self.words[:, -1]
+        if tail_bits and last_words[last_words.argmax()] >> tail_bits:  # argmax: a max costs 4x
+            padded = np.flatnonzero(last_words >> tail_bits)
+            raise CorruptWeightWord(f"row {padded[0]} has nonzero padding bits")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BinaryWeights":
@@ -197,8 +196,11 @@ class BinaryWeights(_CellMatrix):
         """(out_dim, in_dim) int8 matrix of +1/-1 weights, decoded from the words."""
         # Little-endian words viewed as bytes, unpacked LSB first, give bit b
         # of word w at column 16*w + b; int8 signs beat an int64 np.where 10x.
-        bits = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
-        return bits[:, : self.in_dim].view(np.int8) * 2 - 1
+        # In place: a fresh 2-D temporary per step costs more than the step itself.
+        signs = np.unpackbits(self.words.view(np.uint8), axis=1, count=self.in_dim, bitorder="little")
+        signs += signs
+        signs -= 1  # bits 0 and 1 become 255 and 1, int8 -1 and +1
+        return signs.view(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,6 +250,7 @@ class LayerConfig:
     threshold is used as-is. Both dimensions are in [1, 65535], the u16
     fields of the flash layer record, so every layer that can be built can
     be flashed; it is frozen, so a config keeps the values it was checked with.
+    These checks are also deserialize_model's, which makes none of its own.
     """
 
     in_dim: int
@@ -333,7 +336,8 @@ class SpikeTrain:
         ValueError names the first slot outside [-1, t_max - 1], as its time if times are given."""
         check_t_max(t_max)
         last = t_max - 1
-        if codes.size and (codes.min() < -1 or codes.max() > last):
+        # argmin and argmax, not min and max: on a short train a reduction costs 4x as much
+        if codes.size and (codes[codes.argmin()] < -1 or codes[codes.argmax()] > last):
             i = int(((codes < -1) | (codes > last)).argmax())
             shown = times[i] if times is not None else int(codes[i])
             raise ValueError(f"spike time {shown!r} at neuron {i} outside [0, {last}]")
@@ -372,7 +376,8 @@ class NetworkModel:
     """Whole-network description: weight mode, time window, chained layers,
     1 to 255 of them (the flash header's u8 layer count). Frozen, with the
     layers stored as a tuple of (config, weights) pairs, so a model that was
-    built can always be flashed."""
+    built can always be flashed. deserialize_model leaves t_max, the layer
+    count and the chaining of the layers to these checks."""
 
     mode: WeightMode
     t_max: int
@@ -421,41 +426,30 @@ def serialize_model(model: NetworkModel) -> bytes:
 
 
 def deserialize_model(data: bytes) -> NetworkModel:
-    """Parse a flash image back into a NetworkModel, validating every field."""
+    """Parse a flash image back into a NetworkModel.
+
+    The parser checks what only the bytes carry: magic, version, the length of
+    each part, no trailing bytes. Each value is checked once, by its type, whose
+    ValueError is raised here as CorruptImage: WeightMode the mode byte,
+    LayerConfig dimensions and alpha, NetworkModel t_max, the layer count and
+    the chaining (InconsistentDims), BinaryWeights the padding (CorruptWeightWord).
+    """
     if len(data) < 4 or data[:4] != FLASH_MAGIC:
         raise NotAModelImage("missing SNN1 magic")
-    offset = len(FLASH_MAGIC) + FLASH_HEADER.size
-    if len(data) < offset:
+    records = len(FLASH_MAGIC) + FLASH_HEADER.size  # where the layer records start
+    if len(data) < records:
         raise TruncatedImage("header ends early")
     version, mode_byte, layer_count, t_max = FLASH_HEADER.unpack_from(data, len(FLASH_MAGIC))
     if version != FLASH_VERSION:
         raise UnsupportedVersion(f"format version {version}, expected {FLASH_VERSION}")
-    if mode_byte not in (0, 1):
-        raise CorruptImage(f"weight mode byte {mode_byte} is neither 0 nor 1")
-    if layer_count < 1:
-        raise CorruptImage("layer count must be >= 1")
-    if not valid_t_max(t_max):
-        raise CorruptImage(f"t_max {t_max} is not a power of two in [1, 256]")
-    mode = WeightMode(mode_byte)
-
-    configs = []
-    for k in range(layer_count):
-        if offset + FLASH_LAYER.size > len(data):
-            raise TruncatedImage(f"layer record {k} ends early")
-        in_dim, out_dim, alpha_raw, threshold = FLASH_LAYER.unpack_from(data, offset)
-        offset += FLASH_LAYER.size
-        if in_dim < 1 or out_dim < 1:
-            raise CorruptImage(f"layer {k} declares a zero dimension")
-        if alpha_raw < 1:
-            raise CorruptImage(f"layer {k} declares alpha 0")
-        configs.append(LayerConfig(in_dim, out_dim, alpha_raw, threshold))
-    for k in range(1, layer_count):
-        if configs[k].in_dim != configs[k - 1].out_dim:
-            raise InconsistentDims(
-                f"layer {k} expects {configs[k].in_dim} inputs but layer {k - 1} "
-                f"emits {configs[k - 1].out_dim}"
-            )
-
+    offset = records + layer_count * FLASH_LAYER.size  # the weight blobs follow, in layer order
+    if offset > len(data):
+        raise TruncatedImage(f"{layer_count} layer records end early")
+    try:
+        mode = WeightMode(mode_byte)
+        configs = [LayerConfig(*fields) for fields in FLASH_LAYER.iter_unpack(data[records:offset])]
+    except ValueError as error:  # a value its type rejects
+        raise CorruptImage(str(error)) from None
     binary = mode is WeightMode.BINARY
     dtype = "<u2" if binary else "<i2"
     layers = []
@@ -467,7 +461,9 @@ def deserialize_model(data: bytes) -> NetworkModel:
         cells = np.frombuffer(data, dtype, cfg.out_dim * n, offset).reshape(cfg.out_dim, n)
         layers.append((cfg, BinaryWeights(cfg.in_dim, cells) if binary else Fixed16Weights(cells)))
         offset = end
-
     if offset != len(data):
         raise CorruptImage(f"{len(data) - offset} trailing bytes after last weight blob")
-    return NetworkModel(mode=mode, t_max=t_max, layers=layers)
+    try:
+        return NetworkModel(mode=mode, t_max=t_max, layers=layers)
+    except ValueError as error:
+        raise CorruptImage(str(error)) from None

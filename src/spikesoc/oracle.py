@@ -30,7 +30,7 @@ import numpy as np
 from .core import InferenceResult, NeuronState
 from .decoder import decode
 from .encoder import InputFrame, encode_ttfs
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidSpikeCode
 from .model import LayerConfig, NetworkModel, WeightMatrix
 
 
@@ -45,12 +45,15 @@ def dense_layer_sweep(codes: np.ndarray, layer: LayerConfig, weights: WeightMatr
     none frozen; then each neuron fires at the first row where it is at or
     above the effective threshold, and keeps the potential of that row (of
     the last row if it never fires). Timesteps with no events have no row, so
-    they are not checked, as in the event-driven datapath.
+    they are not checked, as in the event-driven datapath. A code below -1
+    raises InvalidSpikeCode naming the first one, as sort_spikes does.
     """
     if len(codes) != layer.in_dim:
         raise DimensionMismatch(f"train length {len(codes)} != layer in_dim {layer.in_dim}")
     if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
         raise DimensionMismatch("weight shape disagrees with layer config")
+    if codes[codes.argmin()] < -1:
+        raise InvalidSpikeCode.first_in(codes)
     spiking = np.flatnonzero(codes >= 0)
     if not len(spiking):  # argmax over no rows would raise
         return NeuronState([0] * layer.out_dim, np.full(layer.out_dim, -1, dtype=np.int16))

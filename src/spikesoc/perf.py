@@ -98,12 +98,11 @@ class CycleReport:
 
 def estimate_cycles(trace: RunTrace) -> CycleReport:
     """The stage cycles of a run trace (formulas in the module docstring)."""
-    return CycleReport(
-        encode_cycles=trace.input_dim,
-        sort_cycles=sum(trace.t_max + t.events_sorted for t in trace.layers),
-        neuron_cycles=sum(t.events_processed * t.out_dim for t in trace.layers),
-        decode_cycles=trace.output_dim,
-    )
+    sort = neuron = 0
+    for t in trace.layers:  # one loop: two generator sums cost twice as long
+        sort += trace.t_max + t.events_sorted
+        neuron += t.events_processed * t.out_dim
+    return CycleReport(trace.input_dim, sort, neuron, trace.output_dim)
 
 
 @dataclass(frozen=True)

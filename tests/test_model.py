@@ -183,6 +183,68 @@ class TestWeightMatrices:
     def test_binary_constructor_rejects_padding(self):
         with pytest.raises(CorruptWeightWord):
             BinaryWeights(in_dim=4, words=[(0x0010,)])
+        with pytest.raises(CorruptWeightWord, match="row 2 "):  # the first bad row, not the largest
+            BinaryWeights(in_dim=4, words=[(0x000F,), (0x0001,), (0x0010,), (0x8000,)])
+
+
+class TestDecodeLayout:
+    """What the datapath and the oracle read from a decode, whatever makes it faster."""
+
+    @pytest.mark.parametrize("tail", [0, 1, 15])
+    def test_columns_are_the_transposed_matrix_at_every_tail(self, tail):
+        rng = make_rng(160 + tail)
+        shapes = [(16 * rng.randint(0 if tail else 1, 4) + tail, rng.randint(1, 40)) for _ in range(12)]
+        for in_dim, out_dim in shapes + [(784, 600)] * (tail == 0):
+            w = random_binary_weights(rng, in_dim, out_dim)
+            i = np.arange(in_dim)
+            bits = (w.words[:, i // 16] >> (i % 16)) & 1  # word i // 16, bit i % 16, LSB first
+            matrix = w.matrix()
+            assert matrix.dtype == np.int64 and matrix.flags.f_contiguous
+            assert np.array_equal(matrix, 2 * bits.astype(np.int64) - 1)
+            columns = w.columns
+            assert columns.dtype == np.int16 and columns.shape == (in_dim, out_dim)
+            assert columns.flags.c_contiguous and not columns.flags.writeable
+            assert np.array_equal(columns, matrix.T)
+
+    def test_every_damaged_image_raises_its_own_class(self):
+        """The loader leaves value checks to the types and wraps their ValueError:
+        each damage of TestFlashImage still raises exactly the class it did."""
+        blob = serialize_model(_minimal_model())
+        chained = NetworkModel(
+            mode=WeightMode.BINARY,
+            t_max=64,
+            layers=[
+                (LayerConfig(4, 2), BinaryWeights.from_rows([[1] * 4, [-1] * 4])),
+                (LayerConfig(2, 1), BinaryWeights.from_rows([[1, -1]])),
+            ],
+        )
+        padded = serialize_model(
+            NetworkModel(WeightMode.BINARY, 64, [(LayerConfig(4, 1), BinaryWeights.from_rows([[1, 1, -1, -1]]))])
+        )
+
+        def edit(image, offset, value):
+            image = bytearray(image)
+            image[offset] = value
+            return bytes(image)
+
+        cases = [
+            (edit(blob, 0, blob[0] ^ 0xFF), NotAModelImage),
+            (edit(blob, 4, 2), UnsupportedVersion),
+            (edit(blob, 6, 2), CorruptImage),  # mode byte
+            (edit(blob, 7, 0), CorruptImage),  # layer count
+            *[(image_with_t_max(_minimal_model(), t), CorruptImage) for t in (3, 100, 255)],
+            *[(blob[:cut], TruncatedImage) for cut in (6, 9, 12, 19, len(blob) - 1)],
+            (blob + b"\x00", CorruptImage),
+            (edit(padded, -1, padded[-1] | 0x80), CorruptWeightWord),
+            (edit(serialize_model(chained), 20, 3), InconsistentDims),
+            (edit(edit(blob, 14, 0), 15, 0), CorruptImage),  # alpha
+            (edit(edit(blob, 10, 0), 11, 0), CorruptImage),  # in_dim
+            (edit(edit(blob, 12, 0), 13, 0), CorruptImage),  # out_dim
+        ]
+        for image, error in cases:
+            with pytest.raises(Exception) as raised:
+                deserialize_model(image)
+            assert type(raised.value) is error, (image.hex(), raised.value)
 
 
 class TestLayerConfig:

@@ -19,7 +19,7 @@ from spikesoc import (
 from spikesoc import core, oracle
 from spikesoc.core import NeuronState, _prefix_rows, first_divergence, run_layer
 from spikesoc.encoder import encode_ttfs
-from spikesoc.errors import DimensionMismatch
+from spikesoc.errors import DimensionMismatch, InvalidSpikeCode, SpikeSocError
 from spikesoc.oracle import dense_layer_sweep
 from spikesoc.sorter import sort_spikes
 from helpers import (
@@ -109,6 +109,22 @@ def test_dimension_check():
     ]:
         with pytest.raises(DimensionMismatch, match="train length|weight shape"):
             dense_layer_sweep(train.codes, cfg, w)
+
+
+@pytest.mark.parametrize(
+    "codes, named", [([-2, 3], "input 0 has spike code -2,"), ([3, -1, -7, -2], "input 2 has spike code -7,")]
+)
+def test_codes_below_no_spike_raise_one_typed_error_on_both_paths(codes, named):
+    """A hand-fed code below -1 is no spike time: the sorter, at the datapath's
+    entry, and the oracle's sweep both reject it with the same message."""
+    codes = np.array(codes, np.int16)
+    layer, weights = LayerConfig(len(codes), 1), BinaryWeights.from_rows([[1] * len(codes)])
+    with pytest.raises(InvalidSpikeCode, match=named) as datapath:
+        run_layer(*sort_spikes(codes, 16), layer, weights)
+    with pytest.raises(InvalidSpikeCode, match=named) as dense:
+        dense_layer_sweep(codes, layer, weights)
+    assert str(datapath.value) == str(dense.value)
+    assert isinstance(dense.value, SpikeSocError) and not isinstance(dense.value, ValueError)
 
 
 def test_independent_of_the_datapath_column_cache(monkeypatch):
