@@ -41,6 +41,7 @@ from .errors import (
     DimensionMismatch,
     FrameFieldOverflow,
     ProtocolViolation,
+    SpikeSocError,
     UnsupportedModel,
 )
 from .model import NetworkModel, deserialize_model
@@ -247,11 +248,19 @@ class Controller:
         raise TypeError(f"not a command: {command!r}")
 
     def run_script(self, stream: bytes) -> tuple[bytes, list]:
-        """Feed a whole byte-tagged command stream; returns (UART bytes, interrupts)."""
+        """Feed a whole byte-tagged command stream; returns (UART bytes, interrupts).
+        A failed command's error is raised again, prefixed with its position and tag,
+        with `uart` and `interrupts` set to what the commands before it emitted."""
         uart = bytearray()
         interrupts = []
-        for command in parse_command_stream(stream):
-            irqs, frame = self.handle(command)
+        for position, command in enumerate(parse_command_stream(stream)):
+            try:
+                irqs, frame = self.handle(command)
+            except SpikeSocError as exc:
+                name, tag = type(command).__name__, COMMANDS[type(command)][0]
+                failed = type(exc)(f"command {position} ({name}, tag {tag:#04x}): {exc}")
+                failed.uart, failed.interrupts = bytes(uart), interrupts
+                raise failed from exc
             interrupts.extend(irqs)
             uart += frame
         return bytes(uart), interrupts

@@ -206,9 +206,9 @@ def run_layer(
 class InferenceResult:
     """Everything one inference produced, stored once.
 
-    Stored: the class and decision time, the input train, each layer's
-    NeuronState (its output spikes are the state's fire codes) and the run's
-    trace of layer tallies. Derived on first read: counters, the tallies'
+    Stored: the class and decision time, the encoder's (codes, t_max) train,
+    each layer's NeuronState (its output spikes are its fire codes) and the
+    run's trace of layer tallies. Derived on first read: counters, the tallies'
     OpCounters sum, and cycles, the trace's CycleReport. The dense reference
     simulator leaves trace None, and so counters and cycles.
     """

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatch
-from .model import SpikeTrain, check_t_max, slot_codes
+from .model import SpikeTrain, check_t_max
 
 InputFrame = Union[bytes, bytearray, Sequence[int]]
 
@@ -39,12 +39,13 @@ def encode_ttfs(
     if isinstance(frame, (bytes, bytearray)):
         pixels = np.frombuffer(frame, np.uint8)
     else:
-        pixels = slot_codes(frame, 256, (int, np.integer))  # below 0: no pixel
-        bad = np.flatnonzero(pixels < 0)
-        if bad.size:
-            raise ValueError(f"pixel {frame[bad[0]]!r} at index {bad[0]} outside [0, 255]")
+        ok = [isinstance(p, (int, np.integer)) and 0 <= p <= 255 for p in frame]  # None: not an int
+        if not all(ok):
+            i = ok.index(False)
+            raise ValueError(f"pixel {frame[i]!r} at index {i} outside [0, 255]")
+        pixels = np.array(frame, np.intp)
     codes = _code_table(t_max, spike_on_zero)[pixels]
-    return SpikeTrain.from_codes(codes, t_max)
+    return SpikeTrain(codes, t_max)
 
 
 @lru_cache(maxsize=None)

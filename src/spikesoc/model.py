@@ -29,9 +29,8 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
-from operator import attrgetter, is_
-from typing import ClassVar, Iterator, Optional, Sequence, Union
+from operator import attrgetter
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -45,8 +44,8 @@ from .errors import (
     UnsupportedVersion,
 )
 
-# Distinguished "no spike in the window" marker used in spike trains and
-# fire-time vectors. Kept as a named constant so call sites read as intent.
+# "No spike in the window" in the list views of spike codes (slot_values,
+# NeuronState.fire_times) and as a fallback decision time; the codes hold -1.
 NO_SPIKE = None
 
 FLASH_MAGIC = b"SNN1"
@@ -290,81 +289,39 @@ def slot_values(codes: np.ndarray) -> list:
     return _SLOT_VALUES[codes].tolist()
 
 
-def slot_codes(values: Sequence, t_max: int, kinds=int) -> np.ndarray:
-    """int16 codes: a kinds value in [0, t_max - 1] itself, NO_SPIKE -1, else -2."""
-    codes = np.fromiter(values, object, len(values))
-    codes[~np.fromiter(map(isinstance, values, repeat(kinds)), bool, len(values))] = -2
-    codes[(codes < 0) | (codes >= t_max)] = -2  # all ints now; compared as Python ints
-    codes[np.fromiter(map(is_, values, repeat(NO_SPIKE)), bool, len(values))] = -1
-    return codes.astype(np.int16)
-
-
 def check_t_max(t_max: int) -> None:
     if not valid_t_max(t_max):
         raise ValueError(f"t_max {t_max} is not a power of two in [1, 256]")
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class SpikeTrain:
-    """Per-neuron first-spike times inside a discrete window of t_max steps.
-
-    Each slot is a time in [0, t_max-1] or NO_SPIKE; single-spike coding
-    means one slot per neuron is the entire train. The one stored form is
-    codes, a read-only int16 array with -1 for NO_SPIKE, as the spike memories
-    hold it; times, the slots as a tuple, is derived from it on first read.
-    """
+    """Per-neuron first-spike times inside a window of t_max steps, as the spike
+    memories hold them: codes, a private read-only int16 copy of a 1-D integer
+    array, one slot per neuron, each a time in [0, t_max-1] or -1 for NO_SPIKE."""
 
     codes: np.ndarray
     t_max: int
 
-    def __init__(self, times: Sequence, t_max: int):
-        times = tuple(times)
-        self._store(slot_codes(times, t_max), t_max, times)
-
-    @classmethod
-    def from_codes(cls, codes: np.ndarray, t_max: int) -> "SpikeTrain":
-        """The train of a 1-D integer array of codes (-1 for NO_SPIKE): the
-        array path's constructor, with no per-slot type test."""
+    def __post_init__(self):
+        check_t_max(self.t_max)
+        codes = self.codes
         if codes.ndim != 1 or codes.dtype.kind not in "iu":
             raise ValueError(f"codes must be a 1-D integer array, got {codes.ndim}-D {codes.dtype}")
-        train = object.__new__(cls)
-        train._store(codes, t_max)
-        return train
-
-    def _store(self, codes: np.ndarray, t_max: int, times: Optional[tuple] = None) -> None:
-        """Keep t_max and a read-only int16 copy of codes after one array-wide check, whose
-        ValueError names the first slot outside [-1, t_max - 1], as its time if times are given."""
-        check_t_max(t_max)
-        last = t_max - 1
         # argmin and argmax, not min and max: on a short train a reduction costs 4x as much
-        if codes.size and (codes[codes.argmin()] < -1 or codes[codes.argmax()] > last):
-            i = int(((codes < -1) | (codes > last)).argmax())
-            shown = times[i] if times is not None else int(codes[i])
-            raise ValueError(f"spike time {shown!r} at neuron {i} outside [0, {last}]")
+        if codes.size and (codes[codes.argmin()] < -1 or codes[codes.argmax()] >= self.t_max):
+            i = int(((codes < -1) | (codes >= self.t_max)).argmax())
+            raise ValueError(f"spike time {int(codes[i])} at neuron {i} outside [0, {self.t_max - 1}]")
         codes = codes.astype(np.int16)
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "t_max", t_max)
 
     def __eq__(self, other):
         same_type = type(other) is type(self)
         return same_type and self.t_max == other.t_max and np.array_equal(self.codes, other.codes)
 
-    def __hash__(self) -> int:
-        return hash((self.times, self.t_max))
-
     def __reduce__(self):  # pickle and copy rebuild, so the copy's codes are read-only too
-        return type(self).from_codes, (self.codes, self.t_max)
-
-    @cached_property
-    def times(self) -> tuple:
-        return tuple(slot_values(self.codes))
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.times)
+        return type(self), (self.codes, self.t_max)
 
     @property
     def active_count(self) -> int:

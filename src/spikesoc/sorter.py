@@ -16,11 +16,11 @@ from .errors import InvalidSpikeCode
 
 def sort_spikes(codes: np.ndarray, t_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The datapath's queue of a layer's int16 spike codes in [-1, t_max - 1]
-    (-1: no spike), as `SpikeTrain.codes` and `NeuronState.fire_codes` hold
-    them: events (neuron indices in ascending time, ascending index within a
-    time), group_times (the times that carry events, ascending) and group_ends
-    (the position of each such time's last event). A code below -1 raises
-    InvalidSpikeCode naming the first one."""
+    (-1: no spike), the encoder's `SpikeTrain.codes` or the previous layer's
+    `NeuronState.fire_codes`: events (neuron indices in ascending time,
+    ascending index within a time), group_times (the times that carry events,
+    ascending) and group_ends (the position of each such time's last event).
+    A code below -1 raises InvalidSpikeCode naming the first one."""
     try:
         # bucket 0: NO_SPIKE; shifted in intp, which bincount reads, so no int16 code wraps
         buckets = np.bincount(np.add(codes, 1, dtype=np.intp), minlength=t_max + 1)

@@ -22,7 +22,7 @@ from spikesoc import (
 )
 from spikesoc.core import NeuronState, first_divergence
 from spikesoc.errors import DimensionMismatch
-from spikesoc.model import INT32_MAX, INT32_MIN
+from spikesoc.model import INT32_MAX, INT32_MIN, slot_values
 
 T_MAX_CHOICES = (16, 64, 256)
 
@@ -125,9 +125,10 @@ def conditioned_instance(rng, max_attempts=500):
 
 
 def reference_encode(frame, t_max, *, spike_on_zero=False):
-    """The encoder one pixel at a time: the spike times encode_ttfs(frame,
-    t_max).times must equal. Raises ValueError for the first pixel outside
-    [0, 255] (a non-integer pixel fails on the shift instead)."""
+    """The encoder one pixel at a time: the spike times that
+    slot_values(encode_ttfs(frame, t_max).codes) must equal. Raises ValueError
+    for the first pixel outside [0, 255] (a non-integer pixel fails on the
+    shift instead)."""
     shift = 8 - (t_max.bit_length() - 1)
     last = t_max - 1
     times = []
@@ -142,14 +143,32 @@ def reference_encode(frame, t_max, *, spike_on_zero=False):
 
 
 def reference_train_check(times, t_max):
-    """The SpikeTrain slot check one slot at a time: raises the ValueError
-    SpikeTrain(times, t_max) raises, for the first slot that is neither
-    NO_SPIKE nor an int in [0, t_max - 1]."""
+    """The spike train slot check one slot at a time: raises ValueError, with
+    the message SpikeTrain(codes, t_max) gives for a code out of range, for
+    the first slot that is neither NO_SPIKE nor an int in [0, t_max - 1]."""
     for i, t in enumerate(times):
         if t is NO_SPIKE:
             continue
         if not isinstance(t, int) or not 0 <= t < t_max:
             raise ValueError(f"spike time {t!r} at neuron {i} outside [0, {t_max - 1}]")
+
+
+def reference_codes_check(codes, t_max):
+    """SpikeTrain(codes, t_max)'s check of a codes array, spelled out: the array
+    is 1-D of an integer dtype, then reference_train_check on codes.tolist(),
+    with -1 as NO_SPIKE. Raises the ValueError the constructor raises."""
+    if codes.ndim != 1 or not np.issubdtype(codes.dtype, np.integer):
+        raise ValueError(f"codes must be a 1-D integer array, got {codes.ndim}-D {codes.dtype}")
+    reference_train_check([NO_SPIKE if c == -1 else c for c in codes.tolist()], t_max)
+
+
+def spike_train(times, t_max):
+    """The SpikeTrain of slots given as spike times, each an int in
+    [0, t_max - 1] or NO_SPIKE: reference_train_check, then
+    SpikeTrain(codes, t_max) of the codes, -1 for NO_SPIKE."""
+    times = tuple(times)
+    reference_train_check(times, t_max)
+    return SpikeTrain(np.array([-1 if t is NO_SPIKE else t for t in times], np.int16), t_max)
 
 
 def as_queue(groups):
@@ -173,7 +192,7 @@ def as_groups(events, group_times, group_ends):
 def reference_sort(train: SpikeTrain):
     """Insertion sort of active events by (time, index); deliberately naive."""
     out = []
-    for idx, t in enumerate(train.times):
+    for idx, t in enumerate(slot_values(train.codes)):
         if t is NO_SPIKE:
             continue
         k = len(out)
@@ -267,7 +286,7 @@ def fired_flags(state: NeuronState):
     return [t is not NO_SPIKE for t in state.fire_times]
 
 
-_NO_INPUT = SpikeTrain((), 1)  # read-only, so every result can share it
+_NO_INPUT = SpikeTrain(np.array([], np.int16), 1)  # read-only, so every result can share it
 
 
 def states_result(states, predicted=0, decision_time=NO_SPIKE):

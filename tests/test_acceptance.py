@@ -5,6 +5,7 @@ checks are exact integer comparisons; nothing here carries a numeric
 tolerance.
 """
 
+import hashlib
 import json
 import time
 
@@ -46,6 +47,21 @@ def _verdict(name, failures):
     status = "PASS" if not failures else "FAIL"
     print(f"[{status}] {name}")
     assert not failures, f"{name}: {len(failures)} violation(s); first: {failures[0]}"
+
+
+# sha256 over each corpus instance's flash image and frame, in order, each
+# behind its u32le length: the corpus the criteria run over, pinned by content
+# and not only by CORPUS_SEED and CORPUS_SIZE, so a change to the generators
+# in helpers.py cannot swap it unnoticed.
+CORPUS_SHA256 = "66b5001cef8f627b684069ed45cdc77e152444f380fc219c1ed78e07c85a21aa"
+
+
+def test_corpus_is_pinned_by_content(corpus):
+    digest = hashlib.sha256()
+    for runs in corpus:
+        for part in (serialize_model(runs.inst.model), runs.inst.frame):
+            digest.update(len(part).to_bytes(4, "little") + part)
+    assert digest.hexdigest() == CORPUS_SHA256
 
 
 def test_criterion_oracle_equivalence(corpus):

@@ -12,7 +12,6 @@ from spikesoc import (
     LayerConfig,
     NO_SPIKE,
     NetworkModel,
-    SpikeTrain,
     WeightMode,
     serialize_model,
 )
@@ -33,6 +32,7 @@ from helpers import (
     random_frame,
     random_layer,
     random_model,
+    spike_train,
 )
 
 
@@ -348,7 +348,7 @@ class TestMainExitCodes:
         model_path, images_path, labels_path = _write_dataset(tmp_path, rng, model, 2)
 
         def wrong_dense(model, frame, **kwargs):
-            train = SpikeTrain((NO_SPIKE,), model.t_max)
+            train = spike_train((NO_SPIKE,), model.t_max)
             return InferenceResult(
                 predicted=10**6,
                 decision_time=NO_SPIKE,

@@ -11,7 +11,6 @@ from spikesoc import (
     ProtocolViolation,
     Reset,
     Run,
-    SpikeTrain,
     WeightMode,
     encode_command,
     serialize_model,
@@ -40,6 +39,7 @@ from helpers import (
     one_hot_output_model,
     random_binary_weights,
     random_frame,
+    spike_train,
 )
 
 
@@ -72,7 +72,7 @@ def _snapshot(c):
 
 
 def _result(predicted, decision_time, total_cycles):
-    train = SpikeTrain((decision_time,) if decision_time is not None else (None,), 256)
+    train = spike_train((decision_time,) if decision_time is not None else (None,), 256)
     # One silent layer of total_cycles - 2 inputs and 1 neuron at t_max 1 costs
     # a 1-cycle bucket sweep and a 1-cycle decode, so its pixels make the total.
     trace = RunTrace(t_max=1, layers=(LayerTally(total_cycles - 2, 1, 0, 0),))
@@ -326,3 +326,22 @@ class TestCommandStream:
         for k in range(10):
             frame = uart_a[k * UART_FRAME_LEN : (k + 1) * UART_FRAME_LEN]
             assert parse_uart_frame(frame)["sample_index"] == k
+
+    def test_a_failed_command_keeps_the_frames_before_it(self):
+        commands = [LoadModel(serialize_model(one_hot_output_model(3))), LoadInput(b"\xff"), Run(), Run()]
+        by_handle = Controller()
+        emitted = [by_handle.handle(command) for command in commands[:3]]
+        controller = Controller()
+        message = r"^command 3 \(Run, tag 0x03\): Run is illegal in phase ModelLoaded$"
+        with pytest.raises(ProtocolViolation, match=message) as failed:
+            controller.run_script(b"".join(map(encode_command, commands)))
+        assert failed.value.uart == emitted[2][1] and len(failed.value.uart) == UART_FRAME_LEN
+        assert failed.value.interrupts == [irq for irqs, _ in emitted for irq in irqs]
+        assert failed.value.interrupts == [InterruptKind.INFERENCE_DONE, InterruptKind.LOAD_NEXT_SAMPLE]
+        assert _snapshot(controller) == _snapshot(by_handle)  # as the first three commands left it
+
+    def test_a_failed_first_command_emitted_nothing(self):
+        stream = encode_command(LoadInput(b"\x01")) + encode_command(Run())
+        with pytest.raises(ProtocolViolation, match=r"^command 0 \(LoadInput, tag 0x02\): ") as failed:
+            Controller().run_script(stream)
+        assert (failed.value.uart, failed.value.interrupts) == (b"", [])

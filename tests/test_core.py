@@ -16,6 +16,7 @@ from spikesoc import (
 )
 from spikesoc.core import run_layer
 from spikesoc.errors import DimensionMismatch
+from spikesoc.model import slot_values
 from spikesoc.oracle import dense_layer_sweep
 from spikesoc.perf import OpCounters
 from spikesoc.sorter import sort_spikes
@@ -32,6 +33,7 @@ from helpers import (
     random_instance,
     random_model,
     reference_run_layer,
+    spike_train,
     truncate_after,
 )
 
@@ -130,7 +132,7 @@ class TestAccumulatorWidth:
         layer = (LayerConfig(n, 1, threshold=2**31 - 1), Fixed16Weights.from_rows([[weight] * n]))
         model = NetworkModel(mode=WeightMode.FIXED16, t_max=256, layers=[layer])
         [(cfg, w)] = deserialize_model(serialize_model(model)).layers
-        train = SpikeTrain.from_codes(np.arange(n) % 256, 256)  # every input spikes once
+        train = SpikeTrain(np.arange(n) % 256, 256)  # every input spikes once
         queue = sort_spikes(train.codes, train.t_max)
         state, tally = run_layer(*queue, cfg, w)
         assert state.potentials == [potential]
@@ -197,7 +199,7 @@ class TestRunLayer:
     def test_crosses_on_second_event(self):
         cfg = LayerConfig(2, 1, threshold=2)
         w = BinaryWeights.from_rows([[1, 1]])
-        state, _ = run_layer(*sort_spikes(SpikeTrain((3, 9), 16).codes, 16), cfg, w)
+        state, _ = run_layer(*sort_spikes(spike_train((3, 9), 16).codes, 16), cfg, w)
         assert state.fire_times == [9]
 
     def test_event_index_out_of_range(self):
@@ -215,7 +217,7 @@ class TestRunLayer:
     def test_events_after_all_fired_are_skipped(self):
         cfg = LayerConfig(3, 1, threshold=1)
         w = BinaryWeights.from_rows([[1, 1, 1]])
-        state, tally = run_layer(*sort_spikes(SpikeTrain((0, 4, 8), 16).codes, 16), cfg, w)
+        state, tally = run_layer(*sort_spikes(spike_train((0, 4, 8), 16).codes, 16), cfg, w)
         assert state.fire_times == [0]
         assert tally.events_processed == 1
         assert tally.events_skipped == 2
@@ -248,7 +250,7 @@ class TestRunLayer:
                 NO_SPIKE if rng.random() < 0.2 else rng.randint(0, t_max - 1)
                 for _ in range(in_dim)
             ]
-            queue = sort_spikes(SpikeTrain(tuple(times), t_max).codes, t_max)
+            queue = sort_spikes(spike_train(times, t_max).codes, t_max)
             state_stop, _ = run_layer(*queue, cfg, w, stop_at_first_fire=True)
             groups = as_groups(*queue)
             fired = [t for t in state_stop.fire_times if t is not NO_SPIKE]
@@ -281,11 +283,11 @@ class TestRunLayer:
                 NO_SPIKE if rng.random() < 0.25 else rng.randint(0, t_max - 1)
                 for _ in range(in_dim)
             )
-            train = SpikeTrain(times, t_max)
+            train = spike_train(times, t_max)
             got_state, _ = run_layer(*sort_spikes(train.codes, train.t_max), cfg, w)
             ref_state = dense_layer_sweep(train.codes, cfg, w)
-            ref_train = SpikeTrain.from_codes(ref_state.fire_codes, t_max)
-            assert tuple(got_state.fire_times) == ref_train.times
+            ref_train = SpikeTrain(ref_state.fire_codes, t_max)
+            assert got_state.fire_times == slot_values(ref_train.codes)
             assert got_state.potentials == ref_state.potentials
             assert got_state.fire_times == ref_state.fire_times
 
@@ -337,8 +339,8 @@ class TestRunNetwork:
         for _ in range(100):
             inst = random_instance(rng)
             for state in inst.default.layer_states:
-                train = SpikeTrain.from_codes(state.fire_codes, inst.model.t_max)
-                assert train.times == tuple(state.fire_times)
+                train = SpikeTrain(state.fire_codes, inst.model.t_max)
+                assert slot_values(train.codes) == state.fire_times
 
     def test_event_bookkeeping_is_complete(self):
         rng = make_rng(59)
@@ -367,7 +369,7 @@ class TestRunNetwork:
                 "events_skipped",
             ):
                 assert getattr(r.counters, name) == sum(getattr(t, name) for t in tallies)
-            outputs = [SpikeTrain.from_codes(s.fire_codes, model.t_max) for s in r.layer_states]
+            outputs = [SpikeTrain(s.fire_codes, model.t_max) for s in r.layer_states]
             for tally, train in zip(tallies, [r.input_train, *outputs]):
                 assert tally.events_sorted == train.active_count
                 if mode is WeightMode.BINARY:
@@ -397,7 +399,7 @@ class TestRunNetwork:
 def _assert_views_derive_from_the_stored_fields(result, t_max):
     assert not hasattr(result, "layer_trains")  # a layer's output is its state's fire codes
     for state in result.layer_states:
-        train = SpikeTrain.from_codes(state.fire_codes, t_max)  # the codes fit the window
+        train = SpikeTrain(state.fire_codes, t_max)  # the codes fit the window
         assert np.array_equal(train.codes, state.fire_codes)
         assert not state.fire_codes.flags.writeable
     if result.trace is None:

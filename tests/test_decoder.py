@@ -1,14 +1,14 @@
 import pytest
 
-from spikesoc import NO_SPIKE, SpikeTrain
+from spikesoc import NO_SPIKE
 from spikesoc.decoder import decode
 from spikesoc.errors import DimensionMismatch
-from helpers import make_rng
+from helpers import make_rng, spike_train
 
 
 def _codes(times, t_max=16):
     """The int16 fire codes the decoder reads."""
-    return SpikeTrain(tuple(times), t_max).codes
+    return spike_train(times, t_max).codes
 
 
 def test_earliest_spike_wins():

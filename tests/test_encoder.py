@@ -6,47 +6,48 @@ import pytest
 from spikesoc import NO_SPIKE
 from spikesoc.encoder import encode_ttfs
 from spikesoc.errors import DimensionMismatch
+from spikesoc.model import slot_values
 from spikesoc.oracle import dense_infer
 from helpers import conditioned_instance, make_rng
 
 
 def test_max_intensity_spikes_first():
     train = encode_ttfs(bytes([255]), 256)
-    assert train.times == (0,)
+    assert slot_values(train.codes) == [0]
 
 
 def test_inverted_code_at_full_window():
-    assert encode_ttfs(bytes([200]), 256).times == (55,)
+    assert slot_values(encode_ttfs(bytes([200]), 256).codes) == [55]
     for p in range(1, 256):
-        assert encode_ttfs(bytes([p]), 256).times == (255 - p,)
+        assert slot_values(encode_ttfs(bytes([p]), 256).codes) == [255 - p]
 
 
 def test_zero_pixel_is_silent():
-    assert encode_ttfs(bytes([0]), 256).times == (NO_SPIKE,)
+    assert slot_values(encode_ttfs(bytes([0]), 256).codes) == [NO_SPIKE]
 
 
 def test_zero_pixel_spike_variant_lands_on_last_step():
-    assert encode_ttfs(bytes([0]), 256, spike_on_zero=True).times == (255,)
-    assert encode_ttfs(bytes([0]), 64, spike_on_zero=True).times == (63,)
+    assert slot_values(encode_ttfs(bytes([0]), 256, spike_on_zero=True).codes) == [255]
+    assert slot_values(encode_ttfs(bytes([0]), 64, spike_on_zero=True).codes) == [63]
 
 
 def test_shift_rule_for_narrow_window():
     # 131 = 0b10000011 >> 1 = 65; 127 - 65 = 62
-    assert encode_ttfs(bytes([131]), 128).times == (62,)
+    assert slot_values(encode_ttfs(bytes([131]), 128).codes) == [62]
 
 
 def test_monotonicity_brighter_never_later():
     for t_max in (16, 64, 128, 256):
         prev_pixel_time = None
         for p in range(255, 0, -1):
-            t = encode_ttfs(bytes([p]), t_max).times[0]
+            t = slot_values(encode_ttfs(bytes([p]), t_max).codes)[0]
             if prev_pixel_time is not None:
                 assert t >= prev_pixel_time
             prev_pixel_time = t
 
 
 def test_strict_monotonicity_at_full_window():
-    times = [encode_ttfs(bytes([p]), 256).times[0] for p in range(255, 0, -1)]
+    times = [slot_values(encode_ttfs(bytes([p]), 256).codes)[0] for p in range(255, 0, -1)]
     assert times == sorted(set(times))
 
 
@@ -54,13 +55,13 @@ def test_emitted_times_stay_in_window():
     rng = make_rng(21)
     for t_max in (1, 2, 16, 64, 256):
         frame = bytes(rng.randint(0, 255) for _ in range(64))
-        for t in encode_ttfs(frame, t_max):
+        for t in slot_values(encode_ttfs(frame, t_max).codes):
             assert t is NO_SPIKE or 0 <= t < t_max
 
 
 def test_output_length_matches_input():
     frame = bytes(range(10))
-    assert len(encode_ttfs(frame, 256)) == 10
+    assert len(encode_ttfs(frame, 256).codes) == 10
 
 
 def test_dimension_check():
@@ -90,10 +91,10 @@ def test_integer_arrays_encode_like_bytes():
     rng = make_rng(23)
     for t_max in (1, 16, 256):
         frame = bytes(rng.randint(0, 255) for _ in range(64))
-        want = encode_ttfs(frame, t_max).times
+        want = slot_values(encode_ttfs(frame, t_max).codes)
         for dtype in (np.uint8, np.int16, np.int64):
-            assert encode_ttfs(np.frombuffer(frame, np.uint8).astype(dtype), t_max).times == want
-        assert encode_ttfs(list(frame), t_max).times == want
+            assert slot_values(encode_ttfs(np.frombuffer(frame, np.uint8).astype(dtype), t_max).codes) == want
+        assert slot_values(encode_ttfs(list(frame), t_max).codes) == want
 
 
 def test_zero_pixel_convention_cannot_flip_an_early_decision():

@@ -35,7 +35,7 @@ from spikesoc import (
 from spikesoc.core import first_divergence, run_layer
 from spikesoc.oracle import dense_layer_sweep
 from spikesoc.sorter import sort_spikes
-from helpers import reference_encode, reference_run_layer, reference_sort, states_result
+from helpers import reference_encode, reference_run_layer, reference_sort, spike_train, states_result
 
 T_MAX = 4
 FIXED16_CELLS = (-32768, -1, 0, 1, 32767)
@@ -53,7 +53,7 @@ def _trains(in_dim):
     """Every train of in_dim inputs at T_MAX, each with its sorted queue and
     its reference groups."""
     for codes in itertools.product(range(-1, T_MAX), repeat=in_dim):
-        train = SpikeTrain.from_codes(np.array(codes, dtype=np.int16), T_MAX)
+        train = SpikeTrain(np.array(codes, dtype=np.int16), T_MAX)
         yield train, sort_spikes(train.codes, T_MAX), _groups(train)
 
 
@@ -133,7 +133,7 @@ def test_every_small_two_layer_pipeline_agrees():
         for pixels in itertools.product(PIXELS, repeat=2):
             if spike_on_zero and 0 not in pixels:
                 continue  # a frame with no 0 encodes alike either way
-            train = SpikeTrain(reference_encode(pixels, T_MAX, spike_on_zero=spike_on_zero), T_MAX)
+            train = spike_train(reference_encode(pixels, T_MAX, spike_on_zero=spike_on_zero), T_MAX)
             groups = _groups(train)
             between, _ = reference_run_layer(groups, *hidden)
             assert np.array_equal(between.fire_codes, train.codes)  # so the output layer reads groups too

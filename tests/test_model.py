@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from spikesoc.errors import (
     TruncatedImage,
     UnsupportedVersion,
 )
+from spikesoc.model import slot_values
 from helpers import (
     COPIES,
     image_with_t_max,
@@ -31,6 +32,7 @@ from helpers import (
     random_binary_weights,
     random_fixed_weights,
     random_model,
+    spike_train,
 )
 
 
@@ -300,30 +302,30 @@ class TestLayerConfig:
 class TestSpikeTrain:
     def test_rejects_time_at_t_max(self):
         with pytest.raises(ValueError):
-            SpikeTrain((16,), 16)
+            SpikeTrain(np.array([16], np.int16), 16)
 
     def test_accepts_no_spike_slots(self):
-        train = SpikeTrain((None, 3, None), 16)
+        train = SpikeTrain(np.array([-1, 3, -1], np.int16), 16)
         assert train.active_count == 1
-        assert list(train) == [None, 3, None]
+        assert slot_values(train.codes) == [None, 3, None]
 
     def test_rejects_bad_t_max(self):
         with pytest.raises(ValueError):
-            SpikeTrain((), 0)
+            SpikeTrain(np.array([], np.int16), 0)
         with pytest.raises(ValueError):
-            SpikeTrain((), 257)
+            SpikeTrain(np.array([], np.int16), 257)
         with pytest.raises(ValueError):
-            SpikeTrain((0, 1), 100)
+            SpikeTrain(np.array([0, 1], np.int16), 100)
 
-    def test_codes_cannot_be_passed_beside_times(self):
-        # Codes that disagree with times would give the sorter and the decoder
-        # two different trains; codes are always derived.
+    def test_constructor_takes_codes_and_t_max_only(self):
+        # A second array beside the codes would give the sorter and the
+        # decoder two different trains; the codes are the one stored form.
         with pytest.raises(TypeError):
-            SpikeTrain((0, 1, None), 16, np.array([5, 5, 5], np.int16))
+            SpikeTrain(np.array([0, 1, -1], np.int16), 16, np.array([5, 5, 5], np.int16))
 
-    def test_from_codes_derives_times(self):
-        train = SpikeTrain.from_codes(np.array([0, 15, -1], np.int16), 16)
-        assert train == SpikeTrain((0, 15, None), 16)
+    def test_constructor_keeps_the_codes(self):
+        train = SpikeTrain(np.array([0, 15, -1], np.int16), 16)
+        assert train == spike_train((0, 15, None), 16)
         assert train.codes.tolist() == [0, 15, -1]
         assert train.active_count == 2
 
@@ -334,6 +336,7 @@ class TestSpikeTrain:
             (np.array([-2], np.int16), 16),
             (np.array([0], np.int16), 100),
             (np.array([0, 65535]), 256),  # checked before narrowing: int16 reads -1
+            (np.array([0, 65535], np.uint16), 256),
             # Only 1-D integer arrays are codes; astype would truncate floats.
             (np.array([0.0, 1.5]), 16),
             (np.array([True, False]), 16),
@@ -341,31 +344,34 @@ class TestSpikeTrain:
             (np.array(3), 16),
         ],
     )
-    def test_from_codes_rejects_what_times_would(self, codes, t_max):
+    def test_constructor_rejects_what_the_slot_check_would(self, codes, t_max):
         with pytest.raises(ValueError):
-            SpikeTrain.from_codes(codes, t_max)
+            SpikeTrain(codes, t_max)
 
-    def test_times_and_codes_build_one_value(self):
-        by_times = SpikeTrain((0, 15, None, 7), 16)
-        by_codes = SpikeTrain.from_codes(np.array([0, 15, -1, 7], np.int64), 16)
+    def test_codes_of_any_integer_dtype_build_one_value(self):
+        by_times = spike_train((0, 15, None, 7), 16)
+        by_codes = SpikeTrain(np.array([0, 15, -1, 7], np.int64), 16)
         assert by_times == by_codes
-        assert hash(by_times) == hash(by_codes) == hash(((0, 15, None, 7), 16))
-        assert by_codes.times == by_times.times == (0, 15, None, 7)
-        assert len(by_codes) == 4
-        assert list(by_codes) == [0, 15, None, 7]
+        assert slot_values(by_codes.codes) == slot_values(by_times.codes) == [0, 15, None, 7]
+        assert by_codes.codes.dtype == np.int16
+
+    def test_is_unhashable(self):
+        # Equality compares the codes arrays, which have no hash; so has no train.
+        with pytest.raises(TypeError):
+            hash(spike_train((0, None), 16))
 
     def test_one_code_or_t_max_makes_a_different_train(self):
-        train = SpikeTrain((0, 15, None), 16)
-        assert train != SpikeTrain((0, 14, None), 16)
-        assert train != SpikeTrain((0, 15, 0), 16)
-        assert train != SpikeTrain((0, 15, None), 32)
-        assert train != SpikeTrain((0, 15), 16)
+        train = spike_train((0, 15, None), 16)
+        assert train != spike_train((0, 14, None), 16)
+        assert train != spike_train((0, 15, 0), 16)
+        assert train != spike_train((0, 15, None), 32)
+        assert train != spike_train((0, 15), 16)
         assert train != (0, 15, None)
 
     def test_codes_are_read_only_and_private(self):
         source = np.array([1, -1, 2], np.int16)
-        by_codes = SpikeTrain.from_codes(source, 16)
-        for train in (SpikeTrain((1, None, 2), 16), by_codes):
+        by_codes = SpikeTrain(source, 16)
+        for train in (spike_train((1, None, 2), 16), by_codes):
             with pytest.raises(ValueError):
                 train.codes[0] = 5
         source[0] = 5  # the caller's array stays writable and is not the train's
@@ -373,19 +379,31 @@ class TestSpikeTrain:
 
     @pytest.mark.parametrize("clone", COPIES, ids=["pickle", "deepcopy", "copy"])
     def test_pickled_and_copied_trains_stay_read_only(self, clone):
-        train = SpikeTrain((1, None, 2), 16)
-        assert train.times == (1, None, 2)  # cached before the copy is made
+        train = spike_train((1, None, 2), 16)
         twin = clone(train)
         with pytest.raises(ValueError):
             twin.codes[0] = 5
-        assert twin == train and twin.times == (1, None, 2) and hash(twin) == hash(train)
+        assert twin == train and slot_values(twin.codes) == [1, None, 2]
+        assert twin.codes.dtype == np.int16
+
+    def test_replace_rebuilds_through_the_one_check(self):
+        train = spike_train((1, None, 15), 16)
+        wider = replace(train, t_max=32)
+        assert wider.t_max == 32 and wider.codes.tolist() == [1, -1, 15]
+        assert wider == SpikeTrain(train.codes, 32) and not wider.codes.flags.writeable
+        for t_max in (8, 100, 0):  # 15 is past an 8-step window
+            with pytest.raises(ValueError):
+                replace(train, t_max=t_max)
+        for codes in (np.array([1, 16]), np.array([1, -2]), np.array([1.0]), np.array([[1]])):
+            with pytest.raises(ValueError):
+                replace(train, codes=codes)
 
     def test_attributes_cannot_be_assigned(self):
-        train = SpikeTrain((1, None), 16)
+        train = spike_train((1, None), 16)
         for name, value in (("t_max", 32), ("codes", np.array([0, 0], np.int16))):
             with pytest.raises(FrozenInstanceError):
                 setattr(train, name, value)
-        assert train == SpikeTrain((1, None), 16)
+        assert train == spike_train((1, None), 16)
 
 
 class TestNetworkModel:

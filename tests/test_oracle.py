@@ -20,6 +20,7 @@ from spikesoc import core, oracle
 from spikesoc.core import NeuronState, _prefix_rows, first_divergence, run_layer
 from spikesoc.encoder import encode_ttfs
 from spikesoc.errors import DimensionMismatch, InvalidSpikeCode, SpikeSocError
+from spikesoc.model import slot_values
 from spikesoc.oracle import dense_layer_sweep
 from spikesoc.sorter import sort_spikes
 from helpers import (
@@ -32,6 +33,7 @@ from helpers import (
     random_frame,
     random_layer,
     random_model,
+    spike_train,
     states_result,
 )
 
@@ -68,7 +70,7 @@ def test_no_events_means_no_fire_even_below_zero_threshold(t_max):
     """An all-silent layer has no table rows: potentials 0 and codes -1."""
     cfg = LayerConfig(2, 2, 256, -5)
     w = BinaryWeights.from_rows([[1, 1], [-1, -1]])
-    train = SpikeTrain((NO_SPIKE, NO_SPIKE), t_max)
+    train = spike_train((NO_SPIKE, NO_SPIKE), t_max)
     state = dense_layer_sweep(train.codes, cfg, w)
     assert state.fire_times == [NO_SPIKE, NO_SPIKE]
     assert state.potentials == [0, 0]
@@ -77,9 +79,9 @@ def test_no_events_means_no_fire_even_below_zero_threshold(t_max):
         w = random_weights(rng, 40, 7)
         for threshold in (0, -1, -(2**31)):
             state = dense_layer_sweep(
-                SpikeTrain((NO_SPIKE,) * 40, t_max).codes, LayerConfig(40, 7, 256, threshold), w
+                spike_train((NO_SPIKE,) * 40, t_max).codes, LayerConfig(40, 7, 256, threshold), w
             )
-            assert SpikeTrain.from_codes(state.fire_codes, t_max) == SpikeTrain((NO_SPIKE,) * 7, t_max)
+            assert SpikeTrain(state.fire_codes, t_max) == spike_train((NO_SPIKE,) * 7, t_max)
             assert state.potentials == [0] * 7
             assert state.fire_codes.tolist() == [-1] * 7
 
@@ -90,7 +92,7 @@ def test_inputs_all_at_the_last_timestep_fire_there_or_never(t_max):
     outcomes = set()
     for _ in range(20):
         cfg, weights = random_layer(rng, rng.randint(1, 30), rng.randint(1, 12), rng.choice(list(WeightMode)))
-        state = dense_layer_sweep(SpikeTrain((t_max - 1,) * cfg.in_dim, t_max).codes, cfg, weights)
+        state = dense_layer_sweep(spike_train((t_max - 1,) * cfg.in_dim, t_max).codes, cfg, weights)
         sums = weights.matrix().sum(axis=1)
         fired = sums >= cfg.effective_threshold(weights.mode)
         assert state.fire_codes.tolist() == np.where(fired, t_max - 1, -1).tolist()
@@ -103,9 +105,9 @@ def test_inputs_all_at_the_last_timestep_fire_there_or_never(t_max):
 def test_dimension_check():
     w = BinaryWeights.from_rows([[1, 1, -1]])
     for cfg, train in [
-        (LayerConfig(3, 1, 256, 0), SpikeTrain((1, 2), 16)),  # train shorter than in_dim
-        (LayerConfig(4, 1, 256, 0), SpikeTrain((1, 2, 3, 4), 16)),  # matrix has 3 inputs
-        (LayerConfig(3, 2, 256, 0), SpikeTrain((1, 2, 3), 16)),  # matrix has 1 neuron
+        (LayerConfig(3, 1, 256, 0), spike_train((1, 2), 16)),  # train shorter than in_dim
+        (LayerConfig(4, 1, 256, 0), spike_train((1, 2, 3, 4), 16)),  # matrix has 3 inputs
+        (LayerConfig(3, 2, 256, 0), spike_train((1, 2, 3), 16)),  # matrix has 1 neuron
     ]:
         with pytest.raises(DimensionMismatch, match="train length|weight shape"):
             dense_layer_sweep(train.codes, cfg, w)
@@ -178,7 +180,7 @@ def test_no_train_is_built_between_layers(monkeypatch):
         raise AssertionError("a SpikeTrain was built")
 
     monkeypatch.setattr(SpikeTrain, "__init__", forbidden)
-    monkeypatch.setattr(SpikeTrain, "from_codes", forbidden)
+    monkeypatch.setattr(SpikeTrain, "__post_init__", forbidden)
     for module in (oracle, core):
         monkeypatch.setattr(module, "encode_ttfs", lambda frame, t_max, **_: trains[frame, t_max])
     for model, frame, expected in cases:
@@ -202,13 +204,13 @@ def test_nonpositive_threshold_fires_at_the_first_spike_not_at_time_zero(mode, t
     layer = LayerConfig(3, 3, 256, threshold)
     model = NetworkModel(mode=mode, t_max=8, layers=[(layer, weights)])
     frame = bytes([0, 128, 64])  # t_max 8 reads pixel >> 5: silent, times 3 and 5
-    train = SpikeTrain((NO_SPIKE, 3, 5), 8)
+    train = spike_train((NO_SPIKE, 3, 5), 8)
     dense = dense_layer_sweep(train.codes, layer, weights)
     event, _ = run_layer(*sort_spikes(train.codes, train.t_max), layer, weights)
     for state in (dense, event):
         assert state.fire_times == [3, 3, 3]
         assert state.potentials == [1, 1, 1]  # input 1's weights alone
-    assert SpikeTrain.from_codes(dense.fire_codes, 8).times == (3, 3, 3)
+    assert slot_values(SpikeTrain(dense.fire_codes, 8).codes) == [3, 3, 3]
     for infer in (dense_infer, run_network):
         result = infer(model, frame)
         assert result.input_train == train
@@ -225,7 +227,7 @@ def test_sweep_makes_no_second_table():
     weights = BinaryWeights.from_rows(gen.choice((-1, 1), size=(600, 784)).tolist())
     layer = LayerConfig(784, 600, 256, 8)
     codes = np.where(gen.random(784) < 0.1, -1, gen.integers(0, 256, 784)).astype(np.int16)
-    codes = SpikeTrain.from_codes(codes, 256).codes
+    codes = SpikeTrain(codes, 256).codes
     dense_layer_sweep(codes, layer, weights)
     tracemalloc.start()
     try:
@@ -246,7 +248,7 @@ def test_table_has_a_row_only_per_timestep_that_carries_spikes():
     weights = BinaryWeights.from_rows(gen.choice((-1, 1), size=(600, 784)).tolist())
     layer = LayerConfig(784, 600, 256, 8)
     codes = np.where(gen.random(784) < 0.1, -1, gen.choice((40, 200), 784)).astype(np.int16)
-    codes = SpikeTrain.from_codes(codes, 256).codes
+    codes = SpikeTrain(codes, 256).codes
     warm = dense_layer_sweep(codes, layer, weights)
     peaks = []
     for call in (weights.matrix, lambda: dense_layer_sweep(codes, layer, weights)):
@@ -277,7 +279,7 @@ def test_exact_beyond_float32_integers(fill):
     )
     frame = bytes([255]) * in_dim  # every input spikes at t = 0
     dense = dense_infer(model, frame)
-    assert dense.input_train.times == (0,) * in_dim
+    assert slot_values(dense.input_train.codes) == [0] * in_dim
     assert dense.layer_states[0].potentials == sums
     assert max(map(abs, sums)) > 2**24
     assert_same_state(run_network(model, frame, early_stop=False), dense)
@@ -382,21 +384,22 @@ def test_pickled_and_copied_states_stay_read_only(clone):
 
 @pytest.mark.parametrize("infer", [run_network, dense_infer])
 def test_inference_builds_no_python_view(infer):
-    """Trains and states store only int16 codes; times and fire_times are
-    built on first read and then equal those of SpikeTrain(times, t_max)."""
+    """Trains and states store only int16 codes; fire_times is built on first
+    read, and the codes' slot values equal those of spike_train(times, t_max)."""
     rng = make_rng(79)
     for _ in range(50):
         model = random_model(rng)
         result = infer(model, random_frame(rng, model.input_dim))
-        outputs = [SpikeTrain.from_codes(s.fire_codes, model.t_max) for s in result.layer_states]
+        outputs = [SpikeTrain(s.fire_codes, model.t_max) for s in result.layer_states]
         trains = [result.input_train, *outputs]
-        assert all("times" not in vars(train) for train in trains)
+        assert all(vars(train).keys() == {"codes", "t_max"} for train in trains)
         assert all("fire_times" not in vars(state) for state in result.layer_states)
         for train in trains:
             times = tuple(None if c < 0 else c for c in train.codes.tolist())
-            assert train.times == SpikeTrain(times, model.t_max).times == times
+            rebuilt = spike_train(times, model.t_max)
+            assert tuple(slot_values(train.codes)) == tuple(slot_values(rebuilt.codes)) == times
         for train, state in zip(outputs, result.layer_states):
-            assert state.fire_times == list(train.times)
+            assert state.fire_times == slot_values(train.codes)
 
 
 def test_divergence_messages_name_the_first_difference():

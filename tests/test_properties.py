@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spikesoc import (
     BinaryWeights,
@@ -50,16 +51,18 @@ from spikesoc.controller import (
 from spikesoc.core import BLOCKED_SCAN_CELLS, run_layer
 from spikesoc.encoder import encode_ttfs
 from spikesoc.errors import CorruptDataset, CorruptFrame, NotIdx
+from spikesoc.model import slot_values
 from spikesoc.sorter import sort_spikes
 from helpers import (
     as_groups,
     make_rng,
     random_frame,
     random_model,
+    reference_codes_check,
     reference_encode,
     reference_run_layer,
     reference_sort,
-    reference_train_check,
+    spike_train,
 )
 
 # Deterministic, and no example database (conftest.py moves the rest of
@@ -284,7 +287,7 @@ def small_layers(draw):
     layer = LayerConfig(in_dim, out_dim, draw(st.sampled_from((256, 128, 512, 1))), threshold)
     t_max = draw(st.sampled_from((1, 4, 16)))
     times = draw(st.lists(st.none() | st.integers(0, t_max - 1), min_size=in_dim, max_size=in_dim))
-    return sort_spikes(SpikeTrain(tuple(times), t_max).codes, t_max), layer, weights
+    return sort_spikes(spike_train(times, t_max).codes, t_max), layer, weights
 
 
 def _assert_run_layer_matches_reference(case, stop_at_first_fire):
@@ -333,7 +336,7 @@ def large_layers(draw):
     times = [None] * in_dim
     for i in gen.permutation(in_dim)[:n].tolist():
         times[i] = int(gen.integers(t_max))
-    return sort_spikes(SpikeTrain(tuple(times), t_max).codes, t_max), layer, weights
+    return sort_spikes(spike_train(times, t_max).codes, t_max), layer, weights
 
 
 @settings(PROPERTY, max_examples=12)
@@ -360,7 +363,7 @@ def _blocked_edge_case(kind, binary):
         rows = np.where(rows < 0, -1, 1)
     if kind == "one_column_fires":
         rows[out_dim // 3] = magnitude  # the only column that reaches n * magnitude
-    queue = sort_spikes(SpikeTrain(tuple(times.tolist()), t_max).codes, t_max)
+    queue = sort_spikes(spike_train(times.tolist(), t_max).codes, t_max)
     events, _, group_ends = queue
     # Each neuron's highest potential at a group end, had it never frozen.
     peaks = np.sort(rows.T[events].cumsum(axis=0)[group_ends].max(axis=0))
@@ -434,37 +437,47 @@ def test_encoder_equals_the_per_pixel_reference(frame, t_max, spike_on_zero):
     encode = partial(encode_ttfs, frame, t_max, spike_on_zero=spike_on_zero)
     if _accepted(reference, encode):
         train, want = encode(), reference()
-        assert train.times == want
+        assert tuple(slot_values(train.codes)) == want
         assert train.codes.dtype == np.int16
         assert train.codes.tolist() == [-1 if t is None else t for t in want]
 
 
-_slots = (
-    st.none()
-    | st.integers(-3, 260)
-    | st.booleans()
-    | st.floats(-2, 260)
-    | st.integers(-3, 260).map(np.int64)
-    | st.integers(2**62, 2**70)
-)
+_INT_DTYPES = [np.dtype(f"{kind}{size}") for kind in "iu" for size in (1, 2, 4, 8)]
+
+
+@st.composite
+def code_arrays(draw, t_max):
+    """Three 1-D arrays: one of any integer dtype, of codes in [-1, t_max - 1]
+    with at most one code at an edge of that range or past the int16 wrap,
+    one of floats and one of bools."""
+    dtype = draw(st.sampled_from(_INT_DTYPES))
+    info = np.iinfo(dtype)
+    valid = st.integers(max(info.min, -1), min(info.max, t_max - 1))
+    codes = draw(arrays(dtype, st.integers(0, 12), elements=valid))
+    edges = {-2, -1, 0, t_max - 1, t_max, 1 << 15, (1 << 16) - 1, (1 << 16) + t_max - 1, -(1 << 15) - 1}
+    near = [c for c in edges | {info.min, info.max} if info.min <= c <= info.max]
+    if codes.size and draw(st.booleans()):
+        codes[draw(st.integers(0, codes.size - 1))] = draw(st.sampled_from(sorted(near)))
+    floats = draw(arrays(np.float64, st.integers(0, 12), elements=st.floats(-2, 260)))
+    return codes, floats, draw(arrays(np.bool_, st.integers(0, 12)))
 
 
 @PROPERTY
-@given(times=st.lists(_slots, max_size=12), t_max=T_MAXES)
-def test_spike_train_accepts_exactly_what_the_reference_accepts(times, t_max):
-    if _accepted(lambda: reference_train_check(times, t_max), lambda: SpikeTrain(times, t_max)):
-        train = SpikeTrain(times, t_max)
-        assert train.times == tuple(times)
-        assert train.codes.dtype == np.int16
-        assert train.codes.tolist() == [-1 if t is None else t for t in times]
-        assert train.active_count == sum(t is not None for t in times)
+@given(data=st.data(), t_max=T_MAXES)
+def test_spike_train_accepts_exactly_what_the_reference_accepts(data, t_max):
+    for codes in data.draw(code_arrays(t_max)):
+        if _accepted(lambda: reference_codes_check(codes, t_max), lambda: SpikeTrain(codes, t_max)):
+            train = SpikeTrain(codes, t_max)
+            assert train.codes.tolist() == codes.tolist()
+            assert train.codes.dtype == np.int16
+            assert train.active_count == sum(c >= 0 for c in codes.tolist())
 
 
 @PROPERTY
 @given(data=st.data(), t_max=T_MAXES)
 def test_sorter_arrays_flatten_to_the_reference_sort(data, t_max):
     times = data.draw(st.lists(st.none() | st.integers(0, t_max - 1), max_size=80))
-    train = SpikeTrain(times, t_max)
+    train = spike_train(times, t_max)
     events, group_times, group_ends = sort_spikes(train.codes, t_max)
     groups = as_groups(events, group_times, group_ends)
     assert [(i, t) for t, indices in groups for i in indices] == reference_sort(train)

@@ -1,10 +1,10 @@
-from spikesoc import NO_SPIKE, SpikeTrain
+from spikesoc import NO_SPIKE
 from spikesoc.sorter import sort_spikes
-from helpers import as_groups, make_rng, reference_sort, truncate_after
+from helpers import as_groups, make_rng, reference_sort, spike_train, truncate_after
 
 
 def _train(times, t_max=16):
-    return SpikeTrain(tuple(times), t_max)
+    return spike_train(times, t_max)
 
 
 def _groups(train):

@@ -20,7 +20,8 @@ With --checked, a pass times what the benchmark's checked unit does: per
 sample, the same Run plus `oracle.dense_infer` on that sample's model (as
 the tree's own `deserialize_model` reads the image) and frame. The two
 trees' dense results must then also be equal on every pass (class, decision
-time, every layer's fire codes and potentials), or the script exits 1.
+time, the input train's codes and t_max, every layer's fire codes and
+potentials), or the script exits 1.
 
 An in-process ratio can disagree with perfbench when a change resizes the
 process's largest short-lived array: glibc moves its mmap and trim
@@ -123,9 +124,11 @@ class Side:
 
 
 def plain(result) -> tuple:
-    """A dense result's class, decision time and each layer's fire codes and potentials."""
+    """A dense result's class, decision time, input train (codes and t_max)
+    and each layer's fire codes and potentials."""
+    train = result.input_train.codes.tolist(), result.input_train.t_max
     layers = [(state.fire_codes.tolist(), list(state.potentials)) for state in result.layer_states]
-    return result.predicted, result.decision_time, layers
+    return result.predicted, result.decision_time, train, layers
 
 
 def main(argv=None) -> int:
