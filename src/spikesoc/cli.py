@@ -21,7 +21,7 @@ from .errors import (
     OracleDivergence,
     SpikeSocError,
 )
-from .model import deserialize_model, serialize_model, valid_t_max
+from .model import check_t_max, deserialize_model, serialize_model
 from .oracle import dense_infer
 from .perf import cycles_to_ms, memory_footprint, write_breakdown_csv
 
@@ -227,7 +227,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.t_max is not None and not valid_t_max(args.t_max):
+    try:
+        if args.t_max is not None:
+            check_t_max(args.t_max)
+    except ValueError:
         parser.error(f"--t-max {args.t_max} is not a power of two in [1, 256]")
     try:
         cycles_to_ms(1, args.clock_mhz)  # a sample costs at least one cycle

@@ -204,23 +204,14 @@ class Controller:
 
     def handle(self, command: Command) -> tuple[list, bytes]:
         """Apply one command; returns (interrupts in emission order, UART bytes)."""
-        if isinstance(command, Reset):
-            self.model = None
-            self.pending_input = None
-            self.last_result = None
-            self.sample_index = 0
-            return [], b""
-
-        if isinstance(command, LoadModel):
-            model = deserialize_model(command.image)
-            if model.output_dim > MAX_CLASSES:
+        if isinstance(command, (Reset, LoadModel)):
+            model = None if isinstance(command, Reset) else deserialize_model(command.image)
+            if model is not None and model.output_dim > MAX_CLASSES:
                 raise UnsupportedModel(
                     f"{model.output_dim} output classes, the UART label byte holds {MAX_CLASSES}"
                 )
-            self.model = model
-            self.pending_input = None
-            self.last_result = None
-            self.sample_index = 0
+            # Both start a new batch, and only once the new model passed its checks.
+            self.model, self.pending_input, self.last_result, self.sample_index = model, None, None, 0
             return [], b""
 
         if isinstance(command, LoadInput):

@@ -60,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .decoder import decode
-from .encoder import InputFrame, encode_ttfs
+from .encoder import encode_ttfs
 from .errors import DimensionMismatch
 from .model import (
     INT16_MAX,
@@ -260,7 +260,7 @@ def first_divergence(
 
 def run_network(
     model: NetworkModel,
-    frame: InputFrame,
+    frame: bytes,
     *,
     early_stop: bool = True,
     spike_on_zero: bool = False,

@@ -9,18 +9,16 @@ variant is kept behind a switch for equivalence checks.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .model import SpikeTrain, check_t_max
 
-InputFrame = Union[bytes, bytearray, Sequence[int]]
-
 
 def encode_ttfs(
-    frame: InputFrame,
+    frame: bytes,
     t_max: int,
     *,
     spike_on_zero: bool = False,
@@ -30,21 +28,15 @@ def encode_ttfs(
 
     t_max must be a power of two in [1, 256]. At t_max = 256 the time is
     the exact 8-bit complement (255 - pixel); smaller windows right-shift
-    the intensity first so the inverted code still fits. A pixel that is
-    not an integer in [0, 255] raises ValueError naming the first one.
+    the intensity first so the inverted code still fits. A frame is the
+    SoC's pixel bytes, `bytes` or `bytearray`; anything else raises TypeError.
     """
     check_t_max(t_max)
+    if not isinstance(frame, (bytes, bytearray)):
+        raise TypeError(f"a frame is pixel bytes, got {type(frame).__name__}")
     if expected_dim is not None and len(frame) != expected_dim:
         raise DimensionMismatch(f"frame holds {len(frame)} pixels, expected {expected_dim}")
-    if isinstance(frame, (bytes, bytearray)):
-        pixels = np.frombuffer(frame, np.uint8)
-    else:
-        ok = [isinstance(p, (int, np.integer)) and 0 <= p <= 255 for p in frame]  # None: not an int
-        if not all(ok):
-            i = ok.index(False)
-            raise ValueError(f"pixel {frame[i]!r} at index {i} outside [0, 255]")
-        pixels = np.array(frame, np.intp)
-    codes = _code_table(t_max, spike_on_zero)[pixels]
+    codes = _code_table(t_max, spike_on_zero)[np.frombuffer(frame, np.uint8)]
     return SpikeTrain(codes, t_max)
 
 

@@ -67,10 +67,11 @@ class WeightMode(Enum):
     FIXED16 = 1  # 16-bit two's-complement weights
 
 
-def valid_t_max(t_max: int) -> bool:
+def check_t_max(t_max: int) -> None:
     """A time window is a power of two in [1, 256], so spike codes fit one byte
     and the encoder's inversion is a plain right shift."""
-    return 1 <= t_max <= 256 and not t_max & (t_max - 1)
+    if not (1 <= t_max <= 256 and not t_max & (t_max - 1)):
+        raise ValueError(f"t_max {t_max} is not a power of two in [1, 256]")
 
 
 def words_per_row(in_dim: int) -> int:
@@ -265,10 +266,6 @@ class LayerConfig:
         if not INT32_MIN <= self.threshold <= INT32_MAX:
             raise ValueError("threshold outside signed 32-bit range")
 
-    @property
-    def alpha(self) -> float:
-        return self.alpha_raw / 256.0
-
     def effective_threshold(self, mode: WeightMode) -> int:
         """Threshold in the units the accumulator actually sees.
 
@@ -287,11 +284,6 @@ _SLOT_VALUES = np.array([*range(256), NO_SPIKE], dtype=object)  # code -1: the l
 def slot_values(codes: np.ndarray) -> list:
     """Spike codes in [-1, 255] as the list of Python ints and NO_SPIKE."""
     return _SLOT_VALUES[codes].tolist()
-
-
-def check_t_max(t_max: int) -> None:
-    if not valid_t_max(t_max):
-        raise ValueError(f"t_max {t_max} is not a power of two in [1, 256]")
 
 
 @dataclass(frozen=True, eq=False)

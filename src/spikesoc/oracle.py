@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import InferenceResult, NeuronState
 from .decoder import decode
-from .encoder import InputFrame, encode_ttfs
+from .encoder import encode_ttfs
 from .errors import DimensionMismatch, InvalidSpikeCode
 from .model import LayerConfig, NetworkModel, WeightMatrix
 
@@ -77,7 +77,7 @@ def dense_layer_sweep(codes: np.ndarray, layer: LayerConfig, weights: WeightMatr
 
 
 def dense_infer(
-    model: NetworkModel, frame: InputFrame, *, spike_on_zero: bool = False
+    model: NetworkModel, frame: bytes, *, spike_on_zero: bool = False
 ) -> InferenceResult:
     """Whole-network dense sweep with the same decode rule as the datapath."""
     input_train = encode_ttfs(

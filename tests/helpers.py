@@ -30,19 +30,30 @@ T_MAX_CHOICES = (16, 64, 256)
 COPIES = (lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy, copy.copy)
 
 
+def _draws_below(rng, n, count):
+    """count draws of rng.randrange(n), taken from rng's stream as CPython
+    3.11's Random._randbelow takes them (a k-bit word, k = n.bit_length(),
+    redrawn while it is n or more), at about half the cost of randrange."""
+    getrandbits, k = rng.getrandbits, n.bit_length()
+    draws = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        draws.append(r)
+    return draws
+
+
 def random_binary_weights(rng, in_dim, out_dim):
-    rows = [[rng.choice((-1, 1)) for _ in range(in_dim)] for _ in range(out_dim)]
-    return BinaryWeights.from_rows(rows)
+    signs = np.array(_draws_below(rng, 2, in_dim * out_dim)) * 2 - 1  # rng.choice((-1, 1)) each
+    return BinaryWeights.from_rows(signs.reshape(out_dim, in_dim).tolist())
 
 
 def random_fixed_weights(rng, in_dim, out_dim, magnitude=None):
     if magnitude is None:
         magnitude = rng.choice((8, 128, 1024))
-    rows = [
-        [rng.randint(-magnitude, magnitude) for _ in range(in_dim)]
-        for _ in range(out_dim)
-    ]
-    return Fixed16Weights.from_rows(rows)
+    cells = np.array(_draws_below(rng, 2 * magnitude + 1, in_dim * out_dim)) - magnitude  # rng.randint(-m, m) each
+    return Fixed16Weights.from_rows(cells.reshape(out_dim, in_dim))
 
 
 def random_layer(rng, in_dim, out_dim, mode):
@@ -77,9 +88,15 @@ def random_frame(rng, n, zero_fraction=None):
     zero-pixel encoding convention is actually exercised."""
     if zero_fraction is None:
         zero_fraction = 0.1 if rng.random() < 0.5 else 0.0
-    return bytes(
-        0 if rng.random() < zero_fraction else rng.randint(0, 255) for _ in range(n)
-    )
+    random, getrandbits = rng.random, rng.getrandbits
+    pixels = bytearray(n)
+    for i in range(n):
+        if random() >= zero_fraction:  # else the pixel stays 0
+            p = getrandbits(9)  # rng.randint(0, 255), as _draws_below(rng, 256, 1) draws it
+            while p >= 256:
+                p = getrandbits(9)
+            pixels[i] = p
+    return bytes(pixels)
 
 
 def one_hot_output_model(out_dim):
@@ -126,15 +143,11 @@ def conditioned_instance(rng, max_attempts=500):
 
 def reference_encode(frame, t_max, *, spike_on_zero=False):
     """The encoder one pixel at a time: the spike times that
-    slot_values(encode_ttfs(frame, t_max).codes) must equal. Raises ValueError
-    for the first pixel outside [0, 255] (a non-integer pixel fails on the
-    shift instead)."""
+    slot_values(encode_ttfs(frame, t_max).codes) must equal, for pixel bytes."""
     shift = 8 - (t_max.bit_length() - 1)
     last = t_max - 1
     times = []
-    for i, p in enumerate(frame):
-        if not 0 <= p <= 255:
-            raise ValueError(f"pixel {p!r} at index {i} outside [0, 255]")
+    for p in frame:
         if p == 0:
             times.append(last if spike_on_zero else NO_SPIKE)
         else:

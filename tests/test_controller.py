@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from spikesoc import (
@@ -30,6 +32,8 @@ from spikesoc.errors import (
     CorruptImage,
     DimensionMismatch,
     FrameFieldOverflow,
+    SpikeSocError,
+    TruncatedImage,
     UnsupportedModel,
 )
 from spikesoc.perf import LayerTally, RunTrace, estimate_cycles
@@ -345,3 +349,90 @@ class TestCommandStream:
         with pytest.raises(ProtocolViolation, match=r"^command 0 \(LoadInput, tag 0x02\): ") as failed:
             Controller().run_script(stream)
         assert (failed.value.uart, failed.value.interrupts) == (b"", [])
+
+
+_IMAGE = serialize_model(_small_model(in_dim=4, out_dim=3))
+# Valid and damaged LoadModel, valid and short LoadInput, Run and Reset.
+LOAD_MODEL, TRUNCATED_MODEL, WIDE_MODEL, LOAD_INPUT, SHORT_INPUT, RUN, RESET = ALPHABET = (
+    LoadModel(_IMAGE),
+    LoadModel(_IMAGE[:-1]),
+    LoadModel(serialize_model(one_hot_output_model(257))),
+    LoadInput(bytes([200, 0, 17, 255])),
+    LoadInput(b"\xc8"),
+    Run(),
+    Reset(),
+)
+
+
+def _expected(state, command):
+    """The documented effect of one command of ALPHABET on (model loaded, input
+    pending, result kept, sample index): the next state and the error class it
+    raises, None when it runs. A failed command leaves the state as it was."""
+    loaded, pending, kept, index = state
+    if command is RESET:
+        return (False, False, False, 0), None
+    if command is LOAD_MODEL:
+        return (True, False, False, 0), None
+    if command is TRUNCATED_MODEL:
+        return state, TruncatedImage
+    if command is WIDE_MODEL:
+        return state, UnsupportedModel
+    if not loaded:
+        return state, ProtocolViolation  # LoadInput or Run before any model
+    if command is SHORT_INPUT:
+        return state, DimensionMismatch
+    if command is LOAD_INPUT:
+        return (True, True, kept, index), None
+    return ((True, False, True, index + 1), None) if pending else (state, ProtocolViolation)  # Run
+
+
+def _state(c):
+    return (c.model is not None, c.pending_input is not None, c.last_result is not None, c.sample_index)
+
+
+def _check_sequence(sequence):
+    """Send sequence through handle, command by command, against _expected,
+    then twice as one run_script stream, which must emit what handle emitted
+    up to the first failing command and raise that command's error there."""
+    controller, state = Controller(), (False, False, False, 0)
+    uart, interrupts, failure = b"", [], None  # what run_script must report
+    for position, command in enumerate(sequence):
+        state, error = _expected(state, command)
+        before = _snapshot(controller)
+        try:
+            irqs, frame = controller.handle(command)
+        except SpikeSocError as exc:
+            assert type(exc) is error, (sequence, position, exc)
+            assert _snapshot(controller) == before, (sequence, position)
+            failure = failure or (position, exc, uart, interrupts, before)
+            continue
+        assert error is None and _state(controller) == state, (sequence, position)
+        if command is RUN:
+            assert irqs == [InterruptKind.INFERENCE_DONE, InterruptKind.LOAD_NEXT_SAMPLE]
+            assert parse_uart_frame(frame)["sample_index"] == state[3] - 1
+        else:
+            assert (irqs, frame) == ([], b"")
+        if failure is None:
+            uart, interrupts = uart + frame, interrupts + irqs
+    if failure is None:
+        want = (uart, interrupts), _snapshot(controller)
+    else:
+        position, exc, uart, interrupts, before = failure
+        name, tag = type(sequence[position]).__name__, COMMANDS[type(sequence[position])][0]
+        message = f"command {position} ({name}, tag {tag:#04x}): {exc}"
+        want = (type(exc), message, uart, interrupts), before
+    stream = b"".join(map(encode_command, sequence))
+    for _ in range(2):  # a replay on a fresh controller gives the same
+        script = Controller()
+        try:
+            got = script.run_script(stream)
+        except SpikeSocError as exc:
+            got = (type(exc), str(exc), exc.uart, exc.interrupts)
+        assert (got, _snapshot(script)) == want, sequence
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_every_command_sequence_keeps_the_documented_state(length):
+    """Every sequence of length commands drawn from ALPHABET: 7, 49, 343 and 2401."""
+    for sequence in itertools.product(ALPHABET, repeat=length):
+        _check_sequence(sequence)

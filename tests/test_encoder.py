@@ -1,14 +1,14 @@
-import re
+from functools import partial
 
 import numpy as np
 import pytest
 
-from spikesoc import NO_SPIKE
+from spikesoc import NO_SPIKE, run_network
 from spikesoc.encoder import encode_ttfs
 from spikesoc.errors import DimensionMismatch
 from spikesoc.model import slot_values
 from spikesoc.oracle import dense_infer
-from helpers import conditioned_instance, make_rng
+from helpers import conditioned_instance, make_rng, one_hot_output_model
 
 
 def test_max_intensity_spikes_first():
@@ -75,26 +75,24 @@ def test_non_power_of_two_window_rejected():
             encode_ttfs(bytes([1]), t_max)
 
 
-def test_out_of_range_pixel_rejected():
-    with pytest.raises(ValueError):
-        encode_ttfs([256], 256)
+FRAME = bytes([7])  # pixel bytes, for one_hot_output_model's single input
+MODEL = one_hot_output_model(2)
 
 
-@pytest.mark.parametrize("pixel", [1.5, 2.0, "a", None, [1]])
-def test_non_integer_pixel_rejected_like_an_out_of_range_one(pixel):
-    message = rf"^pixel {re.escape(repr(pixel))} at index 1 outside \[0, 255\]$"
-    with pytest.raises(ValueError, match=message):
-        encode_ttfs([7, pixel, 300], 256)
-
-
-def test_integer_arrays_encode_like_bytes():
-    rng = make_rng(23)
-    for t_max in (1, 16, 256):
-        frame = bytes(rng.randint(0, 255) for _ in range(64))
-        want = slot_values(encode_ttfs(frame, t_max).codes)
-        for dtype in (np.uint8, np.int16, np.int64):
-            assert slot_values(encode_ttfs(np.frombuffer(frame, np.uint8).astype(dtype), t_max).codes) == want
-        assert slot_values(encode_ttfs(list(frame), t_max).codes) == want
+@pytest.mark.parametrize(
+    "frame",
+    [list(FRAME), tuple(FRAME), np.frombuffer(FRAME, np.uint8), np.array(list(FRAME), np.int64)],
+    ids=["list", "tuple", "uint8", "int64"],
+)
+@pytest.mark.parametrize(
+    "encode",
+    [partial(encode_ttfs, t_max=256), partial(run_network, MODEL), partial(dense_infer, MODEL)],
+    ids=["encode_ttfs", "run_network", "dense_infer"],
+)
+def test_a_frame_that_is_not_pixel_bytes_raises_type_error(frame, encode):
+    encode(FRAME)  # the same pixels as bytes run
+    with pytest.raises(TypeError, match=rf"^a frame is pixel bytes, got {type(frame).__name__}$"):
+        encode(frame)
 
 
 def test_zero_pixel_convention_cannot_flip_an_early_decision():

@@ -13,7 +13,9 @@ the naive insertion sort) and compares them through `first_divergence`:
 
 Two-layer networks run whole pipelines instead: `run_network` with early
 stop on and off, `dense_infer` and the reference chained layer by layer,
-from every frame of two pixels at t_max 4, with `spike_on_zero` on and off.
+from every frame of two pixels at t_max 4. Those frames give every input
+train at t_max 4, so `spike_on_zero` frames, whose zero pixels encode like
+pixel 1, add none; tests/test_oracle.py checks that both paths pass it on.
 """
 
 import itertools
@@ -39,7 +41,7 @@ from helpers import reference_encode, reference_run_layer, reference_sort, spike
 
 T_MAX = 4
 FIXED16_CELLS = (-32768, -1, 0, 1, 32767)
-# One pixel per code at T_MAX 4: silent (or 3 under spike_on_zero), 3, 2, 1, 0.
+# One pixel per code at T_MAX 4: silent, 3, 2, 1, 0.
 PIXELS = (0, 1, 64, 128, 192)
 
 
@@ -128,37 +130,34 @@ def test_every_small_two_layer_pipeline_agrees():
     exactly when its own input spikes, and never at time 0 unless an input
     does, so the output layer sees every code vector as its input train."""
     hidden = (LayerConfig(2, 2, 256, 0), BinaryWeights.from_rows([[1, -1], [-1, 1]]))
-    inputs = []  # (frame, spike_on_zero, input train, hidden state, the train's groups)
-    for spike_on_zero in (False, True):
-        for pixels in itertools.product(PIXELS, repeat=2):
-            if spike_on_zero and 0 not in pixels:
-                continue  # a frame with no 0 encodes alike either way
-            train = spike_train(reference_encode(pixels, T_MAX, spike_on_zero=spike_on_zero), T_MAX)
-            groups = _groups(train)
-            between, _ = reference_run_layer(groups, *hidden)
-            assert np.array_equal(between.fire_codes, train.codes)  # so the output layer reads groups too
-            inputs.append((bytes(pixels), spike_on_zero, train, between, groups))
+    inputs = []  # (frame, input train, hidden state, the train's groups)
+    for pixels in itertools.product(PIXELS, repeat=2):
+        train = spike_train(reference_encode(pixels, T_MAX), T_MAX)
+        groups = _groups(train)
+        between, _ = reference_run_layer(groups, *hidden)
+        assert np.array_equal(between.fire_codes, train.codes)  # so the output layer reads groups too
+        inputs.append((bytes(pixels), train, between, groups))
     cases = stopped_short = fallbacks = 0
     for signs in itertools.product((-1, 1), repeat=4):
         weights = BinaryWeights.from_rows([list(signs[:2]), list(signs[2:])])
         for threshold in (-1, 0, 1):
             output = LayerConfig(2, 2, 256, threshold)
             model = NetworkModel(WeightMode.BINARY, T_MAX, [hidden, (output, weights)])
-            for frame, spike_on_zero, train, between, groups in inputs:
-                dense = dense_infer(model, frame, spike_on_zero=spike_on_zero)
+            for frame, train, between, groups in inputs:
+                dense = dense_infer(model, frame)
                 for early_stop in (False, True):
                     last, _ = reference_run_layer(groups, output, weights, stop_at_first_fire=early_stop)
                     reference = states_result([between, last], *_decide(last))
-                    event = run_network(model, frame, early_stop=early_stop, spike_on_zero=spike_on_zero)
+                    event = run_network(model, frame, early_stop=early_stop)
                     assert event.input_train == dense.input_train == train
                     # An early-stopped output layer stops short of the dense full run.
                     pairs = [(event, reference), (dense, reference), (event, dense)]
                     for (a, b), whole in zip(pairs, (True, not early_stop, not early_stop)):
                         divergence = first_divergence(a, b, output_layer=whole)
-                        case = (signs, threshold, frame, spike_on_zero, early_stop)
+                        case = (signs, threshold, frame, early_stop)
                         assert divergence is None, f"{case}: {divergence}"
                     cases += 1
                 stopped_short += event.layer_states[1] != dense.layer_states[1]
                 fallbacks += dense.decision_time is None
-    assert cases == 16 * 3 * 34 * 2  # sign patterns, thresholds, frames, early stop
+    assert cases == 16 * 3 * 25 * 2  # sign patterns, thresholds, frames, early stop
     assert stopped_short and fallbacks  # early stop and the fallback decode both bite

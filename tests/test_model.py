@@ -284,9 +284,6 @@ class TestLayerConfig:
             WeightMode.BINARY
         ) == 0  # 0.25 -> 0
 
-    def test_alpha_property(self):
-        assert LayerConfig(1, 1, alpha_raw=384).alpha == 1.5
-
     @pytest.mark.parametrize(
         "field, value", [("threshold", 2**40), ("in_dim", 0x10000), ("alpha_raw", 0)]
     )

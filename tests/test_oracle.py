@@ -329,12 +329,20 @@ def test_equivalence_with_extreme_fixed_weights():
 
 def test_equivalence_holds_under_spike_on_zero_variant():
     rng = make_rng(73)
+    with_zeros = 0
     for _ in range(100):
         model = random_model(rng)
         frame = random_frame(rng, model.input_dim, zero_fraction=0.3)
         dense = dense_infer(model, frame, spike_on_zero=True)
         event = run_network(model, frame, early_stop=False, spike_on_zero=True)
         assert_same_state(event, dense)
+        # Both paths pass spike_on_zero on to the encoder: zero pixels spike last.
+        train = encode_ttfs(frame, model.t_max, spike_on_zero=True)
+        assert event.input_train == dense.input_train == train
+        zeros = np.frombuffer(frame, np.uint8) == 0
+        assert (train.codes[zeros] == model.t_max - 1).all()
+        with_zeros += zeros.any()
+    assert with_zeros >= 50  # the check must not be vacuous
 
 
 def test_datapath_states_equal_the_oracle_states_as_values():

@@ -7,7 +7,6 @@ import dataclasses
 import io
 import struct
 from contextlib import redirect_stderr, redirect_stdout
-from functools import partial
 from math import isqrt
 from types import SimpleNamespace
 
@@ -427,19 +426,16 @@ _pixels = st.just(0) | st.integers(0, 255)
 
 @PROPERTY
 @given(
-    frame=st.lists(_pixels, max_size=80).map(bytes)
-    | st.lists(_pixels | st.integers(-2, 260), max_size=80),
+    frame=st.lists(_pixels, max_size=80).map(bytes),
     t_max=T_MAXES,
     spike_on_zero=st.booleans(),
 )
 def test_encoder_equals_the_per_pixel_reference(frame, t_max, spike_on_zero):
-    reference = partial(reference_encode, frame, t_max, spike_on_zero=spike_on_zero)
-    encode = partial(encode_ttfs, frame, t_max, spike_on_zero=spike_on_zero)
-    if _accepted(reference, encode):
-        train, want = encode(), reference()
-        assert tuple(slot_values(train.codes)) == want
-        assert train.codes.dtype == np.int16
-        assert train.codes.tolist() == [-1 if t is None else t for t in want]
+    train = encode_ttfs(frame, t_max, spike_on_zero=spike_on_zero)
+    want = reference_encode(frame, t_max, spike_on_zero=spike_on_zero)
+    assert tuple(slot_values(train.codes)) == want
+    assert train.codes.dtype == np.int16
+    assert train.codes.tolist() == [-1 if t is None else t for t in want]
 
 
 _INT_DTYPES = [np.dtype(f"{kind}{size}") for kind in "iu" for size in (1, 2, 4, 8)]

@@ -1,0 +1,189 @@
+"""Mutant table: known ways to break src/spikesoc, each with the tests that catch it.
+
+    python3 tools/mutants.py
+
+Each entry names its mutant, the test files that must catch it and one or
+more edits: a file under src/spikesoc, an exact snippet that occurs once in
+it, and the snippet's replacement. For each entry the tool copies src/ to a
+temporary directory, applies the edits there and runs pytest -x -q on the
+named test files with that copy first on PYTHONPATH; the checkout itself is
+never written. A run with a failing test (pytest's exit code 1) kills the
+mutant. The tool prints killed, SURVIVED or ERROR per mutant and exits 1
+if one survives, if a run ends with any other exit code (say, a test file
+that is not there), if a snippet no longer occurs exactly once (so the
+table has to follow the code), or if the tests do not import spikesoc
+from the copy.
+
+A survivor is a missing test, to be added, or an equivalent mutant, to be
+dropped from the table with the reason recorded.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    tests: tuple  # test files, relative to the checkout, that must fail
+    edits: tuple  # (file under src/spikesoc, snippet, replacement) triples
+
+
+MUTANTS = (
+    Mutant(
+        "LoadModel starts a new batch before its MAX_CLASSES check",
+        ("tests/test_controller.py",),
+        ((
+            "controller.py",
+            "            if model is not None and model.output_dim > MAX_CLASSES:\n",
+            "            self.model, self.pending_input, self.last_result, self.sample_index = model, None, None, 0\n"
+            "            if model is not None and model.output_dim > MAX_CLASSES:\n",
+        ),),
+    ),
+    Mutant(
+        "LoadInput stores the pixels before its length check",
+        ("tests/test_controller.py",),
+        ((
+            "controller.py",
+            "            if len(command.pixels) != self.model.input_dim:\n",
+            "            self.pending_input = bytes(command.pixels)\n"
+            "            if len(command.pixels) != self.model.input_dim:\n",
+        ),),
+    ),
+    Mutant(
+        "Reset keeps last_result",
+        ("tests/test_controller.py",),
+        ((
+            "controller.py",
+            "= model, None, None, 0",
+            "= model, None, None if model else self.last_result, 0",
+        ),),
+    ),
+    Mutant(
+        "LoadModel keeps the sample index",
+        ("tests/test_controller.py",),
+        (("controller.py", "= model, None, None, 0", "= model, None, None, self.sample_index if model else 0"),),
+    ),
+    Mutant(
+        "Run keeps the pending input",
+        ("tests/test_controller.py",),
+        (("controller.py", "            self.pending_input = None\n            return [Interrupt", "            return [Interrupt"),),
+    ),
+    Mutant(
+        "Run advances the sample index before format_uart_frame",
+        ("tests/test_controller.py",),
+        ((
+            "controller.py",
+            "            frame = format_uart_frame(self.sample_index, result)\n",
+            "            self.sample_index += 1\n"
+            "            frame = format_uart_frame(self.sample_index - 1, result)\n"
+            "            self.sample_index -= 1\n",
+        ),),
+    ),
+    Mutant(
+        "run_script drops the interrupts before a failing command",
+        ("tests/test_controller.py",),
+        (("controller.py", "failed.interrupts = bytes(uart), interrupts", "failed.interrupts = bytes(uart), []"),),
+    ),
+    Mutant(
+        "run_network and dense_infer both ignore spike_on_zero",
+        ("tests/test_oracle.py",),
+        (
+            ("core.py", "model.t_max, spike_on_zero=spike_on_zero,", "model.t_max, spike_on_zero=False,"),
+            ("oracle.py", "model.t_max, spike_on_zero=spike_on_zero,", "model.t_max, spike_on_zero=False,"),
+        ),
+    ),
+    Mutant(
+        "encode_ttfs ignores spike_on_zero",
+        ("tests/test_encoder.py",),
+        (("encoder.py", "_code_table(t_max, spike_on_zero)[", "_code_table(t_max, False)["),),
+    ),
+    Mutant(
+        "counters sum all but the last tally",
+        ("tests/test_core.py",),
+        (("perf.py", "            for t in tallies\n", "            for t in tallies[:-1]\n"),),
+    ),
+    Mutant(
+        "cycles of the last layer only",
+        ("tests/test_perf.py",),
+        (("perf.py", "    for t in trace.layers:", "    for t in trace.layers[-1:]:"),),
+    ),
+    Mutant(
+        "every layer after the first reads a silent input",
+        ("tests/test_oracle.py",),
+        ((
+            "core.py",
+            "        codes = state.fire_codes  # the next layer's input, as they are\n",
+            "        codes = state.fire_codes * 0 - 1\n",
+        ),),
+    ),
+)
+
+
+def apply(mutant: Mutant, src: Path) -> None:
+    """Apply mutant's edits to the package under src; ValueError if a snippet
+    does not occur exactly once in its file."""
+    for name, snippet, replacement in mutant.edits:
+        path = src / "spikesoc" / name
+        text = path.read_text()
+        if text.count(snippet) != 1:
+            raise ValueError(f"{name}: snippet occurs {text.count(snippet)} times: {snippet!r}")
+        path.write_text(text.replace(snippet, replacement))
+
+
+def _env(src: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+def _copy_src(workdir: str) -> Path:
+    src = Path(workdir) / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutants-") as workdir:
+        src = _copy_src(workdir)
+        where = subprocess.run(
+            [sys.executable, "-c", "import spikesoc; print(spikesoc.__file__)"],
+            cwd=ROOT, env=_env(src), capture_output=True, text=True,
+        ).stdout.strip()
+        if not where.startswith(str(src)):
+            print(f"spikesoc imports from {where or 'nowhere'}, not from the copy of src/ at {src}")
+            return 1
+    failures = 0
+    for mutant in MUTANTS:
+        with tempfile.TemporaryDirectory(prefix="mutants-") as workdir:
+            src = _copy_src(workdir)
+            try:
+                apply(mutant, src)
+            except ValueError as exc:
+                print(f"STALE    {mutant.name}: {exc}")
+                failures += 1
+                continue
+            start = perf_counter()
+            run = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+                cwd=ROOT, env=_env(src), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+        # pytest exits 1 when a test failed; 0 is a survivor, any other code an error
+        verdict = {0: "SURVIVED", 1: "killed  "}.get(run.returncode, f"ERROR {run.returncode}")
+        failures += run.returncode != 1
+        print(f"{verdict} {mutant.name} ({perf_counter() - start:.1f} s)")
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
