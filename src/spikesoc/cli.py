@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 dataset or output-file error, 2 model image error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import struct
 import sys
 from typing import Optional, Sequence
@@ -29,42 +31,39 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
-def _read_be32(data: bytes, offset: int, what: str) -> int:
-    if offset + 4 > len(data):
-        raise CorruptDataset(f"{what} field truncated")
-    return struct.unpack_from(">I", data, offset)[0]
+def _read_idx(path, magic: int, what: str) -> tuple:
+    """An IDX file's dimensions and payload: magic, then magic & 0xFF big-endian u32
+    dimensions, then exactly their product in bytes, of items that are not empty."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[:4] != magic.to_bytes(4, "big"):
+        raise NotIdx(f"{path}: not an IDX {what} file")
+    header = 4 + 4 * (magic & 0xFF)
+    if len(data) < header:
+        raise CorruptDataset(f"{path}: {len(data)} bytes, the header alone takes {header}")
+    dims = struct.unpack_from(f">{magic & 0xFF}I", data, 4)
+    # No empty items either: a header alone could declare 2^32 of them.
+    if len(data) - header != math.prod(dims) or 0 in dims[1:]:
+        raise CorruptDataset(f"{path}: dimensions {dims}, {len(data) - header} payload bytes")
+    return dims, data[header:]
+
+
+def _write_idx(path, magic: int, dims: tuple, payload: bytes) -> None:
+    """Emit an IDX file: magic, the u32 dimensions, then the payload (see _read_idx)."""
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">I{len(dims)}I", magic, *dims) + payload)
 
 
 def load_idx_images(path) -> list:
     """Read an IDX image file into flat row-major frames (one bytes per image)."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 4 or struct.unpack_from(">I", data, 0)[0] != IDX_IMAGES_MAGIC:
-        raise NotIdx(f"{path}: not an IDX image file")
-    count = _read_be32(data, 4, "image count")
-    rows = _read_be32(data, 8, "row count")
-    cols = _read_be32(data, 12, "column count")
+    (count, rows, cols), payload = _read_idx(path, IDX_IMAGES_MAGIC, "image")
     frame_len = rows * cols
-    if frame_len == 0:
-        raise CorruptDataset(f"{path}: header declares {rows}x{cols} frames")
-    expected = 16 + count * frame_len
-    if len(data) != expected:
-        raise CorruptDataset(
-            f"{path}: {len(data)} bytes, header declares {expected}"
-        )
-    return [data[16 + i * frame_len : 16 + (i + 1) * frame_len] for i in range(count)]
+    return [payload[i * frame_len : (i + 1) * frame_len] for i in range(count)]
 
 
 def load_idx_labels(path) -> list:
     """Read an IDX label file into a list of class indices."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 4 or struct.unpack_from(">I", data, 0)[0] != IDX_LABELS_MAGIC:
-        raise NotIdx(f"{path}: not an IDX label file")
-    count = _read_be32(data, 4, "label count")
-    if len(data) != 8 + count:
-        raise CorruptDataset(f"{path}: {len(data)} bytes, header declares {8 + count}")
-    return list(data[8:])
+    return list(_read_idx(path, IDX_LABELS_MAGIC, "label")[1])
 
 
 def write_idx_images(path, frames: Sequence[bytes], rows: int, cols: int) -> None:
@@ -73,17 +72,12 @@ def write_idx_images(path, frames: Sequence[bytes], rows: int, cols: int) -> Non
     for i, frame in enumerate(frames):
         if len(frame) != frame_len:
             raise ValueError(f"frame {i} holds {len(frame)} bytes, expected {frame_len}")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, len(frames), rows, cols))
-        for frame in frames:
-            f.write(bytes(frame))
+    _write_idx(path, IDX_IMAGES_MAGIC, (len(frames), rows, cols), b"".join(map(bytes, frames)))
 
 
 def write_idx_labels(path, labels: Sequence[int]) -> None:
     """Emit labels as an IDX label file (inverse of load_idx_labels)."""
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
-        f.write(bytes(labels))
+    _write_idx(path, IDX_LABELS_MAGIC, (len(labels),), bytes(labels))
 
 
 def run_batch(
@@ -117,7 +111,7 @@ def run_batch(
     with open(model_path, "rb") as f:
         image = f.read()
     if t_max is not None:
-        image = serialize_model(deserialize_model(image).with_t_max(t_max))
+        image = serialize_model(dataclasses.replace(deserialize_model(image), t_max=t_max))
 
     controller = Controller(early_stop=early_stop)
     controller.handle(LoadModel(image=image))

@@ -94,6 +94,7 @@ COMMANDS = {
     Run: (0x03, None),
     Reset: (0x0F, None),
 }
+_BY_TAG = {tag: (cls, length) for cls, (tag, length) in COMMANDS.items()}
 
 
 def xor_checksum(data: bytes) -> int:
@@ -113,7 +114,7 @@ def format_uart_frame(sample_index: int, result: InferenceResult) -> bytes:
         if result.decision_time >= FALLBACK_TIME_BYTE:
             raise FrameFieldOverflow("decision time collides with the fallback sentinel")
         time_byte = result.decision_time
-    total_cycles = result.cycles.total_cycles if result.cycles is not None else 0
+    total_cycles = result.cycles.total_cycles
     if total_cycles > 0xFFFFFFFF:
         raise FrameFieldOverflow("cycle count outside u32 range")
     body = UART_BODY.pack(UART_MARKER, sample_index, result.predicted, time_byte, total_cycles)
@@ -154,29 +155,32 @@ def encode_command(command: Command) -> bytes:
 
 
 def parse_command_stream(stream: bytes) -> list:
-    """Split a byte-tagged stream into command objects."""
+    """Split a byte-tagged stream into command objects. A malformed command raises
+    ProtocolViolation with its `tag` byte and the `commands` parsed before it."""
     commands = []
     offset = 0
     n = len(stream)
-    while offset < n:
-        tag = stream[offset]
-        offset += 1
-        for cls, (cls_tag, length) in COMMANDS.items():
-            if cls_tag == tag:
-                break
-        else:
-            raise ProtocolViolation(f"unknown command tag {tag:#04x}")
-        if length is None:
-            commands.append(cls())
-            continue
-        if offset + length.size > n:
-            raise ProtocolViolation(f"{cls.__name__} length field truncated")
-        (size,) = length.unpack_from(stream, offset)
-        offset += length.size
-        if offset + size > n:
-            raise ProtocolViolation(f"{cls.__name__} payload truncated")
-        commands.append(cls(bytes(stream[offset : offset + size])))
-        offset += size
+    try:
+        while offset < n:
+            tag = stream[offset]
+            offset += 1
+            if tag not in _BY_TAG:
+                raise ProtocolViolation(f"unknown command tag {tag:#04x}")
+            cls, length = _BY_TAG[tag]
+            if length is None:
+                commands.append(cls())
+                continue
+            if offset + length.size > n:
+                raise ProtocolViolation(f"{cls.__name__} length field truncated")
+            (size,) = length.unpack_from(stream, offset)
+            offset += length.size
+            if offset + size > n:
+                raise ProtocolViolation(f"{cls.__name__} payload truncated")
+            commands.append(cls(bytes(stream[offset : offset + size])))
+            offset += size
+    except ProtocolViolation as exc:
+        exc.tag, exc.commands = tag, commands
+        raise
     return commands
 
 
@@ -240,18 +244,27 @@ class Controller:
 
     def run_script(self, stream: bytes) -> tuple[bytes, list]:
         """Feed a whole byte-tagged command stream; returns (UART bytes, interrupts).
-        A failed command's error is raised again, prefixed with its position and tag,
-        with `uart` and `interrupts` set to what the commands before it emitted."""
+        The first failed or malformed command's error is raised again after the commands
+        before it ran, prefixed with its position and tag, with `uart` and `interrupts`."""
+        try:
+            commands, failed = parse_command_stream(stream), None
+        except ProtocolViolation as exc:  # the commands before a malformed one still run
+            commands, failed = exc.commands, exc
         uart = bytearray()
         interrupts = []
-        for position, command in enumerate(parse_command_stream(stream)):
+        for position, command in enumerate(commands):
             try:
                 irqs, frame = self.handle(command)
             except SpikeSocError as exc:
-                name, tag = type(command).__name__, COMMANDS[type(command)][0]
-                failed = type(exc)(f"command {position} ({name}, tag {tag:#04x}): {exc}")
-                failed.uart, failed.interrupts = bytes(uart), interrupts
-                raise failed from exc
+                failed, tag = exc, COMMANDS[type(command)][0]
+                break
             interrupts.extend(irqs)
             uart += frame
-        return bytes(uart), interrupts
+        else:  # no parsed command failed
+            if failed is None:
+                return bytes(uart), interrupts
+            position, tag = len(commands), failed.tag
+        name = _BY_TAG[tag][0].__name__ if tag in _BY_TAG else "unknown"
+        error = type(failed)(f"command {position} ({name}, tag {tag:#04x}): {failed}")
+        error.uart, error.interrupts = bytes(uart), interrupts  # what the commands before emitted
+        raise error from failed

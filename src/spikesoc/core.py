@@ -43,7 +43,7 @@ decision time when early termination is on.
 
 run_layer returns, with the layer's NeuronState, its LayerTally: events
 sorted and processed, and the adds, subs or multiplies they made. Every
-network total (OpCounters, the cycle report) is a sum of those tallies.
+network total (LayerTally.total, the cycle report) is a sum of those tallies.
 run_network hands each layer's int16 fire codes to the next layer's sorter
 as they are, as the dense oracle hands them to its next sweep, and stores
 only the states and the RunTrace of tallies; the result's counters and
@@ -72,7 +72,7 @@ from .model import (
     WeightMode,
     slot_values,
 )
-from .perf import CycleReport, LayerTally, OpCounters, RunTrace, estimate_cycles
+from .perf import CycleReport, LayerTally, RunTrace, estimate_cycles
 from .sorter import sort_spikes
 
 
@@ -209,7 +209,7 @@ class InferenceResult:
     Stored: the class and decision time, the encoder's (codes, t_max) train,
     each layer's NeuronState (its output spikes are its fire codes) and the
     run's trace of layer tallies. Derived on first read: counters, the tallies'
-    OpCounters sum, and cycles, the trace's CycleReport. The dense reference
+    LayerTally total, and cycles, the trace's CycleReport. The dense reference
     simulator leaves trace None, and so counters and cycles.
     """
 
@@ -220,8 +220,8 @@ class InferenceResult:
     trace: Optional[RunTrace] = None
 
     @cached_property
-    def counters(self) -> Optional[OpCounters]:
-        return None if self.trace is None else OpCounters.total(self.trace.layers)
+    def counters(self) -> Optional[LayerTally]:
+        return None if self.trace is None else LayerTally.total(self.trace.layers)
 
     @cached_property
     def cycles(self) -> Optional[CycleReport]:

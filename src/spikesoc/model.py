@@ -357,10 +357,6 @@ class NetworkModel:
     def output_dim(self) -> int:
         return self.layers[-1][0].out_dim
 
-    def with_t_max(self, t_max: int) -> "NetworkModel":
-        """Same topology and weights under a different time window."""
-        return NetworkModel(mode=self.mode, t_max=t_max, layers=self.layers)
-
 
 def serialize_model(model: NetworkModel) -> bytes:
     """Emit the flash image bytes for a model (see module docstring for layout)."""

@@ -15,7 +15,7 @@ nothing in the neuron stage, which is the whole point of skipping them.
 The model is fixed: unit costs keep the breakdown internally consistent,
 they are not calibrated silicon timings. Energy is reported as operation
 counts, never as watts: each layer's LayerTally records its events and its
-adds, subs and multiplies, and OpCounters is their sum over the network.
+adds, subs and multiplies, and LayerTally.total sums them over the network.
 """
 
 from __future__ import annotations
@@ -45,25 +45,17 @@ class LayerTally:
     def events_skipped(self) -> int:
         return self.events_sorted - self.events_processed
 
-
-@dataclass(frozen=True)
-class OpCounters:
-    """Network-wide operation totals, the simulation's energy proxy."""
-
-    additions: int
-    subtractions: int
-    multiplications: int
-    events_processed: int
-    events_skipped: int
-
     @classmethod
-    def total(cls, tallies) -> "OpCounters":
-        """The sum of the layers' tallies, field by field."""
-        per_layer = [
-            (t.additions, t.subtractions, t.multiplications, t.events_processed, t.events_skipped)
-            for t in tallies
-        ]
-        return cls(*map(sum, zip(*per_layer)))
+    def total(cls, tallies) -> "LayerTally":
+        """The network as one tally: the first in_dim, the last out_dim, every count summed."""
+        sorted_ = processed = adds = subs = muls = 0
+        for t in tallies:  # plain sums: dataclasses.astuple deep-copies each tally
+            sorted_ += t.events_sorted
+            processed += t.events_processed
+            adds += t.additions
+            subs += t.subtractions
+            muls += t.multiplications
+        return cls(tallies[0].in_dim, tallies[-1].out_dim, sorted_, processed, adds, subs, muls)
 
 
 @dataclass(frozen=True)
@@ -72,14 +64,6 @@ class RunTrace:
 
     t_max: int
     layers: tuple
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].out_dim
 
 
 @dataclass(frozen=True)
@@ -102,7 +86,7 @@ def estimate_cycles(trace: RunTrace) -> CycleReport:
     for t in trace.layers:  # one loop: two generator sums cost twice as long
         sort += trace.t_max + t.events_sorted
         neuron += t.events_processed * t.out_dim
-    return CycleReport(trace.input_dim, sort, neuron, trace.output_dim)
+    return CycleReport(trace.layers[0].in_dim, sort, neuron, trace.layers[-1].out_dim)
 
 
 @dataclass(frozen=True)
@@ -147,7 +131,7 @@ def memory_footprint(model: NetworkModel) -> MemoryReport:
     )
 
 
-def cycles_to_ms(cycles: int, clock_mhz: float = 163.0) -> float:
+def cycles_to_ms(cycles: int, clock_mhz: float) -> float:
     """Wall time for a cycle count at a given clock, for report readability only.
 
     The clock must be positive with a finite rate in Hz. A sample costs at

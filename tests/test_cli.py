@@ -75,6 +75,22 @@ class TestIdxFiles:
         with pytest.raises(CorruptDataset):
             load_idx_images(path)
 
+    @pytest.mark.parametrize(
+        "write, load, header",
+        [
+            (lambda path: write_idx_images(path, [bytes(4)], 2, 2), load_idx_images, 16),
+            (lambda path: write_idx_labels(path, [1, 2]), load_idx_labels, 8),
+        ],
+    )
+    def test_truncated_header_rejected_naming_the_path(self, tmp_path, write, load, header):
+        path = tmp_path / "cut.idx"
+        write(path)
+        whole = path.read_bytes()
+        for size in range(4, header):  # the magic survives, some dimension does not
+            path.write_bytes(whole[:size])
+            with pytest.raises(CorruptDataset, match=re.escape(str(path))):
+                load(path)
+
     def test_zero_size_frames_rejected(self, tmp_path):
         # A header-only file declaring 2^20 images of 0 rows, 28 columns.
         path = tmp_path / "empty-frames.idx"

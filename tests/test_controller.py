@@ -344,6 +344,22 @@ class TestCommandStream:
         assert failed.value.interrupts == [InterruptKind.INFERENCE_DONE, InterruptKind.LOAD_NEXT_SAMPLE]
         assert _snapshot(controller) == _snapshot(by_handle)  # as the first three commands left it
 
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (b"\x01\x10\x00\x00\x00", r"\(LoadModel, tag 0x01\): LoadModel payload truncated$"),
+            (b"\x7f", r"\(unknown, tag 0x7f\): unknown command tag 0x7f$"),
+        ],
+        ids=["cut-LoadModel", "unknown-tag"],
+    )
+    def test_the_commands_before_a_malformed_one_run(self, tail, message):
+        commands = [LoadModel(serialize_model(one_hot_output_model(3))), LoadInput(b"\xff"), Run()]
+        controller = Controller()
+        with pytest.raises(ProtocolViolation, match="^command 3 " + message) as failed:
+            controller.run_script(b"".join(map(encode_command, commands)) + tail)
+        assert controller.sample_index == 1 and len(failed.value.uart) == UART_FRAME_LEN
+        assert failed.value.interrupts == [InterruptKind.INFERENCE_DONE, InterruptKind.LOAD_NEXT_SAMPLE]
+
     def test_a_failed_first_command_emitted_nothing(self):
         stream = encode_command(LoadInput(b"\x01")) + encode_command(Run())
         with pytest.raises(ProtocolViolation, match=r"^command 0 \(LoadInput, tag 0x02\): ") as failed:
@@ -390,10 +406,16 @@ def _state(c):
     return (c.model is not None, c.pending_input is not None, c.last_result is not None, c.sample_index)
 
 
+# The first 5 bytes of a LoadModel: its tag and length field, its payload cut short.
+CUT_MODEL = encode_command(LOAD_MODEL)[:5]
+
+
 def _check_sequence(sequence):
     """Send sequence through handle, command by command, against _expected,
     then twice as one run_script stream, which must emit what handle emitted
-    up to the first failing command and raise that command's error there."""
+    up to the first failing command and raise that command's error there.
+    The stream followed by CUT_MODEL must do the same, and where no command
+    failed, run them all and raise the parse error as the next command's."""
     controller, state = Controller(), (False, False, False, 0)
     uart, interrupts, failure = b"", [], None  # what run_script must report
     for position, command in enumerate(sequence):
@@ -416,23 +438,27 @@ def _check_sequence(sequence):
             uart, interrupts = uart + frame, interrupts + irqs
     if failure is None:
         want = (uart, interrupts), _snapshot(controller)
+        message = f"command {len(sequence)} (LoadModel, tag 0x01): LoadModel payload truncated"
+        want_cut = (ProtocolViolation, message, uart, interrupts), _snapshot(controller)
     else:
         position, exc, uart, interrupts, before = failure
         name, tag = type(sequence[position]).__name__, COMMANDS[type(sequence[position])][0]
         message = f"command {position} ({name}, tag {tag:#04x}): {exc}"
-        want = (type(exc), message, uart, interrupts), before
+        want = want_cut = (type(exc), message, uart, interrupts), before
     stream = b"".join(map(encode_command, sequence))
-    for _ in range(2):  # a replay on a fresh controller gives the same
-        script = Controller()
-        try:
-            got = script.run_script(stream)
-        except SpikeSocError as exc:
-            got = (type(exc), str(exc), exc.uart, exc.interrupts)
-        assert (got, _snapshot(script)) == want, sequence
+    for tail, expected in ((b"", want), (CUT_MODEL, want_cut)):
+        for _ in range(2):  # a replay on a fresh controller gives the same
+            script = Controller()
+            try:
+                got = script.run_script(stream + tail)
+            except SpikeSocError as exc:
+                got = (type(exc), str(exc), exc.uart, exc.interrupts)
+            assert (got, _snapshot(script)) == expected, (sequence, tail)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4])
 def test_every_command_sequence_keeps_the_documented_state(length):
-    """Every sequence of length commands drawn from ALPHABET: 7, 49, 343 and 2401."""
+    """Every sequence of length commands drawn from ALPHABET: 7, 49, 343 and 2401,
+    each alone and followed by a LoadModel cut short."""
     for sequence in itertools.product(ALPHABET, repeat=length):
         _check_sequence(sequence)

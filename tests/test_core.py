@@ -18,7 +18,7 @@ from spikesoc.core import run_layer
 from spikesoc.errors import DimensionMismatch
 from spikesoc.model import slot_values
 from spikesoc.oracle import dense_layer_sweep
-from spikesoc.perf import OpCounters
+from spikesoc.perf import LayerTally
 from spikesoc.sorter import sort_spikes
 from helpers import (
     COPIES,
@@ -367,8 +367,10 @@ class TestRunNetwork:
                 "multiplications",
                 "events_processed",
                 "events_skipped",
+                "events_sorted",
             ):
                 assert getattr(r.counters, name) == sum(getattr(t, name) for t in tallies)
+            assert (r.counters.in_dim, r.counters.out_dim) == (model.input_dim, model.output_dim)
             outputs = [SpikeTrain(s.fire_codes, model.t_max) for s in r.layer_states]
             for tally, train in zip(tallies, [r.input_train, *outputs]):
                 assert tally.events_sorted == train.active_count
@@ -405,7 +407,7 @@ def _assert_views_derive_from_the_stored_fields(result, t_max):
     if result.trace is None:
         assert result.counters is None and result.cycles is None
     else:
-        assert result.counters == OpCounters.total(result.trace.layers)
+        assert result.counters == LayerTally.total(result.trace.layers)
         assert result.cycles == estimate_cycles(result.trace)
 
 

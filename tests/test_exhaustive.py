@@ -13,9 +13,12 @@ the naive insertion sort) and compares them through `first_divergence`:
 
 Two-layer networks run whole pipelines instead: `run_network` with early
 stop on and off, `dense_infer` and the reference chained layer by layer,
-from every frame of two pixels at t_max 4. Those frames give every input
-train at t_max 4, so `spike_on_zero` frames, whose zero pixels encode like
-pixel 1, add none; tests/test_oracle.py checks that both paths pass it on.
+from every frame of two pixels at t_max 4. Every 2x2 binary layer (16 sign
+patterns, thresholds -1, 0 and 1) runs as the output layer behind a hidden
+layer that passes its input through, and as the hidden layer in front of
+that same layer as output. Those frames give every input train at t_max 4,
+so `spike_on_zero` frames, whose zero pixels encode like pixel 1, add none;
+tests/test_oracle.py checks that both paths pass it on.
 """
 
 import itertools
@@ -123,41 +126,88 @@ def _decide(state):
     return state.potentials.index(max(state.potentials)), None
 
 
-def test_every_small_two_layer_pipeline_agrees():
-    """Every 2-neuron binary output layer over 2 hidden neurons (16 sign
-    patterns, thresholds -1, 0 and 1) behind a hidden layer that passes its
-    input through: [[1, -1], [-1, 1]] at threshold 0 fires each hidden neuron
-    exactly when its own input spikes, and never at time 0 unless an input
-    does, so the output layer sees every code vector as its input train."""
-    hidden = (LayerConfig(2, 2, 256, 0), BinaryWeights.from_rows([[1, -1], [-1, 1]]))
-    inputs = []  # (frame, input train, hidden state, the train's groups)
+# Passes its input through at threshold 0: each neuron fires exactly when its
+# own input spikes, and never at time 0 unless an input does.
+PASS_THROUGH = (LayerConfig(2, 2, 256, 0), BinaryWeights.from_rows([[1, -1], [-1, 1]]))
+
+
+def _frames():
+    """Every frame of two pixels at T_MAX, with its input train and the train's groups."""
     for pixels in itertools.product(PIXELS, repeat=2):
         train = spike_train(reference_encode(pixels, T_MAX), T_MAX)
-        groups = _groups(train)
-        between, _ = reference_run_layer(groups, *hidden)
-        assert np.array_equal(between.fire_codes, train.codes)  # so the output layer reads groups too
-        inputs.append((bytes(pixels), train, between, groups))
-    cases = stopped_short = fallbacks = 0
+        yield bytes(pixels), train, _groups(train)
+
+
+def _every_2x2_binary_layer():
+    """Every 2x2 binary layer with thresholds -1, 0 and 1: 16 sign patterns x 3."""
     for signs in itertools.product((-1, 1), repeat=4):
         weights = BinaryWeights.from_rows([list(signs[:2]), list(signs[2:])])
         for threshold in (-1, 0, 1):
-            output = LayerConfig(2, 2, 256, threshold)
-            model = NetworkModel(WeightMode.BINARY, T_MAX, [hidden, (output, weights)])
-            for frame, train, between, groups in inputs:
-                dense = dense_infer(model, frame)
-                for early_stop in (False, True):
-                    last, _ = reference_run_layer(groups, output, weights, stop_at_first_fire=early_stop)
-                    reference = states_result([between, last], *_decide(last))
-                    event = run_network(model, frame, early_stop=early_stop)
-                    assert event.input_train == dense.input_train == train
-                    # An early-stopped output layer stops short of the dense full run.
-                    pairs = [(event, reference), (dense, reference), (event, dense)]
-                    for (a, b), whole in zip(pairs, (True, not early_stop, not early_stop)):
-                        divergence = first_divergence(a, b, output_layer=whole)
-                        case = (signs, threshold, frame, early_stop)
-                        assert divergence is None, f"{case}: {divergence}"
-                    cases += 1
-                stopped_short += event.layer_states[1] != dense.layer_states[1]
-                fallbacks += dense.decision_time is None
+            yield LayerConfig(2, 2, 256, threshold), weights
+
+
+def _signs(model):
+    """Each layer's weights and threshold, to name a failing case."""
+    return [(weights.matrix().tolist(), cfg.threshold) for cfg, weights in model.layers]
+
+
+def _assert_pipeline_agrees(model, frame, train, between, hidden_groups):
+    """run_network with early stop off and on, dense_infer and the reference
+    chained layer by layer (between: the reference hidden state from the input's
+    groups) all agree on frame. Returns dense_infer's result and the early-stopped one."""
+    dense = dense_infer(model, frame)
+    output = model.layers[1]
+    for early_stop in (False, True):
+        last, _ = reference_run_layer(hidden_groups, *output, stop_at_first_fire=early_stop)
+        reference = states_result([between, last], *_decide(last))
+        event = run_network(model, frame, early_stop=early_stop)
+        assert event.input_train == dense.input_train == train
+        # An early-stopped output layer stops short of the dense full run.
+        pairs = [(event, reference), (dense, reference), (event, dense)]
+        for (a, b), whole in zip(pairs, (True, not early_stop, not early_stop)):
+            divergence = first_divergence(a, b, output_layer=whole)
+            assert divergence is None, f"{_signs(model)} {frame} early stop {early_stop}: {divergence}"
+    return dense, event
+
+
+def test_every_small_two_layer_pipeline_agrees():
+    """Every 2-neuron binary output layer over 2 hidden neurons (16 sign
+    patterns, thresholds -1, 0 and 1) behind the hidden layer PASS_THROUGH,
+    so the output layer sees every code vector as its input train."""
+    inputs = []  # (frame, input train, hidden state, the train's groups)
+    for frame, train, groups in _frames():
+        between, _ = reference_run_layer(groups, *PASS_THROUGH)
+        assert np.array_equal(between.fire_codes, train.codes)  # so the output layer reads groups too
+        inputs.append((frame, train, between, groups))
+    cases = stopped_short = fallbacks = 0
+    for output in _every_2x2_binary_layer():
+        model = NetworkModel(WeightMode.BINARY, T_MAX, [PASS_THROUGH, output])
+        for frame, train, between, groups in inputs:
+            dense, event = _assert_pipeline_agrees(model, frame, train, between, groups)
+            cases += 2
+            stopped_short += event.layer_states[1] != dense.layer_states[1]
+            fallbacks += dense.decision_time is None
+    assert cases == 16 * 3 * 25 * 2  # sign patterns, thresholds, frames, early stop
+    assert stopped_short and fallbacks  # early stop and the fallback decode both bite
+
+
+def test_every_small_hidden_layer_agrees_in_a_two_layer_pipeline():
+    """The mirror of the test above: every 2x2 binary hidden layer (16 sign
+    patterns, thresholds -1, 0 and 1) in front of the output layer
+    PASS_THROUGH, which hands on the hidden layer's fire codes as they are.
+    Together the two tests run every such layer in each position."""
+    frames = list(_frames())
+    cases = stopped_short = fallbacks = 0
+    for hidden in _every_2x2_binary_layer():
+        model = NetworkModel(WeightMode.BINARY, T_MAX, [hidden, PASS_THROUGH])
+        for frame, train, groups in frames:
+            between, _ = reference_run_layer(groups, *hidden)
+            hidden_groups = _groups(SpikeTrain(between.fire_codes, T_MAX))
+            last, _ = reference_run_layer(hidden_groups, *PASS_THROUGH)
+            assert np.array_equal(last.fire_codes, between.fire_codes)  # passed through
+            dense, event = _assert_pipeline_agrees(model, frame, train, between, hidden_groups)
+            cases += 2
+            stopped_short += event.layer_states[1] != dense.layer_states[1]
+            fallbacks += dense.decision_time is None
     assert cases == 16 * 3 * 25 * 2  # sign patterns, thresholds, frames, early stop
     assert stopped_short and fallbacks  # early stop and the fallback decode both bite

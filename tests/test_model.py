@@ -559,8 +559,10 @@ class TestFlashImage:
             assert m2 == m
             assert serialize_model(m2) == blob
 
-    def test_with_t_max_keeps_weights(self):
+    def test_replace_t_max_keeps_weights(self):
         m = _minimal_model()
-        m2 = m.with_t_max(64)
+        m2 = replace(m, t_max=64)
         assert m2.t_max == 64
         assert m2.layers == m.layers
+        with pytest.raises(ValueError):  # replace re-runs the model's checks
+            replace(m, t_max=100)

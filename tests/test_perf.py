@@ -103,6 +103,35 @@ class TestEstimateCycles:
             )
 
 
+COUNTS = ("events_sorted", "events_processed", "additions", "subtractions", "multiplications")
+
+
+class TestLayerTallyTotal:
+    def test_hand_summed_total(self):
+        tallies = (
+            LayerTally(784, 600, 700, 650, 1000, 300, 0),
+            LayerTally(600, 40, 90, 80, 2000, 1200, 0),
+            LayerTally(40, 10, 12, 5, 30, 20, 7),
+        )
+        assert LayerTally.total(tallies) == LayerTally(784, 10, 802, 735, 3030, 1520, 7)
+        assert LayerTally.total(tallies).events_skipped == 802 - 735
+
+    def test_total_is_the_field_by_field_sum(self):
+        rng = make_rng(83)
+        for _ in range(200):
+            dims = [rng.randint(1, 64) for _ in range(rng.randint(2, 5))]
+            tallies = []
+            for in_dim, out_dim in zip(dims, dims[1:]):
+                sorted_ = rng.randint(0, in_dim)
+                counts = [rng.randint(0, 10_000) for _ in range(3)]
+                tallies.append(LayerTally(in_dim, out_dim, sorted_, rng.randint(0, sorted_), *counts))
+            total = LayerTally.total(tuple(tallies))
+            assert (total.in_dim, total.out_dim) == (dims[0], dims[-1])
+            for name in (*COUNTS, "events_skipped"):
+                assert getattr(total, name) == sum(getattr(t, name) for t in tallies)
+            assert LayerTally.total(tallies[:1]) == tallies[0]  # one layer: its own tally
+
+
 class TestMemoryFootprint:
     def test_binary_784_128_10(self):
         rng = make_rng(83)
@@ -151,7 +180,7 @@ class TestMemoryFootprint:
 class TestReporting:
     def test_cycles_to_ms_at_163_mhz(self):
         assert cycles_to_ms(163_000, 163.0) == 1.0
-        assert cycles_to_ms(0) == 0.0
+        assert cycles_to_ms(0, 163.0) == 0.0
         # 1e306 MHz and the largest float are finite, but their rates in Hz are not.
         for clock in (0.0, -163.0, math.nan, math.inf, 1e306, sys.float_info.max):
             with pytest.raises(ValueError):

@@ -92,7 +92,7 @@ MUTANTS = (
     Mutant(
         "run_script drops the interrupts before a failing command",
         ("tests/test_controller.py",),
-        (("controller.py", "failed.interrupts = bytes(uart), interrupts", "failed.interrupts = bytes(uart), []"),),
+        (("controller.py", "error.interrupts = bytes(uart), interrupts", "error.interrupts = bytes(uart), []"),),
     ),
     Mutant(
         "run_network and dense_infer both ignore spike_on_zero",
@@ -108,14 +108,81 @@ MUTANTS = (
         (("encoder.py", "_code_table(t_max, spike_on_zero)[", "_code_table(t_max, False)["),),
     ),
     Mutant(
-        "counters sum all but the last tally",
-        ("tests/test_core.py",),
-        (("perf.py", "            for t in tallies\n", "            for t in tallies[:-1]\n"),),
+        "run_script runs nothing before a malformed command",
+        ("tests/test_controller.py",),
+        (("controller.py", "commands, failed = exc.commands, exc", "commands, failed = [], exc"),),
+    ),
+    Mutant(
+        "LayerTally.total sums all but the last tally",
+        ("tests/test_perf.py",),
+        (("perf.py", "        for t in tallies:", "        for t in tallies[:-1]:"),),
     ),
     Mutant(
         "cycles of the last layer only",
         ("tests/test_perf.py",),
         (("perf.py", "    for t in trace.layers:", "    for t in trace.layers[-1:]:"),),
+    ),
+    Mutant(
+        "the oracle fires at > the threshold",
+        ("tests/test_oracle.py",),
+        (("oracle.py", "crossed = contributions >= layer", "crossed = contributions > layer"),),
+    ),
+    Mutant(
+        "the oracle's table has a row for every timestep, so it fires at steps without events",
+        ("tests/test_oracle.py",),
+        (
+            ("oracle.py", "steps = np.flatnonzero(carries)", "steps = np.arange(len(carries))"),
+            ("oracle.py", "row_of = np.add.accumulate(carries) - 1", "row_of = np.arange(len(carries))"),
+        ),
+    ),
+    Mutant(
+        "a neuron the oracle never fires reads row 0",
+        ("tests/test_oracle.py",),
+        (("oracle.py", "rows = np.where(fires, first, len(steps) - 1)", "rows = first"),),
+    ),
+    Mutant(
+        "the oracle sums no time table rows",
+        ("tests/test_oracle.py",),
+        (("oracle.py", "    np.add.accumulate(contributions, axis=0, out=contributions)", "    pass"),),
+    ),
+    Mutant(
+        "early stop one group after the first that fires",
+        ("tests/test_core.py",),
+        ((
+            "core.py",
+            "first = k // layer.out_dim if crossed.item(k) else last",
+            "first = min(k // layer.out_dim + 1, last) if crossed.item(k) else last",
+        ),),
+    ),
+    Mutant(
+        "early-stop fire times from the last group",
+        ("tests/test_core.py",),
+        (("core.py", "np.where(fires, group_times[first], -1)", "np.where(fires, group_times[last], -1)"),),
+    ),
+    Mutant(
+        "early stop on every layer",
+        ("tests/test_core.py",),
+        (("core.py", "stop_at_first_fire=early_stop and k == last_layer", "stop_at_first_fire=early_stop"),),
+    ),
+    Mutant(
+        "blocked-scan offsets skip block 0",
+        ("tests/test_core.py",),
+        (("core.py", "    for k in range(blocks):", "    for k in range(1, blocks):"),),
+    ),
+    Mutant(
+        "a transposed blocked-scan row map",
+        ("tests/test_core.py",),
+        (("core.py", "(rows % b) * blocks + rows // b", "(rows // b) * blocks + rows % b"),),
+    ),
+    Mutant(
+        "a neuron that never crosses stops at group 0",
+        ("tests/test_core.py",),
+        (("core.py", "            crossed[last] = True  # so", "            crossed[last] = False  # so"),),
+    ),
+    Mutant(
+        "touched leaves out each neuron's own stop group",
+        ("tests/test_core.py",),
+        (("core.py", "touched = int(stop_rows.sum()) + layer.out_dim", "touched = int(stop_rows.sum())"),),
     ),
     Mutant(
         "every layer after the first reads a silent input",
