@@ -4,7 +4,7 @@ The package splits along the hardware's own seams: latency encoding
 (`encoder`), spike sorting (`sorter`), the accumulate-and-fire datapath
 (`core`), first-spike decoding (`decoder`), the load/run/interrupt/UART
 control plane (`controller`), weight packing and the flash image format
-(`model`), a cycle-cost and memory model (`perf`), a dense brute-force
+(`model`), a cycle-cost and weight-memory model (`perf`), a dense brute-force
 reference simulator (`oracle`), typed errors (`errors`), and a batch CLI
 (`cli`).
 
@@ -32,9 +32,7 @@ from .model import (
     SpikeTrain,
     WeightMode,
     deserialize_model,
-    pack_binary_row,
     serialize_model,
-    unpack_binary_row,
 )
 from .oracle import dense_infer
 from .perf import LayerTally, RunTrace, estimate_cycles, memory_footprint
@@ -65,8 +63,6 @@ __all__ = [
     "encode_command",
     "estimate_cycles",
     "memory_footprint",
-    "pack_binary_row",
     "run_network",
     "serialize_model",
-    "unpack_binary_row",
 ]

@@ -25,6 +25,7 @@ Flash image layout (little-endian throughout):
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -57,7 +58,7 @@ INT16_MAX = (1 << 15) - 1
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
 
-_WORDS_PER_CELL = 16  # weights per packed memory word
+_WEIGHTS_PER_WORD = 16  # binary weights per packed 16-bit word
 
 
 class WeightMode(Enum):
@@ -75,41 +76,7 @@ def check_t_max(t_max: int) -> None:
 
 
 def words_per_row(in_dim: int) -> int:
-    return (in_dim + _WORDS_PER_CELL - 1) // _WORDS_PER_CELL
-
-
-def binary_weight_bytes(in_dim: int, out_dim: int) -> int:
-    return out_dim * words_per_row(in_dim) * 2
-
-
-def fixed16_weight_bytes(in_dim: int, out_dim: int) -> int:
-    return out_dim * in_dim * 2
-
-
-def pack_binary_row(weights: Sequence[int]) -> list[int]:
-    """Pack a row of {-1, +1} weights into 16-bit words (LSB-first, +1 -> 1);
-    padding bits beyond the row length stay zero."""
-    return _pack_signs([weights])[0].tolist()
-
-
-def _pack_signs(rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """Equal-length rows of {-1, +1} weights as a `<u2` array of packed words,
-    the inverse of BinaryWeights.matrix()."""
-    if len(rows[0]) < 1:
-        raise ValueError("weight row must hold at least one weight")
-    signs = np.array(rows, dtype=object)  # compares each cell as given
-    plus = signs == 1
-    if signs.ndim != 2 or not (plus | (signs == -1)).all():
-        i, w = next((i, w) for row in rows for i, w in enumerate(row) if w not in (1, -1))
-        raise InvalidWeight(f"weight at index {i} is {w!r}, expected -1 or +1")
-    packed = np.packbits(plus, axis=1, bitorder="little")
-    return np.pad(packed, ((0, 0), (0, packed.shape[1] % 2))).view("<u2")
-
-
-def unpack_binary_row(words: Sequence[int], in_dim: int) -> list[int]:
-    """Inverse of pack_binary_row. Rejects a wrong word count, words outside
-    16 bits and nonzero padding bits, as the BinaryWeights constructor does."""
-    return BinaryWeights(in_dim=in_dim, words=[words]).matrix()[0].tolist()
+    return (in_dim + _WEIGHTS_PER_WORD - 1) // _WEIGHTS_PER_WORD
 
 
 def _cell_array(cells, dtype: str) -> np.ndarray:
@@ -147,11 +114,6 @@ class _CellMatrix:
     def out_dim(self) -> int:
         return len(self.cells)
 
-    @property
-    def weight_bytes(self) -> int:
-        """Bytes of the flash weight blob, which is `cells.tobytes()`."""
-        return self.cells.nbytes
-
     @cached_property
     def columns(self) -> np.ndarray:
         """`matrix().T` as a read-only C-ordered (in_dim, out_dim) int16 array:
@@ -184,13 +146,23 @@ class BinaryWeights(_CellMatrix):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BinaryWeights":
+        """Pack equal-length rows of {-1, +1} weights (LSB-first, +1 -> 1), the inverse of matrix()."""
         if not rows:
             raise ValueError("weight matrix needs at least one row")
         in_dim = len(rows[0])
         for j, row in enumerate(rows):
             if len(row) != in_dim:
                 raise ValueError(f"row {j} length {len(row)} != {in_dim}")
-        return cls(in_dim=in_dim, words=_pack_signs(rows))
+        if in_dim < 1:
+            raise ValueError("weight row must hold at least one weight")
+        signs = np.array(rows, dtype=object)  # compares each cell as given
+        plus = signs == 1
+        # ndim: cells that are themselves equal-length sequences make signs 3-D
+        if signs.ndim != 2 or not (plus | (signs == -1)).all():
+            i, w = next((i, w) for row in rows for i, w in enumerate(row) if w not in (1, -1))
+            raise InvalidWeight(f"weight at index {i} is {w!r}, expected -1 or +1")
+        packed = np.packbits(plus, axis=1, bitorder="little")
+        return cls(in_dim, np.pad(packed, ((0, 0), (0, packed.shape[1] % 2))).view("<u2"))
 
     def _narrow(self) -> np.ndarray:
         """(out_dim, in_dim) int8 matrix of +1/-1 weights, decoded from the words."""
@@ -247,9 +219,10 @@ class LayerConfig:
     accumulator units. In binary mode the scale is folded into the
     threshold instead of touching the add/sub datapath; fixed-point models
     are expected to carry the scale inside their weights, so the raw
-    threshold is used as-is. Both dimensions are in [1, 65535], the u16
-    fields of the flash layer record, so every layer that can be built can
-    be flashed; it is frozen, so a config keeps the values it was checked with.
+    threshold is used as-is. Every field is an integer, kept as a Python int,
+    and both dimensions are in [1, 65535], the u16 fields of the flash layer
+    record, so every layer that can be built can be flashed; it is frozen, so
+    a config keeps the values it was checked with.
     These checks are also deserialize_model's, which makes none of its own.
     """
 
@@ -259,6 +232,13 @@ class LayerConfig:
     threshold: int = 0
 
     def __post_init__(self):
+        for name in ("in_dim", "out_dim", "alpha_raw", "threshold"):
+            value = getattr(self, name)
+            if type(value) is not int:  # kept as a Python int: a numpy int32 threshold would wrap
+                try:
+                    object.__setattr__(self, name, operator.index(value))
+                except TypeError:
+                    raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if not (1 <= self.in_dim <= 0xFFFF and 1 <= self.out_dim <= 0xFFFF):
             raise ValueError("layer dimensions must be in [1, 65535]")
         if not 1 <= self.alpha_raw <= 0xFFFF:

@@ -1,4 +1,4 @@
-"""Cycle-cost and memory-footprint model.
+"""Cycle-cost and weight-memory model.
 
 The pipeline is modeled as sequential per-layer stages at one cycle per
 pixel, per sorted event, per neuron scanned and per decoded neuron, plus a
@@ -16,6 +16,8 @@ The model is fixed: unit costs keep the breakdown internally consistent,
 they are not calibrated silicon timings. Energy is reported as operation
 counts, never as watts: each layer's LayerTally records its events and its
 adds, subs and multiplies, and LayerTally.total sums them over the network.
+Memory is counted as weight bytes only: memory_footprint gives the model's
+topology packed binary and as fixed16, the two figures the CLI reports.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import NetworkModel, binary_weight_bytes, fixed16_weight_bytes
+from .model import NetworkModel, words_per_row
 
 
 @dataclass(frozen=True)
@@ -90,44 +92,19 @@ def estimate_cycles(trace: RunTrace) -> CycleReport:
 
 
 @dataclass(frozen=True)
-class LayerMemory:
-    weight_bytes: int
-    spike_bytes: int
-
-
-@dataclass(frozen=True)
 class MemoryReport:
-    """Byte-level footprint of the on-chip memories.
+    """Weight bytes of a model's topology in each format, whichever format it uses."""
 
-    Spike memories hold one byte per neuron per layer boundary; the first
-    layer also owns the input spike buffer, every layer owns its output
-    codes. binary_bytes and fixed16_bytes are the weight bytes the model's
-    topology takes in each format, whichever format the model uses.
-    """
-
-    layers: tuple
-    weight_bytes: int
-    spike_bytes: int
     binary_bytes: int
     fixed16_bytes: int
 
 
 def memory_footprint(model: NetworkModel) -> MemoryReport:
-    """Exact byte counts for the model's weight and spike memories."""
-    layers = tuple(
-        LayerMemory(
-            weight_bytes=weights.weight_bytes,
-            spike_bytes=cfg.out_dim + (cfg.in_dim if k == 0 else 0),
-        )
-        for k, (cfg, weights) in enumerate(model.layers)
-    )
+    """The flash weight blobs' bytes packed binary, rows padded to whole words, and as fixed16."""
     configs = [cfg for cfg, _ in model.layers]
     return MemoryReport(
-        layers=layers,
-        weight_bytes=sum(m.weight_bytes for m in layers),
-        spike_bytes=sum(m.spike_bytes for m in layers),
-        binary_bytes=sum(binary_weight_bytes(c.in_dim, c.out_dim) for c in configs),
-        fixed16_bytes=sum(fixed16_weight_bytes(c.in_dim, c.out_dim) for c in configs),
+        binary_bytes=sum(c.out_dim * words_per_row(c.in_dim) * 2 for c in configs),
+        fixed16_bytes=sum(c.out_dim * c.in_dim * 2 for c in configs),
     )
 
 

@@ -49,6 +49,17 @@ def random_binary_weights(rng, in_dim, out_dim):
     return BinaryWeights.from_rows(signs.reshape(out_dim, in_dim).tolist())
 
 
+def pack_row(row):
+    """One row of {-1, +1} weights as its packed 16-bit words, a list of ints."""
+    return BinaryWeights.from_rows([row]).words[0].tolist()
+
+
+def unpack_row(words, in_dim):
+    """Packed words back to the row of in_dim {-1, +1} weights; the
+    BinaryWeights constructor rejects bad word counts, values and padding."""
+    return BinaryWeights(in_dim, [words]).matrix()[0].tolist()
+
+
 def random_fixed_weights(rng, in_dim, out_dim, magnitude=None):
     if magnitude is None:
         magnitude = rng.choice((8, 128, 1024))

@@ -28,18 +28,17 @@ from spikesoc import (
     encode_command,
     estimate_cycles,
     memory_footprint,
-    pack_binary_row,
     serialize_model,
-    unpack_binary_row,
 )
 from spikesoc.cli import main, write_idx_images, write_idx_labels
 from spikesoc.controller import UART_FRAME_LEN, parse_uart_frame
-from spikesoc.model import fixed16_weight_bytes
 from helpers import (
     make_rng,
+    pack_row,
     random_binary_weights,
     random_frame,
     random_model,
+    unpack_row,
 )
 
 
@@ -135,12 +134,13 @@ def test_criterion_sixteen_fold_memory_reduction():
     ]
     model = NetworkModel(mode=WeightMode.BINARY, t_max=256, layers=layers_binary)
     report = memory_footprint(model)
-    ratio = fixed16_weight_bytes(784, 128) / report.layers[0].weight_bytes
+    ratio = report.fixed16_bytes / report.binary_bytes
+    first_layer_bytes = model.layers[0][1].cells.nbytes
     failures = []
     if ratio != 16.0:
-        failures.append(f"first-layer fixed16/binary byte ratio is {ratio}, not 16.0")
-    if report.layers[0].weight_bytes != 12_544:
-        failures.append(f"binary 784x128 layer is {report.layers[0].weight_bytes} bytes")
+        failures.append(f"fixed16/binary weight byte ratio is {ratio}, not 16.0")
+    if first_layer_bytes != 12_544:
+        failures.append(f"binary 784x128 layer is {first_layer_bytes} bytes")
     _verdict("16x weight memory reduction on the 784-128-10 topology", failures)
 
 
@@ -150,7 +150,7 @@ def test_criterion_packing_and_image_roundtrips():
     for i in range(1000):
         in_dim = rng.randint(1, 96)
         row = [rng.choice((-1, 1)) for _ in range(in_dim)]
-        if unpack_binary_row(pack_binary_row(row), in_dim) != row:
+        if unpack_row(pack_row(row), in_dim) != row:
             failures.append(f"row {i} failed to roundtrip")
     for i in range(1000):
         m = random_model(rng, max_layers=3, max_dim=20)

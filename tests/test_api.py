@@ -26,9 +26,7 @@ PUBLIC = {
     "encode_command",
     "estimate_cycles",
     "memory_footprint",
-    "pack_binary_row",
     "serialize_model",
-    "unpack_binary_row",
     # inference, its reference, and the error bases
     "Fixed16Weights",
     "SpikeTrain",
@@ -42,7 +40,7 @@ PUBLIC = {
 
 
 def test_all_is_the_documented_surface():
-    assert len(PUBLIC) == 29
+    assert len(PUBLIC) == 27
     assert sorted(spikesoc.__all__) == sorted(PUBLIC)
     for name in spikesoc.__all__:
         assert hasattr(spikesoc, name), name
@@ -63,5 +61,5 @@ def test_every_top_level_import_of_the_acceptance_suite_is_public():
         if isinstance(node, ast.ImportFrom) and node.module == "spikesoc"
         for alias in node.names
     }
-    assert len(imported) == 21
+    assert len(imported) == 19
     assert imported <= set(spikesoc.__all__)

@@ -13,9 +13,7 @@ from spikesoc import (
     SpikeTrain,
     WeightMode,
     deserialize_model,
-    pack_binary_row,
     serialize_model,
-    unpack_binary_row,
 )
 from spikesoc.errors import (
     CorruptImage,
@@ -24,45 +22,57 @@ from spikesoc.errors import (
     TruncatedImage,
     UnsupportedVersion,
 )
-from spikesoc.model import slot_values
+from spikesoc.model import INT32_MAX, slot_values
 from helpers import (
     COPIES,
     image_with_t_max,
     make_rng,
+    pack_row,
     random_binary_weights,
     random_fixed_weights,
     random_model,
     spike_train,
+    unpack_row,
 )
 
 
 class TestPackBinaryRow:
     def test_all_plus_one(self):
-        assert pack_binary_row([1] * 16) == [0xFFFF]
+        assert pack_row([1] * 16) == [0xFFFF]
 
     def test_all_minus_one(self):
-        assert pack_binary_row([-1] * 16) == [0x0000]
+        assert pack_row([-1] * 16) == [0x0000]
 
     def test_alternating_sets_even_bits(self):
         row = [1 if i % 2 == 0 else -1 for i in range(16)]
-        assert pack_binary_row(row) == [0x5555]
+        assert pack_row(row) == [0x5555]
 
     def test_one_overflow_bit_padding_zero(self):
-        assert pack_binary_row([1] * 17) == [0xFFFF, 0x0001]
+        assert pack_row([1] * 17) == [0xFFFF, 0x0001]
 
     def test_rejects_weight_outside_domain(self):
         with pytest.raises(InvalidWeight):
-            pack_binary_row([1, 0, 1])
+            pack_row([1, 0, 1])
         with pytest.raises(InvalidWeight):
-            pack_binary_row([2])
+            pack_row([2])
 
     def test_rejects_empty_row(self):
         with pytest.raises(ValueError):
-            pack_binary_row([])
+            pack_row([])
+
+    def test_rejects_no_rows_and_ragged_rows(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            BinaryWeights.from_rows([])
+        with pytest.raises(ValueError, match="row 1 length 2 != 3"):
+            BinaryWeights.from_rows([[1, 1, 1], [1, 1]])
+
+    def test_rejects_a_cell_that_is_itself_a_sequence(self):
+        with pytest.raises(InvalidWeight, match=r"index 0 is \[1\],"):
+            BinaryWeights.from_rows([[[1], [1]]])
 
     def test_error_names_the_first_bad_index(self):
         with pytest.raises(InvalidWeight, match="index 1 is 'a',"):
-            pack_binary_row([1, "a", 3])
+            pack_row([1, "a", 3])
         with pytest.raises(InvalidWeight, match="index 2 is 0,"):
             BinaryWeights.from_rows([[1, -1, 1], [1, 1, 0], [2, 1, 1]])
 
@@ -73,40 +83,40 @@ class TestPackBinaryRow:
             words = [0] * ((in_dim + 15) // 16)
             for i, w in enumerate(row):
                 words[i >> 4] |= (w == 1) << (i & 15)
-            assert pack_binary_row(row) == words
+            assert pack_row(row) == words
 
 
 class TestUnpackBinaryRow:
     def test_full_word(self):
-        assert unpack_binary_row([0xFFFF], 16) == [1] * 16
+        assert unpack_row([0xFFFF], 16) == [1] * 16
 
     def test_bit_zero_only(self):
-        assert unpack_binary_row([0x0001], 4) == [1, -1, -1, -1]
+        assert unpack_row([0x0001], 4) == [1, -1, -1, -1]
 
     def test_nonzero_padding_rejected(self):
         with pytest.raises(CorruptWeightWord):
-            unpack_binary_row([0x0010], 4)  # bit 4 set, only 4 weights
+            unpack_row([0x0010], 4)  # bit 4 set, only 4 weights
 
     def test_wrong_word_count_rejected(self):
         with pytest.raises(ValueError):
-            unpack_binary_row([0xFFFF, 0x0001], 16)
+            unpack_row([0xFFFF, 0x0001], 16)
 
     def test_word_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            unpack_binary_row([0x10000], 4)
+            unpack_row([0x10000], 4)
 
     def test_roundtrip_1000_random_rows(self):
         rng = make_rng(11)
         for _ in range(1000):
             in_dim = rng.randint(1, 100)
             row = [rng.choice((-1, 1)) for _ in range(in_dim)]
-            assert unpack_binary_row(pack_binary_row(row), in_dim) == row
+            assert unpack_row(pack_row(row), in_dim) == row
 
     def test_roundtrip_wide_rows(self):
         rng = make_rng(12)
         for in_dim in (1, 15, 16, 17, 1023, 1024, 4096):
             row = [rng.choice((-1, 1)) for _ in range(in_dim)]
-            assert unpack_binary_row(pack_binary_row(row), in_dim) == row
+            assert unpack_row(pack_row(row), in_dim) == row
 
 
 class TestWeightMatrices:
@@ -117,16 +127,16 @@ class TestWeightMatrices:
             out_dim = rng.randint(1, 20)
             rows = [[rng.choice((-1, 1)) for _ in range(in_dim)] for _ in range(out_dim)]
             w = BinaryWeights.from_rows(rows)
-            assert w.weight_bytes == out_dim * ((in_dim + 15) // 16) * 2
+            assert w.cells.nbytes == out_dim * ((in_dim + 15) // 16) * 2
 
     def test_sixteen_fold_ratio_when_in_dim_multiple_of_16(self):
         for in_dim, out_dim in ((16, 1), (784, 128), (64, 7)):
             rows = [[1] * in_dim for _ in range(out_dim)]
             b = BinaryWeights.from_rows(rows)
             f = Fixed16Weights.from_rows(rows)
-            assert b.weight_bytes == (in_dim * out_dim) // 8
-            assert f.weight_bytes == in_dim * out_dim * 2
-            assert f.weight_bytes / b.weight_bytes == 16.0
+            assert b.cells.nbytes == (in_dim * out_dim) // 8
+            assert f.cells.nbytes == in_dim * out_dim * 2
+            assert f.cells.nbytes / b.cells.nbytes == 16.0
 
     def test_column_signs_match_rows(self):
         rng = make_rng(14)
@@ -294,6 +304,29 @@ class TestLayerConfig:
         with pytest.raises(FrozenInstanceError):
             setattr(cfg, field, value)
         assert cfg == LayerConfig(4, 1)
+
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ((3, 2, 256, 1.5), "threshold"),
+            ((3, 2, 256.5, 1), "alpha_raw"),
+            ((3.0, 2, 256, 1), "in_dim"),
+            ((3, 2.0, 256, 1), "out_dim"),
+        ],
+    )
+    def test_every_field_is_an_integer(self, fields, field):
+        """A float field would build a model that serialize_model cannot pack
+        (or, as out_dim, one that run_network cannot index)."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            LayerConfig(*fields)
+
+    def test_numpy_integer_fields_build_and_flash(self):
+        cfg = LayerConfig(np.int64(3), np.uint16(2), np.int32(256), np.int32(INT32_MAX))
+        assert all(type(getattr(cfg, f)) is int for f in ("in_dim", "out_dim", "alpha_raw", "threshold"))
+        assert cfg.effective_threshold(WeightMode.BINARY) == INT32_MAX  # no int32 wrap
+        weights = BinaryWeights.from_rows([[1, -1, 1], [-1, 1, 1]])
+        model = NetworkModel(mode=WeightMode.BINARY, t_max=16, layers=[(cfg, weights)])
+        assert deserialize_model(serialize_model(model)) == model
 
 
 class TestSpikeTrain:

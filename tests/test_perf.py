@@ -6,6 +6,7 @@ import pytest
 
 from spikesoc import (
     BinaryWeights,
+    Fixed16Weights,
     LayerConfig,
     LayerTally,
     NetworkModel,
@@ -14,10 +15,10 @@ from spikesoc import (
     estimate_cycles,
     memory_footprint,
     run_network,
+    serialize_model,
 )
-from spikesoc.model import binary_weight_bytes, fixed16_weight_bytes
 from spikesoc.perf import CycleReport, cycles_to_ms, write_breakdown_csv
-from helpers import make_rng, random_frame, random_instance, random_model
+from helpers import make_rng, random_frame, random_instance, random_layer, random_model
 
 
 def _trace_600_10():
@@ -132,6 +133,15 @@ class TestLayerTallyTotal:
             assert LayerTally.total(tallies[:1]) == tallies[0]  # one layer: its own tally
 
 
+def _ones_model(*dims):
+    """A fixed16 model of the given layer widths whose weights are all 1."""
+    layers = [
+        (LayerConfig(n_in, n_out), Fixed16Weights.from_rows([[1] * n_in] * n_out))
+        for n_in, n_out in zip(dims, dims[1:])
+    ]
+    return NetworkModel(mode=WeightMode.FIXED16, t_max=16, layers=layers)
+
+
 class TestMemoryFootprint:
     def test_binary_784_128_10(self):
         rng = make_rng(83)
@@ -153,20 +163,16 @@ class TestMemoryFootprint:
                 ),
             ],
         )
-        report = memory_footprint(model)
-        assert report.layers[0].weight_bytes == 12_544
-        assert report.layers[1].weight_bytes == 160
-        assert report.weight_bytes == 12_704
-        # spike memories: input buffer + per-layer output codes
-        assert report.layers[0].spike_bytes == 784 + 128
-        assert report.layers[1].spike_bytes == 10
-        assert report.spike_bytes == 784 + 128 + 10
+        assert model.layers[0][1].cells.nbytes == 12_544
+        assert model.layers[1][1].cells.nbytes == 160
+        assert memory_footprint(model).binary_bytes == 12_704
 
     def test_fixed16_equivalent_and_exact_ratio(self):
-        assert fixed16_weight_bytes(784, 128) == 200_704
-        assert fixed16_weight_bytes(128, 10) == 2_560
-        assert fixed16_weight_bytes(784, 128) + fixed16_weight_bytes(128, 10) == 203_264
-        assert fixed16_weight_bytes(784, 128) / binary_weight_bytes(784, 128) == 16.0
+        first, second = _ones_model(784, 128), _ones_model(128, 10)
+        assert memory_footprint(first).fixed16_bytes == 200_704
+        assert memory_footprint(second).fixed16_bytes == 2_560
+        assert memory_footprint(_ones_model(784, 128, 10)).fixed16_bytes == 203_264
+        assert memory_footprint(first).fixed16_bytes / memory_footprint(first).binary_bytes == 16.0
 
     def test_one_by_one_binary_layer_is_one_padded_word(self):
         model = NetworkModel(
@@ -174,7 +180,26 @@ class TestMemoryFootprint:
             t_max=16,
             layers=[(LayerConfig(1, 1, 256, 0), BinaryWeights.from_rows([[1]]))],
         )
-        assert memory_footprint(model).weight_bytes == 2
+        assert memory_footprint(model).binary_bytes == 2
+
+    def test_each_figure_is_the_flash_weight_blobs_of_its_mode(self):
+        """The figure for a model's own mode is its image less the header and
+        the layer records; the other figure is that of the same topology built
+        in the other mode. Fan-ins up to 40 take in every row-padding case."""
+        rng = make_rng(87)
+        for mode in (WeightMode.BINARY, WeightMode.FIXED16) * 20:
+            model = random_model(rng, mode=mode, max_dim=40)
+            other = WeightMode.FIXED16 if mode is WeightMode.BINARY else WeightMode.BINARY
+            twin = NetworkModel(
+                mode=other,
+                t_max=model.t_max,
+                layers=[(cfg, random_layer(rng, cfg.in_dim, cfg.out_dim, other)[1]) for cfg, _ in model.layers],
+            )
+            report = memory_footprint(model)
+            assert memory_footprint(twin) == report
+            figures = {WeightMode.BINARY: report.binary_bytes, WeightMode.FIXED16: report.fixed16_bytes}
+            for m in (model, twin):
+                assert figures[m.mode] == len(serialize_model(m)) - 10 - 10 * len(m.layers)
 
 
 class TestReporting:

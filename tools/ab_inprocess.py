@@ -33,6 +33,12 @@ checked_samples_per_s there from 171-186/s to 168-170/s and raised setup_s,
 which never calls the oracle, from 1.7-1.9 ms to 2.6-2.8 ms. Confirm an
 in-process gain with perfbench pairs.
 
+One process also carries a bias of its own: this checkout against itself
+read base/change from 0.91 to 1.23 on corpus_stream in different
+processes, each process's pairs leaning the same way. A ratio therefore
+needs several processes, or the trees swapped (--base and --change
+exchanged) between processes; the pairs won in one process show nothing.
+
 Prints, per pair, each tree's pass time and base/change (above 1: the
 change is faster), then the median ratio, the number of pairs the change
 won and the quartiles of the base's pass times.

@@ -118,6 +118,16 @@ MUTANTS = (
         (("perf.py", "        for t in tallies:", "        for t in tallies[:-1]:"),),
     ),
     Mutant(
+        "memory_footprint counts binary bytes without row padding",
+        ("tests/test_perf.py",),
+        (("perf.py", "c.out_dim * words_per_row(c.in_dim) * 2", "c.out_dim * c.in_dim // 8"),),
+    ),
+    Mutant(
+        "LayerConfig keeps a field that is not an integer",
+        ("tests/test_model.py",),
+        (("model.py", "object.__setattr__(self, name, operator.index(value))", "object.__setattr__(self, name, value)"),),
+    ),
+    Mutant(
         "cycles of the last layer only",
         ("tests/test_perf.py",),
         (("perf.py", "    for t in trace.layers:", "    for t in trace.layers[-1:]:"),),
