@@ -1,5 +1,13 @@
 """Batch harness: IDX datasets in, controller-driven inference, reports out.
 
+A batch runs in phases of CHECK_PHASE samples. Every sample of a phase runs
+through the controller first; with --oracle the model's weights are then
+decoded once (`oracle.decoded`) and each sample is checked against the dense
+reference in order, so the decoded weights are read back to back. Reports,
+messages and exit codes are those of checking each sample right after its
+run: a controller error is raised only after the samples before it are
+checked.
+
 Exit codes: 0 success, 1 dataset or output-file error, 2 model image error,
 3 divergence from the dense reference simulator.
 """
@@ -24,8 +32,12 @@ from .errors import (
     SpikeSocError,
 )
 from .model import check_t_max, deserialize_model, serialize_model
-from .oracle import dense_infer
+from .oracle import decoded, dense_infer
 from .perf import cycles_to_ms, memory_footprint, write_breakdown_csv
+
+# Samples per phase (module docstring): on a 784-600-10 model a phase's results
+# take about 2.1 MB, beside one decoded int64 copy of the weights (3.8 MB).
+CHECK_PHASE = 64
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -95,7 +107,8 @@ def run_batch(
     reference simulator: every layer's fire times and final potentials
     (the output layer's only without early_stop, which cuts it short), the
     class and the decision time. The first disagreement raises
-    OracleDivergence naming the sample and where the two differ. A label
+    OracleDivergence naming the sample and where the two differ; a
+    controller error is raised after the samples before it are checked. A label
     the loaded model cannot output raises CorruptDataset before any sample
     runs.
     """
@@ -126,35 +139,45 @@ def run_batch(
     per_sample = []
     correct = 0
     totals = dict.fromkeys(("encode", "sort", "neuron", "decode"), 0)
-    for idx, (frame, label) in enumerate(zip(frames, labels)):
-        try:
-            controller.handle(LoadInput(pixels=frame))
-            _, uart = controller.handle(Run())
-        except SpikeSocError as exc:
-            raise type(exc)(f"sample {idx}: {exc}") from exc
-        parsed = parse_uart_frame(uart)
-        result = controller.last_result
-        if oracle:
-            divergence = first_divergence(
-                result, dense_infer(model, frame), output_layer=not early_stop
-            )
-            if divergence:
-                raise OracleDivergence(
-                    f"sample {idx}: {divergence} (datapath vs dense reference)"
+    for start in range(0, len(frames), CHECK_PHASE):
+        # A controller error waits until the samples before it are checked, so the
+        # first sample at fault is the one reported.
+        runs, failed = [], None
+        for frame in frames[start : start + CHECK_PHASE]:
+            try:
+                controller.handle(LoadInput(pixels=frame))
+                _, uart = controller.handle(Run())
+            except SpikeSocError as exc:
+                failed = exc
+                break
+            runs.append((controller.last_result, uart))
+        reference = decoded(model) if oracle and runs else None
+        for idx, (result, uart) in enumerate(runs, start):
+            parsed = parse_uart_frame(uart)
+            if oracle:
+                divergence = first_divergence(
+                    result, dense_infer(reference, frames[idx]), output_layer=not early_stop
                 )
-        for stage in totals:
-            totals[stage] += getattr(result.cycles, f"{stage}_cycles")
-        if result.predicted == label:
-            correct += 1
-        per_sample.append(
-            {
-                "index": idx,
-                "label": label,
-                "pred": result.predicted,
-                "decision_time": result.decision_time,
-                "cycles": parsed["total_cycles"],
-            }
-        )
+                if divergence:
+                    raise OracleDivergence(
+                        f"sample {idx}: {divergence} (datapath vs dense reference)"
+                    )
+            for stage in totals:
+                totals[stage] += getattr(result.cycles, f"{stage}_cycles")
+            if result.predicted == labels[idx]:
+                correct += 1
+            per_sample.append(
+                {
+                    "index": idx,
+                    "label": labels[idx],
+                    "pred": result.predicted,
+                    "decision_time": result.decision_time,
+                    "cycles": parsed["total_cycles"],
+                }
+            )
+        if failed is not None:
+            raise type(failed)(f"sample {start + len(runs)}: {failed}") from failed
+        del reference  # the next phase's datapath runs without these decoded weights
 
     memory = memory_footprint(model)
     return {

@@ -98,6 +98,17 @@ def _cell_array(cells, dtype: str) -> np.ndarray:
     return array
 
 
+def _binary_weight(i: int, w) -> int:
+    """The cell w at index i of a row as the int +1 or -1; InvalidWeight otherwise."""
+    try:
+        sign = operator.index(w)
+    except TypeError:  # not an integer
+        sign = None
+    if sign not in (1, -1):
+        raise InvalidWeight(f"weight at index {i} is {w!r}, expected -1 or +1")
+    return sign
+
+
 class _CellMatrix:
     """What both weight formats share: `cells`, the read-only 16-bit memory
     cells, one row per postsynaptic neuron, as the flash image stores them."""
@@ -146,7 +157,7 @@ class BinaryWeights(_CellMatrix):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BinaryWeights":
-        """Pack equal-length rows of {-1, +1} weights (LSB-first, +1 -> 1), the inverse of matrix()."""
+        """Pack equal-length rows of integer {-1, +1} weights (LSB-first, +1 -> 1), the inverse of matrix()."""
         if not rows:
             raise ValueError("weight matrix needs at least one row")
         in_dim = len(rows[0])
@@ -155,13 +166,16 @@ class BinaryWeights(_CellMatrix):
                 raise ValueError(f"row {j} length {len(row)} != {in_dim}")
         if in_dim < 1:
             raise ValueError("weight row must hold at least one weight")
-        signs = np.array(rows, dtype=object)  # compares each cell as given
-        plus = signs == 1
-        # ndim: cells that are themselves equal-length sequences make signs 3-D
-        if signs.ndim != 2 or not (plus | (signs == -1)).all():
-            i, w = next((i, w) for row in rows for i, w in enumerate(row) if w not in (1, -1))
-            raise InvalidWeight(f"weight at index {i} is {w!r}, expected -1 or +1")
-        packed = np.packbits(plus, axis=1, bitorder="little")
+        try:
+            signs = np.array(rows)
+        except ValueError:  # cells of unequal shapes
+            signs = np.empty((0, 0, 0))
+        # A 2-D integer array of +1 and -1 packs as it is. Anything else, such as cells
+        # that are sequences (signs 3-D) or floats, is read cell by cell, where a cell
+        # that is not an integer +1 or -1 raises.
+        if signs.ndim != 2 or signs.dtype.kind not in "iu" or not (abs(signs) == 1).all():
+            signs = np.array([[_binary_weight(i, w) for i, w in enumerate(row)] for row in rows])
+        packed = np.packbits(signs == 1, axis=1, bitorder="little")
         return cls(in_dim, np.pad(packed, ((0, 0), (0, packed.shape[1] % 2))).view("<u2"))
 
     def _narrow(self) -> np.ndarray:

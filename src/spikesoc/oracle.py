@@ -21,9 +21,17 @@ There is no BLAS raster product: its worker threads and temporaries slowed
 the single-threaded datapath run after it. Nor is there a gathered copy of
 the spiking columns or of the table's rows: each took more memory, and its
 fresh pages faulting in made checked runs slower.
+
+A batch checked against one model decodes its weights once per phase:
+`decoded(model)` is a copy of the model whose layers hold their `matrix()`
+result in a small read-only record, and `dense_infer` reads it as it reads
+the model's own weights. Caching `matrix()` on each weights object instead
+kept every loaded model's int64 copy alive.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,10 +39,36 @@ from .core import InferenceResult, NeuronState
 from .decoder import decode
 from .encoder import encode_ttfs
 from .errors import DimensionMismatch, InvalidSpikeCode
-from .model import LayerConfig, NetworkModel, WeightMatrix
+from .model import LayerConfig, NetworkModel, WeightMatrix, WeightMode
 
 
-def dense_layer_sweep(codes: np.ndarray, layer: LayerConfig, weights: WeightMatrix) -> NeuronState:
+@dataclass(frozen=True, eq=False)
+class DecodedWeights:
+    """A layer's weights as dense_layer_sweep reads them, decoded once: the
+    mode, the dimensions and `matrix()`, the read-only int64 matrix."""
+
+    mode: WeightMode
+    in_dim: int
+    out_dim: int
+    weights: np.ndarray
+
+    def matrix(self) -> np.ndarray:
+        return self.weights
+
+
+def decoded(model: NetworkModel) -> NetworkModel:
+    """A copy of model whose layers hold their weights decoded, one `matrix()` call each."""
+    layers = []
+    for cfg, weights in model.layers:
+        matrix = weights.matrix()
+        matrix.flags.writeable = False
+        layers.append((cfg, DecodedWeights(weights.mode, weights.in_dim, weights.out_dim, matrix)))
+    return replace(model, layers=layers)
+
+
+def dense_layer_sweep(
+    codes: np.ndarray, layer: LayerConfig, weights: WeightMatrix | DecodedWeights
+) -> NeuronState:
     """Run one layer over the whole window with dense accumulation.
 
     codes are its input spike times, int16 with -1 for none: the input

@@ -15,6 +15,7 @@ from spikesoc import (
     WeightMode,
     serialize_model,
 )
+from spikesoc import cli, controller, oracle
 from spikesoc.cli import (
     load_idx_images,
     load_idx_labels,
@@ -23,7 +24,7 @@ from spikesoc.cli import (
     write_idx_images,
     write_idx_labels,
 )
-from spikesoc.errors import CorruptDataset, NotIdx
+from spikesoc.errors import CorruptDataset, FrameFieldOverflow, NotIdx
 from spikesoc.oracle import dense_infer
 from helpers import (
     image_with_t_max,
@@ -402,3 +403,97 @@ class TestMainExitCodes:
         assert main([str(model_path), str(images_path), str(labels_path), "--oracle", *flags]) == rc
         if rc:
             assert f"sample 0: layer {layer} neuron 2 potential" in capsys.readouterr().err
+
+
+class TestCheckPhases:
+    """`--oracle` runs CHECK_PHASE samples through the controller, then checks
+    them in order against one decoded copy of the weights; what it reports is
+    what checking each sample right after its run would report."""
+
+    def _dataset(self, tmp_path, monkeypatch, phase=2):
+        monkeypatch.setattr(cli, "CHECK_PHASE", phase)
+        rng = make_rng(124)
+        model = random_model(rng, max_layers=2, max_dim=12)
+        paths = _write_dataset(tmp_path, rng, model, 5)
+        frames = load_idx_images(paths[1])
+        assert len(set(frames)) == 5
+        return paths, frames
+
+    def _plant(self, monkeypatch, frames, *, diverge=None, fail=None):
+        """A dense result of another class at sample `diverge`; FrameFieldOverflow
+        from the controller's UART frame at sample `fail`."""
+        if diverge is not None:
+
+            def other_class(model, frame, **kwargs):
+                ref = dense_infer(model, frame, **kwargs)
+                if frame == frames[diverge]:
+                    ref.predicted += 1
+                return ref
+
+            monkeypatch.setattr(cli, "dense_infer", other_class)
+        if fail is not None:
+            real = controller.format_uart_frame
+
+            def overflow(index, result):
+                if index == fail:
+                    raise FrameFieldOverflow("planted")
+                return real(index, result)
+
+            monkeypatch.setattr(controller, "format_uart_frame", overflow)
+
+    def _main(self, paths, *flags):
+        return main([*map(str, paths), "--oracle", *flags])
+
+    @pytest.mark.parametrize("sample", [2, 3, 4])
+    def test_a_divergence_after_the_first_phase_names_its_sample(
+        self, tmp_path, capsys, monkeypatch, sample
+    ):
+        paths, frames = self._dataset(tmp_path, monkeypatch)
+        self._plant(monkeypatch, frames, diverge=sample)
+        assert self._main(paths) == 3
+        assert capsys.readouterr().err.startswith(f"error: oracle divergence: sample {sample}: predicted ")
+
+    @pytest.mark.parametrize(
+        "diverge, fail, rc, sample",
+        [(1, 3, 3, 1), (None, 3, 1, 3), (3, 1, 1, 1), (2, 3, 3, 2), (None, 2, 1, 2)],
+    )
+    def test_the_first_sample_at_fault_is_reported(
+        self, tmp_path, capsys, monkeypatch, diverge, fail, rc, sample
+    ):
+        paths, frames = self._dataset(tmp_path, monkeypatch)
+        self._plant(monkeypatch, frames, diverge=diverge, fail=fail)
+        assert self._main(paths) == rc
+        err = capsys.readouterr().err
+        what = "oracle divergence" if rc == 3 else "dataset"
+        assert err.startswith(f"error: {what}: sample {sample}: ") and err.count("\n") == 1
+
+    def test_every_sample_is_checked_once_against_one_decode_per_phase(self, tmp_path, monkeypatch):
+        paths, frames = self._dataset(tmp_path, monkeypatch)
+        decodes, checked = [], []
+
+        def decode(model):
+            decodes.append(oracle.decoded(model))
+            return decodes[-1]
+
+        def dense(model, frame, **kwargs):
+            checked.append((model, frame))
+            return dense_infer(model, frame, **kwargs)
+
+        monkeypatch.setattr(cli, "decoded", decode)
+        monkeypatch.setattr(cli, "dense_infer", dense)
+        run_batch(*paths, oracle=True)
+        assert len(decodes) == 3
+        assert [frame for _, frame in checked] == frames
+        assert all(model is decodes[k // 2] for k, (model, _) in enumerate(checked))
+
+    @pytest.mark.parametrize("flags", [[], ["--no-early-stop"], ["--t-max", "16"]])
+    def test_report_bytes_do_not_depend_on_the_phase(self, tmp_path, capsys, monkeypatch, flags):
+        paths, _ = self._dataset(tmp_path, monkeypatch, phase=cli.CHECK_PHASE)
+        outputs = []
+        for phase in (cli.CHECK_PHASE, 2):
+            monkeypatch.setattr(cli, "CHECK_PHASE", phase)
+            json_path, csv_path = tmp_path / f"{phase}.json", tmp_path / f"{phase}.csv"
+            rc = self._main(paths, *flags, "--report-json", str(json_path), "--breakdown-csv", str(csv_path))
+            outputs.append((rc, capsys.readouterr(), json_path.read_bytes(), csv_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0

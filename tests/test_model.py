@@ -70,6 +70,15 @@ class TestPackBinaryRow:
         with pytest.raises(InvalidWeight, match=r"index 0 is \[1\],"):
             BinaryWeights.from_rows([[[1], [1]]])
 
+    def test_rejects_a_cell_that_is_not_an_integer(self):
+        """A one-element array compares equal to 1 but is no weight, beside an
+        integer cell or beside another such array; nor is a float."""
+        for rows in ([[np.array([1]), 1]], [[np.array([1]), np.array([1])]]):
+            with pytest.raises(InvalidWeight, match=r"index 0 is array\(\[1\]\), expected -1 or \+1"):
+                BinaryWeights.from_rows(rows)
+        with pytest.raises(InvalidWeight, match="index 1 is 1.0,"):
+            BinaryWeights.from_rows([[1, 1.0]])
+
     def test_error_names_the_first_bad_index(self):
         with pytest.raises(InvalidWeight, match="index 1 is 'a',"):
             pack_row([1, "a", 3])

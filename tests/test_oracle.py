@@ -433,3 +433,44 @@ def test_divergence_messages_name_the_first_difference():
     )
     assert first_divergence(clean, states_result(states(), predicted=1)) == "predicted 0 vs 1"
     assert first_divergence(clean, states_result(states(c1=-1)), output_layer=False) is None
+
+
+@pytest.mark.parametrize("mode", list(WeightMode))
+def test_a_decoded_model_gives_the_same_results(mode):
+    rng = make_rng(86)
+    for _ in range(30):
+        model = random_model(rng, mode=mode)
+        reference = oracle.decoded(model)
+        for _ in range(3):
+            frame = random_frame(rng, model.input_dim)
+            assert dense_infer(reference, frame) == dense_infer(model, frame)
+
+
+def test_decoded_calls_each_layers_matrix_once(monkeypatch):
+    """One decode per layer, kept read-only; the model's own weights stay as they were."""
+    rng = make_rng(87)
+    models = [random_model(rng, mode=mode, max_layers=3) for mode in WeightMode]
+    calls = []
+    matrix = BinaryWeights.matrix  # both formats inherit it
+
+    def counted(weights):
+        calls.append(weights)
+        return matrix(weights)
+
+    monkeypatch.setattr(BinaryWeights, "matrix", counted)
+    monkeypatch.setattr(Fixed16Weights, "matrix", counted)
+    for model in models:
+        calls.clear()
+        reference = oracle.decoded(model)
+        assert calls == [weights for _, weights in model.layers]
+        for (cfg, weights), (decoded_cfg, decoded_weights) in zip(model.layers, reference.layers):
+            assert decoded_cfg is cfg
+            assert (decoded_weights.mode, decoded_weights.in_dim, decoded_weights.out_dim) == (
+                weights.mode, weights.in_dim, weights.out_dim
+            )
+            assert not decoded_weights.matrix().flags.writeable
+            assert np.array_equal(decoded_weights.matrix(), matrix(weights))
+        frame = random_frame(rng, model.input_dim)
+        calls.clear()
+        dense_infer(reference, frame)
+        assert calls == []

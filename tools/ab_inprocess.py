@@ -16,12 +16,18 @@ pairs and change first in odd ones. The two trees' UART bytes must be
 equal on every pass, and a corpus pass's equal to its warm-up's, or the
 script exits 1.
 
-With --checked, a pass times what the benchmark's checked unit does: per
-sample, the same Run plus `oracle.dense_infer` on that sample's model (as
-the tree's own `deserialize_model` reads the image) and frame. The two
-trees' dense results must then also be equal on every pass (class, decision
-time, the input train's codes and t_max, every layer's fire codes and
-potentials), or the script exits 1.
+With --checked, a pass times what the benchmark's checked unit does. On a
+single-model workload that is `cli.run_batch(..., oracle=True)` over IDX
+files of the workload's batches, one model image and one image/label pair
+per batch, written untimed to a temporary directory with the base tree; the
+two trees' per-sample report records (class, decision time, cycles) must be
+equal on every pass, and a sample on which a tree's datapath and its dense
+reference disagree raises there. On corpus_stream it is, per instance, the
+same run_script plus `oracle.dense_infer` on that instance's model (as the
+tree's own `deserialize_model` reads the image) and frame, and the two
+trees' dense results must be equal on every pass (class, decision time, the
+input train's codes and t_max, every layer's fire codes and potentials).
+Either way a difference makes the script exit 1.
 
 An in-process ratio can disagree with perfbench when a change resizes the
 process's largest short-lived array: glibc moves its mmap and trim
@@ -50,6 +56,7 @@ import argparse
 import importlib.util
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -65,6 +72,7 @@ def import_tree(src: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.cli")  # the package itself does not import it
     return module
 
 
@@ -88,10 +96,14 @@ def load_workload(sk, name: str, seed: int):
 
 
 class Side:
-    """One tree's controller and the command streams of a pass, and with
-    `checked` its models for the dense reference."""
+    """One tree's work for a pass: the command streams through one long-lived
+    controller, with `checked` each corpus instance's dense reference, or
+    with `batches` the IDX batches through `cli.run_batch(oracle=True)`."""
 
-    def __init__(self, sk, work, checked=False):
+    def __init__(self, sk, work, checked=False, batches=()):
+        self.run_batch, self.batches = sk.cli.run_batch, batches
+        if batches:  # run_batch loads the model and sends the commands itself
+            return
         C = sk.controller
         self.dense_infer = sk.oracle.dense_infer
         self.models = [sk.model.deserialize_model(image) for image in work.images] if checked else None
@@ -112,9 +124,16 @@ class Side:
             ]
 
     def run_pass(self) -> tuple[float, bytes, list]:
-        """(seconds, UART bytes, dense results) of one pass over every sample;
-        sample indices count on, so only the corpus's frames repeat byte for
-        byte. The dense results are empty unless the side is checked."""
+        """(seconds, UART bytes, checked results) of one pass over every sample.
+        With `batches`: no UART bytes, and each batch's per-sample report
+        records. Otherwise every script's UART bytes (sample indices count on,
+        so only the corpus's frames repeat byte for byte) and, if the side is
+        checked, each instance's dense result."""
+        if self.batches:
+            run_batch = self.run_batch
+            t0 = perf_counter()
+            reports = [run_batch(*paths, oracle=True) for paths in self.batches]
+            return perf_counter() - t0, b"", [report["per_sample"] for report in reports]
         run_script, dense_infer, models = self.controller.run_script, self.dense_infer, self.models
         uart, dense = [], []
         t0 = perf_counter()
@@ -127,6 +146,21 @@ class Side:
                 dense.append(dense_infer(models[m], frame))
         seconds = perf_counter() - t0
         return seconds, b"".join(uart), [plain(result) for result in dense]
+
+
+def write_batches(sk, work, directory: Path) -> list:
+    """The (model, images, labels) paths of each of work's IDX batches, written
+    with sk's IDX writers as the benchmark's checked unit writes them."""
+    model = directory / "model.bin"
+    model.write_bytes(work.images[0])
+    rows, cols = work.idx_shape
+    batches = []
+    for b, batch in enumerate(work.idx_batches):
+        images, labels = directory / f"images_{b}.idx", directory / f"labels_{b}.idx"
+        sk.cli.write_idx_images(images, [work.frames[k] for k in batch], rows, cols)
+        sk.cli.write_idx_labels(labels, [work.labels[k] for k in batch])
+        batches.append((model, images, labels))
+    return batches
 
 
 def plain(result) -> tuple:
@@ -151,7 +185,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=15, help="timed pairs after the warm-up")
     parser.add_argument(
-        "--checked", action="store_true", help="add oracle.dense_infer per sample, as a checked unit"
+        "--checked",
+        action="store_true",
+        help="time the checked unit: run_batch(oracle=True) per IDX batch, or dense_infer per corpus instance",
     )
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -160,8 +196,27 @@ def main(argv=None) -> int:
     base = import_tree(args.base.resolve(), "spikesoc_base")
     change = import_tree(args.change.resolve(), "spikesoc_change")
     work = load_workload(base, args.workload, args.seed)
-    sides = {"base": Side(base, work, args.checked), "change": Side(change, work, args.checked)}
-    single = len(work.images) == 1
+    with tempfile.TemporaryDirectory(prefix="ab_inprocess-") as tmp:
+        single = work.single_model
+        batches = write_batches(base, work, Path(tmp)) if args.checked and single else ()
+        sides = {
+            name: Side(sk, work, args.checked and not single, batches)
+            for name, sk in (("base", base), ("change", change))
+        }
+        return run_pairs(sides, work, args)
+
+
+def run_pairs(sides: dict, work, args) -> int:
+    """The warm-up pass of each side, then args.pairs timed pairs; 1 if the
+    sides' outputs differ."""
+    single = work.single_model
+    results = "run_batch reports" if args.checked and single else "dense results"
+    if not args.checked:
+        compared = "UART bytes"
+    elif single:  # a run_batch pass sends no UART bytes of its own
+        compared = results
+    else:
+        compared = f"UART bytes and {results}"
     warmup = {}
     for name, side in sides.items():
         warmup[name] = side.run_pass()[1:]
@@ -169,24 +224,24 @@ def main(argv=None) -> int:
         print("FAIL: the trees' UART bytes differ on the warm-up pass", file=sys.stderr)
         return 1
     if warmup["base"][1] != warmup["change"][1]:
-        print("FAIL: the trees' dense results differ on the warm-up pass", file=sys.stderr)
+        print(f"FAIL: the trees' {results} differ on the warm-up pass", file=sys.stderr)
         return 1
 
     times = {"base": [], "change": []}
     ratios = []
     for pair in range(args.pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-        uart, dense = {}, {}
+        uart, checked = {}, {}
         for name in order:
-            seconds, uart[name], dense[name] = sides[name].run_pass()
+            seconds, uart[name], checked[name] = sides[name].run_pass()
             times[name].append(seconds)
         # Both controllers have run as many passes, so their sample indices agree;
         # only the corpus, where every instance starts at index 0, repeats its frames.
         if uart["base"] != uart["change"] or (not single and uart["base"] != warmup["base"][0]):
             print(f"FAIL: pair {pair}: the UART bytes differ", file=sys.stderr)
             return 1
-        if dense["base"] != dense["change"]:
-            print(f"FAIL: pair {pair}: the dense results differ", file=sys.stderr)
+        if checked["base"] != checked["change"]:
+            print(f"FAIL: pair {pair}: the {results} differ", file=sys.stderr)
             return 1
         ratios.append(times["base"][-1] / times["change"][-1])
         print(
@@ -195,11 +250,10 @@ def main(argv=None) -> int:
         )
     wins = sum(r > 1 for r in ratios)
     q = statistics.quantiles(times["base"], n=4) if len(ratios) > 1 else times["base"] * 3
-    checked = (", checked", " and dense results") if args.checked else ("", "")
     print(
-        f"{args.workload} seed {args.seed}{checked[0]}, {len(work.frames)} samples a pass, {args.pairs} pairs:"
+        f"{args.workload} seed {args.seed}{', checked' * args.checked}, {len(work.frames)} samples a pass, {args.pairs} pairs:"
         f" median base/change {statistics.median(ratios):.4f}, change faster in {wins}/{args.pairs};"
-        f" base pass quartiles {' / '.join(f'{x * 1e3:.2f}' for x in q)} ms; UART bytes{checked[1]} equal"
+        f" base pass quartiles {' / '.join(f'{x * 1e3:.2f}' for x in q)} ms; {compared} equal"
     )
     return 0
 

@@ -123,6 +123,32 @@ MUTANTS = (
         (("perf.py", "c.out_dim * words_per_row(c.in_dim) * 2", "c.out_dim * c.in_dim // 8"),),
     ),
     Mutant(
+        "BinaryWeights.from_rows packs an array of float cells as it is",
+        ("tests/test_model.py",),
+        (("model.py", 'signs.dtype.kind not in "iu"', 'signs.dtype.kind not in "iuf"'),),
+    ),
+    Mutant(
+        "run_batch raises a controller error before checking the samples ahead of it",
+        ("tests/test_cli.py",),
+        ((
+            "cli.py",
+            "        reference = decoded(model) if oracle and runs else None\n",
+            "        if failed is not None:\n"
+            "            raise type(failed)(f\"sample {start + len(runs)}: {failed}\") from failed\n"
+            "        reference = decoded(model) if oracle and runs else None\n",
+        ),),
+    ),
+    Mutant(
+        "run_batch checks only a phase's first sample",
+        ("tests/test_cli.py",),
+        (("cli.py", "            if oracle:\n                divergence", "            if oracle and idx == start:\n                divergence"),),
+    ),
+    Mutant(
+        "run_batch decodes the weights for every sample",
+        ("tests/test_cli.py",),
+        (("cli.py", "dense_infer(reference, frames[idx])", "dense_infer(decoded(model), frames[idx])"),),
+    ),
+    Mutant(
         "LayerConfig keeps a field that is not an integer",
         ("tests/test_model.py",),
         (("model.py", "object.__setattr__(self, name, operator.index(value))", "object.__setattr__(self, name, value)"),),
