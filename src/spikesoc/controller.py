@@ -189,6 +189,7 @@ class Controller:
 
     A failed command leaves the state untouched. LoadModel starts a new
     batch: it discards any pending input and zeroes the sample index.
+    LoadInput takes pixel bytes, `bytes` or `bytearray`; anything else raises TypeError.
     """
 
     def __init__(self, *, early_stop: bool = True):
@@ -221,6 +222,8 @@ class Controller:
         if isinstance(command, LoadInput):
             if self.model is None:
                 raise ProtocolViolation("LoadInput before any model is loaded")
+            if not isinstance(command.pixels, (bytes, bytearray)):
+                raise TypeError(f"a frame is pixel bytes, got {type(command.pixels).__name__}")
             if len(command.pixels) != self.model.input_dim:
                 raise DimensionMismatch(
                     f"input holds {len(command.pixels)} pixels, "

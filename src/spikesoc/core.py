@@ -263,18 +263,13 @@ def run_network(
     frame: bytes,
     *,
     early_stop: bool = True,
-    spike_on_zero: bool = False,
 ) -> InferenceResult:
     """Full pipeline: encode, then per layer sort and run, then decode.
 
     With early_stop the output layer stops once a decision exists; hidden
     layers always run to completion (their later spikes still matter).
-    spike_on_zero switches the encoder to the last-timestep convention for
-    zero pixels, used by the skip-safety equivalence checks.
     """
-    input_train = encode_ttfs(
-        frame, model.t_max, spike_on_zero=spike_on_zero, expected_dim=model.input_dim
-    )
+    input_train = encode_ttfs(frame, model.t_max, expected_dim=model.input_dim)
     codes = input_train.codes
     last_layer = len(model.layers) - 1
     layer_states = []

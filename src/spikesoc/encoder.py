@@ -2,8 +2,7 @@
 
 An 8-bit intensity becomes a first-spike time by bitwise inversion, so
 brighter pixels spike earlier. Zero-intensity pixels carry no usable
-timing information and emit no spike at all; the last-timestep-spike
-variant is kept behind a switch for equivalence checks.
+timing information and emit no spike at all.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ def encode_ttfs(
     frame: bytes,
     t_max: int,
     *,
-    spike_on_zero: bool = False,
     expected_dim: Optional[int] = None,
 ) -> SpikeTrain:
     """Map 8-bit intensities to first-spike times inside a t_max window.
@@ -36,14 +34,14 @@ def encode_ttfs(
         raise TypeError(f"a frame is pixel bytes, got {type(frame).__name__}")
     if expected_dim is not None and len(frame) != expected_dim:
         raise DimensionMismatch(f"frame holds {len(frame)} pixels, expected {expected_dim}")
-    codes = _code_table(t_max, spike_on_zero)[np.frombuffer(frame, np.uint8)]
+    codes = _code_table(t_max)[np.frombuffer(frame, np.uint8)]
     return SpikeTrain(codes, t_max)
 
 
 @lru_cache(maxsize=None)
-def _code_table(t_max: int, spike_on_zero: bool) -> np.ndarray:
+def _code_table(t_max: int) -> np.ndarray:
     """The int16 code of every intensity, so a frame is one gather."""
     shift = 9 - t_max.bit_length()  # 8 - log2(t_max)
     table = (t_max - 1 - (np.arange(256) >> shift)).astype(np.int16)
-    table[0] = t_max - 1 if spike_on_zero else -1
+    table[0] = -1
     return table

@@ -110,13 +110,9 @@ def dense_layer_sweep(
     return NeuronState(contributions[rows, neurons].tolist(), fire_codes)
 
 
-def dense_infer(
-    model: NetworkModel, frame: bytes, *, spike_on_zero: bool = False
-) -> InferenceResult:
+def dense_infer(model: NetworkModel, frame: bytes) -> InferenceResult:
     """Whole-network dense sweep with the same decode rule as the datapath."""
-    input_train = encode_ttfs(
-        frame, model.t_max, spike_on_zero=spike_on_zero, expected_dim=model.input_dim
-    )
+    input_train = encode_ttfs(frame, model.t_max, expected_dim=model.input_dim)
     codes = input_train.codes
     layer_states = []
     for cfg, weights in model.layers:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from spikesoc import InferenceResult, dense_infer, run_network
-from helpers import Instance, conditioned_instance, make_rng
+from helpers import Instance, conditioned_instance, make_rng, zero_pixels_spike_last
 
 CORPUS_SEED = 0x5C0FFEE
 CORPUS_SIZE = 1000
@@ -32,7 +32,7 @@ class InstanceRuns:
 
     inst: Instance
     untruncated: InferenceResult          # early stop off
-    relaxed: InferenceResult              # early stop off, zero pixels spike
+    relaxed: InferenceResult              # early stop off, zero pixels spike last
     dense: InferenceResult                # brute-force reference
 
 
@@ -43,20 +43,21 @@ def corpus():
     Every instance is conditioned so its decision is an output spike
     strictly before the last timestep; last-timestep events then cannot
     change the outcome, which is what makes the zero-pixel encoding check
-    well-posed. Unconditioned coverage (fallback decisions, silent layers)
-    lives in the regular oracle tests.
+    well-posed. The relaxed runs use the all-spike encoder of
+    helpers.zero_pixels_spike_last. Unconditioned coverage (fallback
+    decisions, silent layers) lives in the regular oracle tests.
     """
     rng = make_rng(CORPUS_SEED)
     runs = []
     for _ in range(CORPUS_SIZE):
         inst = conditioned_instance(rng)
+        with zero_pixels_spike_last():
+            relaxed = run_network(inst.model, inst.frame, early_stop=False)
         runs.append(
             InstanceRuns(
                 inst=inst,
                 untruncated=run_network(inst.model, inst.frame, early_stop=False),
-                relaxed=run_network(
-                    inst.model, inst.frame, early_stop=False, spike_on_zero=True
-                ),
+                relaxed=relaxed,
                 dense=dense_infer(inst.model, inst.frame),
             )
         )

@@ -3,9 +3,11 @@
 import copy
 import pickle
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
 from spikesoc import (
     NO_SPIKE,
@@ -17,10 +19,13 @@ from spikesoc import (
     NetworkModel,
     SpikeTrain,
     WeightMode,
+    core,
+    oracle,
     run_network,
     serialize_model,
 )
 from spikesoc.core import NeuronState, first_divergence
+from spikesoc.encoder import encode_ttfs
 from spikesoc.errors import DimensionMismatch
 from spikesoc.model import INT32_MAX, INT32_MIN, slot_values
 
@@ -164,6 +169,25 @@ def reference_encode(frame, t_max, *, spike_on_zero=False):
         else:
             times.append(last - (p >> shift))
     return tuple(times)
+
+
+@contextmanager
+def zero_pixels_spike_last():
+    """The all-spike input convention, for the skip-safety checks: while the
+    context is open, run_network and dense_infer encode each zero pixel as a
+    spike at t_max - 1 instead of no spike. Both look up encode_ttfs in their
+    own module, so patching those two names reaches both paths. Yields the
+    all-spike encoder, which takes encode_ttfs's arguments."""
+
+    def encode(frame, t_max, *, expected_dim=None):
+        codes = encode_ttfs(frame, t_max, expected_dim=expected_dim).codes.copy()
+        codes[np.frombuffer(frame, np.uint8) == 0] = t_max - 1
+        return SpikeTrain(codes, t_max)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "encode_ttfs", encode)
+        patch.setattr(oracle, "encode_ttfs", encode)
+        yield encode
 
 
 def reference_train_check(times, t_max):

@@ -63,6 +63,26 @@ def test_corpus_is_pinned_by_content(corpus):
     assert digest.hexdigest() == CORPUS_SHA256
 
 
+# sha256 over each corpus instance's all-spike run (early stop off, zero pixels
+# spiking at t_max - 1), in order: the outcome, cycles and input codes, then each
+# layer's fire codes and potentials, every part behind its u32le length. The
+# all-spike encoder lives in tests/helpers.py, so this pins it to the same runs.
+RELAXED_SHA256 = "059846ee21925fdd11da7dd387a4e4aab7b91c289c0f16a4af378b433eb3761f"
+
+
+def test_relaxed_runs_are_pinned_by_content(corpus):
+    digest = hashlib.sha256()
+    for runs in corpus:
+        r = runs.relaxed
+        head = (r.predicted, r.decision_time, r.cycles.total_cycles, r.input_train.codes.tolist())
+        parts = [repr(head).encode()]
+        for state in r.layer_states:
+            parts += [state.fire_codes.tobytes(), repr(state.potentials).encode()]
+        for part in parts:
+            digest.update(len(part).to_bytes(4, "little") + part)
+    assert digest.hexdigest() == RELAXED_SHA256
+
+
 def test_criterion_oracle_equivalence(corpus):
     """Event-driven inference equals the dense reference exactly: predicted
     class, decision time, every fire time, every final potential."""

@@ -1,10 +1,12 @@
 """The documented top-level API: exactly these names, each importable."""
 
 import ast
+import inspect
 import types
 from pathlib import Path
 
 import spikesoc
+from spikesoc.encoder import encode_ttfs
 
 PUBLIC = {
     # what tests/test_acceptance.py imports from the top level
@@ -63,3 +65,18 @@ def test_every_top_level_import_of_the_acceptance_suite_is_public():
     }
     assert len(imported) == 19
     assert imported <= set(spikesoc.__all__)
+
+
+def _bare_signature(function):
+    """function's signature as text, without annotations."""
+    sig = inspect.signature(function)
+    bare = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+    return str(sig.replace(parameters=bare, return_annotation=sig.empty))
+
+
+def test_inference_entry_points_take_no_encoding_switch():
+    # A zero pixel has one encoding, no spike; the all-spike convention the
+    # skip-safety checks compare against lives in tests/helpers.py.
+    assert _bare_signature(spikesoc.run_network) == "(model, frame, *, early_stop=True)"
+    assert _bare_signature(spikesoc.dense_infer) == "(model, frame)"
+    assert _bare_signature(encode_ttfs) == "(frame, t_max, *, expected_dim=None)"

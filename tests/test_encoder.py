@@ -3,12 +3,18 @@ from functools import partial
 import numpy as np
 import pytest
 
-from spikesoc import NO_SPIKE, run_network
+from spikesoc import NO_SPIKE, Controller, LoadInput, LoadModel, run_network, serialize_model
+from spikesoc.controller import Phase
 from spikesoc.encoder import encode_ttfs
 from spikesoc.errors import DimensionMismatch
 from spikesoc.model import slot_values
 from spikesoc.oracle import dense_infer
-from helpers import conditioned_instance, make_rng, one_hot_output_model
+from helpers import (
+    conditioned_instance,
+    make_rng,
+    one_hot_output_model,
+    zero_pixels_spike_last,
+)
 
 
 def test_max_intensity_spikes_first():
@@ -27,8 +33,9 @@ def test_zero_pixel_is_silent():
 
 
 def test_zero_pixel_spike_variant_lands_on_last_step():
-    assert slot_values(encode_ttfs(bytes([0]), 256, spike_on_zero=True).codes) == [255]
-    assert slot_values(encode_ttfs(bytes([0]), 64, spike_on_zero=True).codes) == [63]
+    with zero_pixels_spike_last() as encode:
+        assert slot_values(encode(bytes([0]), 256).codes) == [255]
+        assert slot_values(encode(bytes([0]), 64).codes) == [63]
 
 
 def test_shift_rule_for_narrow_window():
@@ -76,18 +83,43 @@ def test_non_power_of_two_window_rejected():
 
 
 FRAME = bytes([7])  # pixel bytes, for one_hot_output_model's single input
+WAITING = bytes([9])
 MODEL = one_hot_output_model(2)
+
+
+def load_input(frame):
+    """LoadInput of frame on a controller holding MODEL and an input waiting
+    for Run, which a rejected frame must leave waiting."""
+    controller = Controller()
+    controller.handle(LoadModel(serialize_model(MODEL)))
+    controller.handle(LoadInput(WAITING))
+    try:
+        controller.handle(LoadInput(frame))
+    except TypeError:
+        assert (controller.phase, controller.pending_input) == (Phase.INPUT_LOADED, WAITING)
+        raise
 
 
 @pytest.mark.parametrize(
     "frame",
-    [list(FRAME), tuple(FRAME), np.frombuffer(FRAME, np.uint8), np.array(list(FRAME), np.int64)],
-    ids=["list", "tuple", "uint8", "int64"],
+    [
+        list(FRAME),
+        tuple(FRAME),
+        np.frombuffer(FRAME, np.uint8),
+        np.array(list(FRAME), np.int64),
+        [300, 1],  # not byte values at all: bytes() of it raises ValueError
+    ],
+    ids=["list", "tuple", "uint8", "int64", "list-300"],
 )
 @pytest.mark.parametrize(
     "encode",
-    [partial(encode_ttfs, t_max=256), partial(run_network, MODEL), partial(dense_infer, MODEL)],
-    ids=["encode_ttfs", "run_network", "dense_infer"],
+    [
+        partial(encode_ttfs, t_max=256),
+        partial(run_network, MODEL),
+        partial(dense_infer, MODEL),
+        load_input,
+    ],
+    ids=["encode_ttfs", "run_network", "dense_infer", "controller"],
 )
 def test_a_frame_that_is_not_pixel_bytes_raises_type_error(frame, encode):
     encode(FRAME)  # the same pixels as bytes run
@@ -102,8 +134,9 @@ def test_zero_pixel_convention_cannot_flip_an_early_decision():
     checked = 0
     for _ in range(200):
         inst = conditioned_instance(rng)
-        silent = dense_infer(inst.model, inst.frame, spike_on_zero=False)
-        spiking = dense_infer(inst.model, inst.frame, spike_on_zero=True)
+        silent = dense_infer(inst.model, inst.frame)
+        with zero_pixels_spike_last():
+            spiking = dense_infer(inst.model, inst.frame)
         assert silent.predicted == spiking.predicted
         assert silent.decision_time == spiking.decision_time
         if 0 in inst.frame:

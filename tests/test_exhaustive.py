@@ -17,8 +17,9 @@ from every frame of two pixels at t_max 4. Every 2x2 binary layer (16 sign
 patterns, thresholds -1, 0 and 1) runs as the output layer behind a hidden
 layer that passes its input through, and as the hidden layer in front of
 that same layer as output. Those frames give every input train at t_max 4,
-so `spike_on_zero` frames, whose zero pixels encode like pixel 1, add none;
-tests/test_oracle.py checks that both paths pass it on.
+so all-spike frames (helpers.zero_pixels_spike_last), whose zero pixels
+encode like pixel 1, add none; tests/test_oracle.py checks that both paths
+encode through it.
 """
 
 import itertools

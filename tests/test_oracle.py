@@ -35,6 +35,7 @@ from helpers import (
     random_model,
     spike_train,
     states_result,
+    zero_pixels_spike_last,
 )
 
 
@@ -333,11 +334,12 @@ def test_equivalence_holds_under_spike_on_zero_variant():
     for _ in range(100):
         model = random_model(rng)
         frame = random_frame(rng, model.input_dim, zero_fraction=0.3)
-        dense = dense_infer(model, frame, spike_on_zero=True)
-        event = run_network(model, frame, early_stop=False, spike_on_zero=True)
+        with zero_pixels_spike_last() as encode:
+            dense = dense_infer(model, frame)
+            event = run_network(model, frame, early_stop=False)
+            # Both paths encode through the patched encoder: zero pixels spike last.
+            train = encode(frame, model.t_max)
         assert_same_state(event, dense)
-        # Both paths pass spike_on_zero on to the encoder: zero pixels spike last.
-        train = encode_ttfs(frame, model.t_max, spike_on_zero=True)
         assert event.input_train == dense.input_train == train
         zeros = np.frombuffer(frame, np.uint8) == 0
         assert (train.codes[zeros] == model.t_max - 1).all()

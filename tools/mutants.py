@@ -60,6 +60,16 @@ MUTANTS = (
         ),),
     ),
     Mutant(
+        "LoadInput stores any pixel sequence through bytes()",
+        ("tests/test_encoder.py",),
+        ((
+            "controller.py",
+            "            if not isinstance(command.pixels, (bytes, bytearray)):\n"
+            '                raise TypeError(f"a frame is pixel bytes, got {type(command.pixels).__name__}")\n',
+            "",
+        ),),
+    ),
+    Mutant(
         "Reset keeps last_result",
         ("tests/test_controller.py",),
         ((
@@ -93,19 +103,6 @@ MUTANTS = (
         "run_script drops the interrupts before a failing command",
         ("tests/test_controller.py",),
         (("controller.py", "error.interrupts = bytes(uart), interrupts", "error.interrupts = bytes(uart), []"),),
-    ),
-    Mutant(
-        "run_network and dense_infer both ignore spike_on_zero",
-        ("tests/test_oracle.py",),
-        (
-            ("core.py", "model.t_max, spike_on_zero=spike_on_zero,", "model.t_max, spike_on_zero=False,"),
-            ("oracle.py", "model.t_max, spike_on_zero=spike_on_zero,", "model.t_max, spike_on_zero=False,"),
-        ),
-    ),
-    Mutant(
-        "encode_ttfs ignores spike_on_zero",
-        ("tests/test_encoder.py",),
-        (("encoder.py", "_code_table(t_max, spike_on_zero)[", "_code_table(t_max, False)["),),
     ),
     Mutant(
         "run_script runs nothing before a malformed command",
