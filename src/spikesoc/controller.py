@@ -95,6 +95,8 @@ COMMANDS = {
     Reset: (0x0F, None),
 }
 _BY_TAG = {tag: (cls, length) for cls, (tag, length) in COMMANDS.items()}
+# What a payload command's field holds: `bytes` or `bytearray`, else TypeError.
+_PAYLOAD_RULE = {LoadModel: "a flash image is bytes", LoadInput: "a frame is pixel bytes"}
 
 
 def xor_checksum(data: bytes) -> int:
@@ -146,6 +148,8 @@ def encode_command(command: Command) -> bytes:
     if length is None:
         return bytes([tag])
     (payload,) = vars(command).values()
+    if not isinstance(payload, (bytes, bytearray)):
+        raise TypeError(f"{_PAYLOAD_RULE[type(command)]}, got {type(payload).__name__}")
     if len(payload) >= 1 << (8 * length.size):
         raise ProtocolViolation(
             f"{type(command).__name__} payload of {len(payload)} bytes overflows its"
@@ -189,7 +193,8 @@ class Controller:
 
     A failed command leaves the state untouched. LoadModel starts a new
     batch: it discards any pending input and zeroes the sample index.
-    LoadInput takes pixel bytes, `bytes` or `bytearray`; anything else raises TypeError.
+    LoadInput takes pixel bytes and LoadModel a flash image, each `bytes` or
+    `bytearray`; anything else raises TypeError, as encode_command does.
     """
 
     def __init__(self, *, early_stop: bool = True):
@@ -223,7 +228,7 @@ class Controller:
             if self.model is None:
                 raise ProtocolViolation("LoadInput before any model is loaded")
             if not isinstance(command.pixels, (bytes, bytearray)):
-                raise TypeError(f"a frame is pixel bytes, got {type(command.pixels).__name__}")
+                raise TypeError(f"{_PAYLOAD_RULE[LoadInput]}, got {type(command.pixels).__name__}")
             if len(command.pixels) != self.model.input_dim:
                 raise DimensionMismatch(
                     f"input holds {len(command.pixels)} pixels, "

@@ -1,5 +1,5 @@
-"""Event-driven datapath: one prefix scan per layer over the sorter's event
-queue arrays, and whole-network inference with event skipping.
+"""Event-driven datapath: per layer, the sorter's event queue of its input
+codes and one prefix scan over it; whole-network inference with event skipping.
 
 Conventions fixed here and mirrored by the dense reference simulator:
 
@@ -22,20 +22,19 @@ The prefix sum runs in the narrowest accumulator that is exact for the
 layer: no prefix of n events passes n times the largest |weight|, so it is
 int16 while that bound fits (every binary layer of up to 32767 events),
 else int32. A layer has at most 65535 inputs (the flash record's u16
-in_dim) and sees at most one event per input, so no prefix passes
-65535 * 2^15 < 2^31: int32 is exact for every layer, and a hand-built queue
-that repeats inputs past that bound is rejected, never wrapped. np.cumsum
-along the event axis is a scalar loop, about 2.3 ns per cell, while adding
-one whole row slice into another costs about 0.07 ns per cell. So a large
-layer is scanned in blocks of rows by row-slice adds, within every block at
-once, then over the block totals and the tail; only the rows read get their
-block's offset, and only the columns that fire are searched for a first
-crossing. Below BLOCKED_SCAN_CELLS gathered cells (every acceptance-corpus
-layer) one cumsum and argmax are faster. There a numpy call's fixed cost
-outweighs its data, so the range check reads one argmin and one argmax (a
-reduction costs 4x as much), an early-stopped layer finds its stop group by
-one argmax over the row-major fire test, and a neuron that never crosses
-stops at the last group because that row of the fire test is set.
+in_dim) and its queue, sorted from its codes, holds at most one event per
+input, so no prefix passes 65535 * 2^15 < 2^31: int32 is exact for every
+layer. np.cumsum along the event axis is a scalar loop, about 2.3 ns per
+cell, while adding one whole row slice into another costs about 0.07 ns per
+cell. So a large layer is scanned in blocks of rows by row-slice adds,
+within every block at once, then over the block totals and the tail; only
+the rows read get their block's offset, and only the columns that fire are
+searched for a first crossing. Below BLOCKED_SCAN_CELLS gathered cells
+(every acceptance-corpus layer) one cumsum and argmax are faster. There a
+numpy call's fixed cost outweighs its data, so an early-stopped layer finds
+its stop group by one argmax over the row-major fire test, and a neuron
+that never crosses stops at the last group because that row of the fire
+test is set.
 
 Non-informative events are skipped, never processed: events into a layer
 whose neurons have all fired, and events behind the output layer's
@@ -44,8 +43,8 @@ decision time when early termination is on.
 run_layer returns, with the layer's NeuronState, its LayerTally: events
 sorted and processed, and the adds, subs or multiplies they made. Every
 network total (LayerTally.total, the cycle report) is a sum of those tallies.
-run_network hands each layer's int16 fire codes to the next layer's sorter
-as they are, as the dense oracle hands them to its next sweep, and stores
+run_network hands each layer's int16 fire codes to the next run_layer as
+they are, as the dense oracle hands them to its next sweep, and stores
 only the states and the RunTrace of tallies; the result's counters and
 cycle report are views derived from them on first read.
 """
@@ -64,7 +63,6 @@ from .encoder import encode_ttfs
 from .errors import DimensionMismatch
 from .model import (
     INT16_MAX,
-    INT32_MAX,
     LayerConfig,
     NetworkModel,
     SpikeTrain,
@@ -135,34 +133,30 @@ class NeuronState:
 
 
 def run_layer(
-    events: np.ndarray,
-    group_times: np.ndarray,
-    group_ends: np.ndarray,
+    codes: np.ndarray,
     layer: LayerConfig,
     weights: WeightMatrix,
     *,
     stop_at_first_fire: bool = False,
 ) -> tuple[NeuronState, LayerTally]:
-    """Consume one layer's event queue, as sort_spikes returns it.
-
-    Each event of a group adds its weight column into every unfired neuron;
-    then one fire check scans the neurons in ascending index order. Groups
-    after every neuron has fired are skipped, and with stop_at_first_fire
-    the layer stops after the first group that fires anything.
+    """Run one layer on its int16 input codes, -1 for no spike, as
+    dense_layer_sweep takes them; sort_spikes queues them by time. Each event
+    of a group adds its weight column into every unfired neuron; then one
+    fire check scans the neurons in ascending index order. Groups after every
+    neuron has fired are skipped, and with stop_at_first_fire the layer stops
+    after the first group that fires anything.
     """
+    if len(codes) != layer.in_dim:
+        raise DimensionMismatch(f"train length {len(codes)} != layer in_dim {layer.in_dim}")
     if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
         raise DimensionMismatch("weight shape disagrees with layer config")
+    events, group_times, group_ends = sort_spikes(codes)
     if not len(events):
         state = NeuronState([0] * layer.out_dim, np.full(layer.out_dim, -1, np.int16))
         return state, LayerTally(layer.in_dim, layer.out_dim, 0, 0)
-    if events[events.argmin()] < 0 or events[events.argmax()] >= layer.in_dim:
-        bad = events[(events < 0) | (events >= layer.in_dim)][0]
-        raise DimensionMismatch(f"event index {bad} outside the layer's inputs [0, {layer.in_dim})")
 
-    bound = len(events) * weights.max_abs  # no prefix of these events goes past it
-    if bound > INT32_MAX:  # only a queue that repeats inputs gets here
-        raise DimensionMismatch(f"{len(events)} events of |weight| {weights.max_abs} can pass int32")
-    acc = np.int16 if bound <= INT16_MAX else np.int32
+    # No prefix of these events passes len(events) * max_abs, below 2^31 (module docstring).
+    acc = np.int16 if len(events) * weights.max_abs <= INT16_MAX else np.int32
     blocked = len(events) * layer.out_dim >= BLOCKED_SCAN_CELLS
     # ends[g, j]: neuron j's potential after group g, had it never frozen.
     ends = _prefix_rows(weights.columns, events, group_ends, acc, blocked)
@@ -275,12 +269,7 @@ def run_network(
     layer_states = []
     tallies = []
     for k, (cfg, weights) in enumerate(model.layers):
-        state, tally = run_layer(
-            *sort_spikes(codes, model.t_max),
-            cfg,
-            weights,
-            stop_at_first_fire=early_stop and k == last_layer,
-        )
+        state, tally = run_layer(codes, cfg, weights, stop_at_first_fire=early_stop and k == last_layer)
         codes = state.fire_codes  # the next layer's input, as they are
         tallies.append(tally)
         layer_states.append(state)

@@ -372,7 +372,10 @@ def deserialize_model(data: bytes) -> NetworkModel:
     ValueError is raised here as CorruptImage: WeightMode the mode byte,
     LayerConfig dimensions and alpha, NetworkModel t_max, the layer count and
     the chaining (InconsistentDims), BinaryWeights the padding (CorruptWeightWord).
+    An image that is not `bytes` or `bytearray` raises TypeError.
     """
+    if not isinstance(data, (bytes, bytearray)):
+        raise TypeError(f"a flash image is bytes, got {type(data).__name__}")
     if len(data) < 4 or data[:4] != FLASH_MAGIC:
         raise NotAModelImage("missing SNN1 magic")
     records = len(FLASH_MAGIC) + FLASH_HEADER.size  # where the layer records start

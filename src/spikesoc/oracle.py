@@ -80,7 +80,7 @@ def dense_layer_sweep(
     above the effective threshold, and keeps the potential of that row (of
     the last row if it never fires). Timesteps with no events have no row, so
     they are not checked, as in the event-driven datapath. A code below -1
-    raises InvalidSpikeCode naming the first one, as sort_spikes does.
+    raises InvalidSpikeCode naming the first one, as run_layer does.
     """
     if len(codes) != layer.in_dim:
         raise DimensionMismatch(f"train length {len(codes)} != layer in_dim {layer.in_dim}")

@@ -219,17 +219,19 @@ def spike_train(times, t_max):
     return SpikeTrain(np.array([-1 if t is NO_SPIKE else t for t in times], np.int16), t_max)
 
 
-def as_queue(groups):
-    """(time, indices) timestep groups as the arrays sort_spikes returns
-    and run_layer takes: (events, group_times, group_ends)."""
-    events = np.array([i for _, indices in groups for i in indices], dtype=np.intp)
-    group_times = np.array([t for t, _ in groups], dtype=np.intp)
-    group_ends = np.cumsum([len(indices) for _, indices in groups], dtype=np.intp) - 1
-    return events, group_times, group_ends
+def as_codes(groups, in_dim):
+    """(time, indices) timestep groups as the int16 codes of in_dim inputs
+    that run_layer takes: codes[i] = t for each index i of a group at time t,
+    -1 elsewhere. An input spikes at most once, so no index may repeat."""
+    codes = np.full(in_dim, -1, np.int16)
+    for t, indices in groups:
+        assert (codes[indices] == -1).all() and len(set(indices)) == len(indices), indices
+        codes[indices] = t
+    return codes
 
 
 def as_groups(events, group_times, group_ends):
-    """The inverse of as_queue: one (time, indices) group per group time."""
+    """The arrays sort_spikes returns as (time, indices) groups, one per group time."""
     starts = [0, *(group_ends[:-1] + 1).tolist()]
     return [
         (t, events[start : end + 1].tolist())

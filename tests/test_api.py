@@ -6,7 +6,10 @@ import types
 from pathlib import Path
 
 import spikesoc
+from spikesoc.core import run_layer
 from spikesoc.encoder import encode_ttfs
+from spikesoc.oracle import dense_layer_sweep
+from spikesoc.sorter import sort_spikes
 
 PUBLIC = {
     # what tests/test_acceptance.py imports from the top level
@@ -80,3 +83,10 @@ def test_inference_entry_points_take_no_encoding_switch():
     assert _bare_signature(spikesoc.run_network) == "(model, frame, *, early_stop=True)"
     assert _bare_signature(spikesoc.dense_infer) == "(model, frame)"
     assert _bare_signature(encode_ttfs) == "(frame, t_max, *, expected_dim=None)"
+
+
+def test_both_layer_paths_take_a_layers_codes():
+    # run_layer sorts its own input, so both paths accept and reject the same codes.
+    assert _bare_signature(run_layer) == "(codes, layer, weights, *, stop_at_first_fire=False)"
+    assert _bare_signature(dense_layer_sweep) == "(codes, layer, weights)"
+    assert _bare_signature(sort_spikes) == "(codes)"

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from spikesoc import (
@@ -14,6 +15,7 @@ from spikesoc import (
     Reset,
     Run,
     WeightMode,
+    deserialize_model,
     encode_command,
     serialize_model,
 )
@@ -73,6 +75,39 @@ COMMAND_CASES = (
 
 def _snapshot(c):
     return (c.phase, c.model, c.pending_input, c.last_result, c.sample_index)
+
+
+IMAGE = serialize_model(_small_model())
+
+
+def _load_model(image):
+    """LoadModel of image on a controller holding a model and an input waiting
+    for Run, which a rejected image must leave as they were."""
+    c = Controller()
+    c.handle(LoadModel(IMAGE))
+    c.handle(LoadInput(bytes([200] * 16)))
+    before = _snapshot(c)
+    try:
+        c.handle(LoadModel(image))
+    except TypeError:
+        assert _snapshot(c) == before
+        raise
+
+
+@pytest.mark.parametrize(
+    "image",
+    [list(IMAGE), tuple(IMAGE), np.frombuffer(IMAGE, np.uint8), IMAGE.decode("latin-1"), memoryview(IMAGE)],
+    ids=["list", "tuple", "uint8", "str", "memoryview"],
+)
+@pytest.mark.parametrize(
+    "load",
+    [deserialize_model, _load_model, lambda image: encode_command(LoadModel(image))],
+    ids=["deserialize_model", "controller", "encode_command"],
+)
+def test_a_flash_image_that_is_not_bytes_raises_type_error(image, load):
+    load(IMAGE)  # the same image as bytes loads
+    with pytest.raises(TypeError, match=rf"^a flash image is bytes, got {type(image).__name__}$"):
+        load(image)
 
 
 def _result(predicted, decision_time, total_cycles):

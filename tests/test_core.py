@@ -14,7 +14,7 @@ from spikesoc import (
     run_network,
     serialize_model,
 )
-from spikesoc.core import run_layer
+from spikesoc.core import _prefix_rows, run_layer
 from spikesoc.errors import DimensionMismatch
 from spikesoc.model import slot_values
 from spikesoc.oracle import dense_layer_sweep
@@ -22,8 +22,8 @@ from spikesoc.perf import LayerTally
 from spikesoc.sorter import sort_spikes
 from helpers import (
     COPIES,
+    as_codes,
     as_groups,
-    as_queue,
     dense_potentials,
     fired_flags,
     make_rng,
@@ -38,15 +38,15 @@ from helpers import (
 )
 
 
-def _one_event_per_timestep(indices):
-    return as_queue([(t, [i]) for t, i in enumerate(indices)])
+def _one_event_per_timestep(indices, in_dim):
+    return as_codes([(t, [i]) for t, i in enumerate(indices)], in_dim)
 
 
 class TestAccumulateBinary:
     def test_three_events_net_plus_one(self):
         cfg = LayerConfig(3, 1, threshold=100)
         w = BinaryWeights.from_rows([[1, -1, 1]])
-        state, tally = run_layer(*_one_event_per_timestep(range(3)), cfg, w)
+        state, tally = run_layer(_one_event_per_timestep(range(3), 3), cfg, w)
         assert state.potentials == [1]
         assert tally.additions == 2
         assert tally.subtractions == 1
@@ -57,7 +57,7 @@ class TestAccumulateBinary:
         # reaches only neuron 1
         cfg = LayerConfig(8, 2, threshold=7)
         w = BinaryWeights.from_rows([[1] * 8, [-1] * 7 + [1]])
-        state, _ = run_layer(*as_queue([(0, list(range(7))), (1, [7])]), cfg, w)
+        state, _ = run_layer(as_codes([(0, list(range(7))), (1, [7])], 8), cfg, w)
         assert state.fire_times == [0, NO_SPIKE]
         assert state.potentials == [7, -6]
 
@@ -66,8 +66,8 @@ class TestAccumulateBinary:
         rows = [[rng.choice((-1, 1)) for _ in range(64)] for _ in range(8)]
         w = BinaryWeights.from_rows(rows)
         cfg = LayerConfig(64, 8, threshold=10**6)  # never fires
-        arrived = [rng.randrange(64) for _ in range(100)]
-        state, _ = run_layer(*_one_event_per_timestep(arrived), cfg, w)
+        arrived = rng.sample(range(64), 48)  # each input spikes at most once
+        state, _ = run_layer(_one_event_per_timestep(arrived, 64), cfg, w)
         assert state.potentials == dense_potentials(rows, arrived)
 
 
@@ -75,14 +75,14 @@ class TestAccumulateFixed16:
     def test_single_event_weight_300(self):
         cfg = LayerConfig(1, 1, threshold=10**6)
         w = Fixed16Weights.from_rows([[300]])
-        state, tally = run_layer(*as_queue([(0, [0])]), cfg, w)
+        state, tally = run_layer(as_codes([(0, [0])], 1), cfg, w)
         assert state.potentials == [300]
         assert tally.multiplications == 1
 
     def test_twos_complement_extremes(self):
         cfg = LayerConfig(2, 1, threshold=10**6)
         w = Fixed16Weights.from_rows([[-32768, 32767]])
-        state, _ = run_layer(*_one_event_per_timestep([0, 1]), cfg, w)
+        state, _ = run_layer(_one_event_per_timestep([0, 1], 2), cfg, w)
         assert state.potentials == [-1]
 
     def test_matches_dense_accumulation_128x10(self):
@@ -90,8 +90,8 @@ class TestAccumulateFixed16:
         rows = [[rng.randint(-2000, 2000) for _ in range(128)] for _ in range(10)]
         w = Fixed16Weights.from_rows(rows)
         cfg = LayerConfig(128, 10, threshold=10**8)
-        arrived = [rng.randrange(128) for _ in range(200)]
-        state, _ = run_layer(*_one_event_per_timestep(arrived), cfg, w)
+        arrived = rng.sample(range(128), 96)  # each input spikes at most once
+        state, _ = run_layer(_one_event_per_timestep(arrived, 128), cfg, w)
         assert state.potentials == dense_potentials(rows, arrived)
 
 
@@ -106,7 +106,7 @@ class TestAccumulatorWidth:
     def test_all_plus_one_neurons_count_every_event(self, events, out_dim):
         cfg = LayerConfig(events, out_dim, threshold=2**31 - 1)
         w = BinaryWeights.from_rows([[1] * events] * out_dim)
-        state, tally = run_layer(*as_queue([(3, list(range(events)))]), cfg, w)
+        state, tally = run_layer(as_codes([(3, list(range(events)))], events), cfg, w)
         assert state.potentials == [events] * out_dim
         assert state.fire_times == [NO_SPIKE] * out_dim
         assert (tally.additions, tally.subtractions) == (events * out_dim, 0)
@@ -116,13 +116,13 @@ class TestAccumulatorWidth:
         # 16384 events x 2 neurons reach the blocked scan, summed in int16.
         n = 16384
         w = BinaryWeights.from_rows([[1] * n, [-1] * n])
-        queue = as_queue([(2, list(range(n // 2))), (6, list(range(n // 2, n)))])
+        codes = as_codes([(2, list(range(n // 2))), (6, list(range(n // 2, n)))], n)
         never = LayerConfig(n, 2, alpha_raw, threshold=2**31 - 1)
-        state, _ = run_layer(*queue, never, w)
+        state, _ = run_layer(codes, never, w)
         assert state.fire_times == [NO_SPIKE, NO_SPIKE]
         assert state.potentials == [n, -n]
         always = LayerConfig(n, 2, alpha_raw, threshold=-(2**31 - 1))
-        state, _ = run_layer(*queue, always, w)
+        state, _ = run_layer(codes, always, w)
         assert state.fire_times == [2, 2]
         assert state.potentials == [n // 2, -n // 2]
 
@@ -133,29 +133,26 @@ class TestAccumulatorWidth:
         model = NetworkModel(mode=WeightMode.FIXED16, t_max=256, layers=[layer])
         [(cfg, w)] = deserialize_model(serialize_model(model)).layers
         train = SpikeTrain(np.arange(n) % 256, 256)  # every input spikes once
-        queue = sort_spikes(train.codes, train.t_max)
-        state, tally = run_layer(*queue, cfg, w)
+        state, tally = run_layer(train.codes, cfg, w)
         assert state.potentials == [potential]
         assert state.fire_times == [NO_SPIKE]
         assert dense_layer_sweep(train.codes, cfg, w) == state
-        assert reference_run_layer(as_groups(*queue), cfg, w) == (state, tally)
+        assert reference_run_layer(as_groups(*sort_spikes(train.codes)), cfg, w) == (state, tally)
 
-    def test_a_queue_that_could_leave_int32_is_rejected(self):
-        # Only a hand-built queue repeats an input, so only it can hold more
-        # events than a flash record allows inputs.
-        cfg = LayerConfig(1, 1, threshold=0)
-        w = Fixed16Weights.from_rows([[-32768]])
-        state, _ = run_layer(*as_queue([(0, [0] * 0xFFFF)]), cfg, w)
+    def test_the_widest_layer_in_one_group_sums_in_int32(self):
+        # Every input spikes at time 0: one group of 65535 events, each
+        # adding -32768, the lowest sum a layer's one prefix can reach.
+        cfg = LayerConfig(0xFFFF, 1, threshold=0)
+        w = Fixed16Weights.from_rows([[-32768] * 0xFFFF])
+        state, _ = run_layer(np.zeros(0xFFFF, np.int16), cfg, w)
         assert state.potentials == [-2147450880]
-        with pytest.raises(DimensionMismatch, match="65536 events"):
-            run_layer(*as_queue([(0, [0] * 0x10000)]), cfg, w)
 
 
 class TestFireCheck:
     def test_fires_at_threshold(self):
         cfg = LayerConfig(4, 1, threshold=2)
         w = BinaryWeights.from_rows([[1, 1, 1, 1]])
-        state, _ = run_layer(*as_queue([(7, [0, 1])]), cfg, w)
+        state, _ = run_layer(as_codes([(7, [0, 1])], 4), cfg, w)
         assert state.potentials == [2]
         assert fired_flags(state) == [True]
         assert state.fire_times == [7]
@@ -163,9 +160,9 @@ class TestFireCheck:
     def test_zero_threshold_uses_geq(self):
         cfg = LayerConfig(2, 1, threshold=0)
         w = BinaryWeights.from_rows([[-1, 1]])
-        state, _ = run_layer(*as_queue([(3, [0])]), cfg, w)
+        state, _ = run_layer(as_codes([(3, [0])], 2), cfg, w)
         assert state.fire_times == [NO_SPIKE]
-        state, _ = run_layer(*as_queue([(3, [0]), (5, [1])]), cfg, w)
+        state, _ = run_layer(as_codes([(3, [0]), (5, [1])], 2), cfg, w)
         assert state.potentials == [0]
         assert state.fire_times == [5]
 
@@ -176,15 +173,15 @@ class TestFireCheck:
         w = BinaryWeights.from_rows([[1, 1, 1, -1]])
         events_for = {-1: [3], 0: [0, 3], 1: [0], 2: [0, 1], 3: [0, 1, 2]}
         for potential, events in events_for.items():
-            a, _ = run_layer(*as_queue([(0, events)]), folded, w)
-            b, _ = run_layer(*as_queue([(0, events)]), plain, w)
+            a, _ = run_layer(as_codes([(0, events)], 4), folded, w)
+            b, _ = run_layer(as_codes([(0, events)], 4), plain, w)
             assert a.potentials == b.potentials == [potential]
             assert a.fire_times == b.fire_times == [0 if potential >= 2 else NO_SPIKE]
 
     def test_scan_order_is_ascending(self):
         cfg = LayerConfig(1, 4, threshold=0)
         w = BinaryWeights.from_rows([[1]] * 4)
-        state, _ = run_layer(*as_queue([(0, [0])]), cfg, w)
+        state, _ = run_layer(as_codes([(0, [0])], 1), cfg, w)
         assert [j for j, t in enumerate(state.fire_times) if t == 0] == [0, 1, 2, 3]
 
 
@@ -192,51 +189,45 @@ class TestRunLayer:
     def test_empty_queue_leaves_layer_silent(self):
         cfg = LayerConfig(4, 3, threshold=0)
         w = BinaryWeights.from_rows([[1] * 4] * 3)
-        state, _ = run_layer(*as_queue([]), cfg, w)
+        state, _ = run_layer(as_codes([], 4), cfg, w)
         assert state.fire_times == [NO_SPIKE] * 3
         assert state.potentials == [0, 0, 0]
 
     def test_crosses_on_second_event(self):
         cfg = LayerConfig(2, 1, threshold=2)
         w = BinaryWeights.from_rows([[1, 1]])
-        state, _ = run_layer(*sort_spikes(spike_train((3, 9), 16).codes, 16), cfg, w)
+        state, _ = run_layer(spike_train((3, 9), 16).codes, cfg, w)
         assert state.fire_times == [9]
-
-    def test_event_index_out_of_range(self):
-        cfg = LayerConfig(2, 1, threshold=2)
-        w = BinaryWeights.from_rows([[1, 1]])
-        with pytest.raises(DimensionMismatch):
-            run_layer(*as_queue([(0, [5])]), cfg, w)
-
-    def test_negative_event_index_rejected(self):
-        cfg = LayerConfig(2, 1, threshold=100)
-        w = Fixed16Weights.from_rows([[5, 7]])
-        with pytest.raises(DimensionMismatch, match="event index -1 "):
-            run_layer(*as_queue([(0, [-1])]), cfg, w)
 
     def test_events_after_all_fired_are_skipped(self):
         cfg = LayerConfig(3, 1, threshold=1)
         w = BinaryWeights.from_rows([[1, 1, 1]])
-        state, tally = run_layer(*sort_spikes(spike_train((0, 4, 8), 16).codes, 16), cfg, w)
+        state, tally = run_layer(spike_train((0, 4, 8), 16).codes, cfg, w)
         assert state.fire_times == [0]
         assert tally.events_processed == 1
         assert tally.events_skipped == 2
         assert state.potentials == [1]  # frozen at fire
 
     def test_same_timestep_events_commute(self):
+        """The sorter fixes the order of a group's events, so the prefix scan
+        is where that order can still vary. Shuffled within each group, the
+        events give the same rows at every group end, on both scans: those
+        rows are all the fire test and the potentials read."""
         rng = make_rng(53)
         for _ in range(100):
-            in_dim = rng.randint(2, 10)
-            out_dim = rng.randint(1, 6)
-            cfg = LayerConfig(in_dim, out_dim, threshold=rng.randint(-2, 3))
+            in_dim = rng.randint(32, 96)
+            out_dim = rng.randint(16, 48)  # in_dim x out_dim >= 512: a blocked scan block has rows
             w = random_binary_weights(rng, in_dim, out_dim)
-            indices = list(range(in_dim))
-            shuffled = indices[:]
-            rng.shuffle(shuffled)
-            state_a, _ = run_layer(*as_queue([(5, indices)]), cfg, w)
-            state_b, _ = run_layer(*as_queue([(5, shuffled)]), cfg, w)
-            assert state_a.fire_times == state_b.fire_times
-            assert state_a.potentials == state_b.potentials
+            cuts = sorted(rng.sample(range(1, in_dim), rng.randint(0, 4)))
+            groups = [list(range(a, b)) for a, b in zip([0, *cuts], [*cuts, in_dim])]
+            shuffled = [rng.sample(indices, len(indices)) for indices in groups]
+            ends = np.array([*cuts, in_dim]) - 1
+            for blocked in (False, True):
+                rows_a, rows_b = (
+                    _prefix_rows(w.columns, np.concatenate(g), ends, np.int16, blocked)
+                    for g in (groups, shuffled)
+                )
+                assert np.array_equal(rows_a, rows_b)
 
     def test_stop_at_first_fire_equals_truncation_at_decision_time(self):
         rng = make_rng(54)
@@ -250,15 +241,15 @@ class TestRunLayer:
                 NO_SPIKE if rng.random() < 0.2 else rng.randint(0, t_max - 1)
                 for _ in range(in_dim)
             ]
-            queue = sort_spikes(spike_train(times, t_max).codes, t_max)
-            state_stop, _ = run_layer(*queue, cfg, w, stop_at_first_fire=True)
-            groups = as_groups(*queue)
+            codes = spike_train(times, t_max).codes
+            state_stop, _ = run_layer(codes, cfg, w, stop_at_first_fire=True)
+            groups = as_groups(*sort_spikes(codes))
             fired = [t for t in state_stop.fire_times if t is not NO_SPIKE]
             if fired:
                 cut = truncate_after(groups, min(fired))
             else:
                 cut = groups
-            state_cut, _ = run_layer(*as_queue(cut), cfg, w)
+            state_cut, _ = run_layer(as_codes(cut, in_dim), cfg, w)
             assert state_stop.fire_times == state_cut.fire_times
             assert state_stop.potentials == state_cut.potentials
 
@@ -284,7 +275,7 @@ class TestRunLayer:
                 for _ in range(in_dim)
             )
             train = spike_train(times, t_max)
-            got_state, _ = run_layer(*sort_spikes(train.codes, train.t_max), cfg, w)
+            got_state, _ = run_layer(train.codes, cfg, w)
             ref_state = dense_layer_sweep(train.codes, cfg, w)
             ref_train = SpikeTrain(ref_state.fire_codes, t_max)
             assert got_state.fire_times == slot_values(ref_train.codes)

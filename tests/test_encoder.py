@@ -3,7 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from spikesoc import NO_SPIKE, Controller, LoadInput, LoadModel, run_network, serialize_model
+from spikesoc import NO_SPIKE, Controller, LoadInput, LoadModel, encode_command, run_network, serialize_model
 from spikesoc.controller import Phase
 from spikesoc.encoder import encode_ttfs
 from spikesoc.errors import DimensionMismatch
@@ -118,8 +118,9 @@ def load_input(frame):
         partial(run_network, MODEL),
         partial(dense_infer, MODEL),
         load_input,
+        lambda frame: encode_command(LoadInput(frame)),
     ],
-    ids=["encode_ttfs", "run_network", "dense_infer", "controller"],
+    ids=["encode_ttfs", "run_network", "dense_infer", "controller", "encode_command"],
 )
 def test_a_frame_that_is_not_pixel_bytes_raises_type_error(frame, encode):
     encode(FRAME)  # the same pixels as bytes run

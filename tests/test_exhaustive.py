@@ -2,8 +2,9 @@
 
 The random corpus and the Hypothesis properties sample; these tests
 enumerate. Each case runs the dense oracle, the event-driven datapath
-(`run_layer` on `sort_spikes`) and the one-event-at-a-time reference (on
-the naive insertion sort) and compares them through `first_divergence`:
+(`run_layer`, which sorts with `sort_spikes`) and the one-event-at-a-time
+reference (on the naive insertion sort) and compares them through
+`first_divergence`:
 - binary layers with in_dim, out_dim <= 2, every sign pattern, with alpha_raw
   256 and 512 (whose threshold fold meets ties at every odd threshold);
 - fixed16 layers of one or two inputs, every weight from FIXED16_CELLS;
@@ -40,7 +41,6 @@ from spikesoc import (
 )
 from spikesoc.core import first_divergence, run_layer
 from spikesoc.oracle import dense_layer_sweep
-from spikesoc.sorter import sort_spikes
 from helpers import reference_encode, reference_run_layer, reference_sort, spike_train, states_result
 
 T_MAX = 4
@@ -56,16 +56,15 @@ def _groups(train):
 
 
 def _trains(in_dim):
-    """Every train of in_dim inputs at T_MAX, each with its sorted queue and
-    its reference groups."""
+    """Every train of in_dim inputs at T_MAX, each with its reference groups."""
     for codes in itertools.product(range(-1, T_MAX), repeat=in_dim):
         train = SpikeTrain(np.array(codes, dtype=np.int16), T_MAX)
-        yield train, sort_spikes(train.codes, T_MAX), _groups(train)
+        yield train, _groups(train)
 
 
-def _assert_all_agree(train, queue, groups, layer, weights):
+def _assert_all_agree(train, groups, layer, weights):
     dense = dense_layer_sweep(train.codes, layer, weights)
-    event, _ = run_layer(*queue, layer, weights)
+    event, _ = run_layer(train.codes, layer, weights)
     reference, _ = reference_run_layer(groups, layer, weights)
     expected = states_result([dense])
     for other in (event, reference):
@@ -95,8 +94,8 @@ def test_every_small_binary_layer_agrees():
             ]:
                 layer = LayerConfig(in_dim, out_dim, alpha_raw, threshold)
                 assert layer.effective_threshold(WeightMode.BINARY) == _fold(threshold, alpha_raw)
-                for train, queue, groups in trains:
-                    _assert_all_agree(train, queue, groups, layer, weights)
+                for train, groups in trains:
+                    _assert_all_agree(train, groups, layer, weights)
                     cases += 1
     assert cases == 13 * (6 * 5 + 20 * 25)
 
@@ -111,8 +110,8 @@ def test_every_small_fixed16_layer_agrees():
             thresholds = sorted({p + d for p in (0, *row, sum(row)) for d in (0, 1)})
             for threshold in thresholds:
                 layer = LayerConfig(in_dim, 1, 256, threshold)
-                for train, queue, groups in trains:
-                    _assert_all_agree(train, queue, groups, layer, weights)
+                for train, groups in trains:
+                    _assert_all_agree(train, groups, layer, weights)
                     cases += 1
     assert cases == 3080  # every (weights, threshold, train) triple
 

@@ -25,6 +25,7 @@ from spikesoc.oracle import dense_layer_sweep
 from spikesoc.sorter import sort_spikes
 from helpers import (
     COPIES,
+    as_codes,
     assert_same_state,
     dense_potentials,
     make_rng,
@@ -104,26 +105,35 @@ def test_inputs_all_at_the_last_timestep_fire_there_or_never(t_max):
 
 
 def test_dimension_check():
+    """Both layer paths reject codes of the wrong length, then weights of the
+    wrong shape, with one message."""
     w = BinaryWeights.from_rows([[1, 1, -1]])
-    for cfg, train in [
-        (LayerConfig(3, 1, 256, 0), spike_train((1, 2), 16)),  # train shorter than in_dim
-        (LayerConfig(4, 1, 256, 0), spike_train((1, 2, 3, 4), 16)),  # matrix has 3 inputs
-        (LayerConfig(3, 2, 256, 0), spike_train((1, 2, 3), 16)),  # matrix has 1 neuron
+    for cfg, codes, weights in [
+        (LayerConfig(3, 1, 256, 0), spike_train((1, 2), 16).codes, w),  # train shorter than in_dim
+        (LayerConfig(4, 1, 256, 0), spike_train((1, 2, 3, 4), 16).codes, w),  # matrix has 3 inputs
+        (LayerConfig(3, 2, 256, 0), spike_train((1, 2, 3), 16).codes, w),  # matrix has 1 neuron
+        # Input 5 spikes into a layer of 2 inputs.
+        (LayerConfig(2, 1, 256, 2), as_codes([(0, [5])], 6), BinaryWeights.from_rows([[1, 1]])),
+        # Codes name no input below 0; the nearest case is a train with no slots.
+        (LayerConfig(2, 1, 256, 100), as_codes([], 0), Fixed16Weights.from_rows([[5, 7]])),
     ]:
-        with pytest.raises(DimensionMismatch, match="train length|weight shape"):
-            dense_layer_sweep(train.codes, cfg, w)
+        with pytest.raises(DimensionMismatch, match="train length|weight shape") as dense:
+            dense_layer_sweep(codes, cfg, weights)
+        with pytest.raises(DimensionMismatch, match="train length|weight shape") as event:
+            run_layer(codes, cfg, weights)
+        assert str(event.value) == str(dense.value)
 
 
 @pytest.mark.parametrize(
     "codes, named", [([-2, 3], "input 0 has spike code -2,"), ([3, -1, -7, -2], "input 2 has spike code -7,")]
 )
 def test_codes_below_no_spike_raise_one_typed_error_on_both_paths(codes, named):
-    """A hand-fed code below -1 is no spike time: the sorter, at the datapath's
-    entry, and the oracle's sweep both reject it with the same message."""
+    """A hand-fed code below -1 is no spike time: run_layer, through its
+    sorter, and the oracle's sweep both reject it with the same message."""
     codes = np.array(codes, np.int16)
     layer, weights = LayerConfig(len(codes), 1), BinaryWeights.from_rows([[1] * len(codes)])
     with pytest.raises(InvalidSpikeCode, match=named) as datapath:
-        run_layer(*sort_spikes(codes, 16), layer, weights)
+        run_layer(codes, layer, weights)
     with pytest.raises(InvalidSpikeCode, match=named) as dense:
         dense_layer_sweep(codes, layer, weights)
     assert str(datapath.value) == str(dense.value)
@@ -166,7 +176,7 @@ def test_independent_of_the_datapath_column_cache(monkeypatch):
 def test_no_train_is_built_between_layers(monkeypatch):
     """Both paths take a layer's int16 input codes and hand its fire codes on
     as they are. With SpikeTrain unbuildable, the oracle's sweeps and the
-    datapath's sorted runs, chained from input codes encoded beforehand, give
+    datapath's layer runs, chained from input codes encoded beforehand, give
     the states of run_network with early stop off; so do dense_infer and
     run_network themselves, handed those inputs' trains for their encoders'."""
     rng = make_rng(85)
@@ -188,7 +198,7 @@ def test_no_train_is_built_between_layers(monkeypatch):
         dense_codes = event_codes = trains[frame, model.t_max].codes
         for (cfg, weights), state in zip(model.layers, expected, strict=True):
             dense = dense_layer_sweep(dense_codes, cfg, weights)
-            event, _ = run_layer(*sort_spikes(event_codes, model.t_max), cfg, weights)
+            event, _ = run_layer(event_codes, cfg, weights)
             assert dense == state and event == state
             dense_codes, event_codes = dense.fire_codes, event.fire_codes
         assert dense_infer(model, frame).layer_states == expected
@@ -207,7 +217,7 @@ def test_nonpositive_threshold_fires_at_the_first_spike_not_at_time_zero(mode, t
     frame = bytes([0, 128, 64])  # t_max 8 reads pixel >> 5: silent, times 3 and 5
     train = spike_train((NO_SPIKE, 3, 5), 8)
     dense = dense_layer_sweep(train.codes, layer, weights)
-    event, _ = run_layer(*sort_spikes(train.codes, train.t_max), layer, weights)
+    event, _ = run_layer(train.codes, layer, weights)
     for state in (dense, event):
         assert state.fire_times == [3, 3, 3]
         assert state.potentials == [1, 1, 1]  # input 1's weights alone

@@ -275,7 +275,7 @@ def test_main_returns_a_documented_exit_code(cli_dir, run):
 @st.composite
 def small_layers(draw):
     """A small layer of either mode, with thresholds near what its events
-    can reach, and the sorted event queue of a random input train."""
+    can reach, and the codes of a random input train."""
     in_dim, out_dim = draw(st.integers(1, 24)), draw(st.integers(1, 8))
     binary = draw(st.booleans())
     magnitude = 1 if binary else draw(st.sampled_from((1, 64, 32767)))
@@ -287,13 +287,13 @@ def small_layers(draw):
     layer = LayerConfig(in_dim, out_dim, draw(st.sampled_from((256, 128, 512, 1))), threshold)
     t_max = draw(st.sampled_from((1, 4, 16)))
     times = draw(st.lists(st.none() | st.integers(0, t_max - 1), min_size=in_dim, max_size=in_dim))
-    return sort_spikes(spike_train(times, t_max).codes, t_max), layer, weights
+    return spike_train(times, t_max).codes, layer, weights
 
 
 def _assert_run_layer_matches_reference(case, stop_at_first_fire):
-    queue, layer, weights = case
-    got, got_tally = run_layer(*queue, layer, weights, stop_at_first_fire=stop_at_first_fire)
-    groups = as_groups(*queue)
+    codes, layer, weights = case
+    got, got_tally = run_layer(codes, layer, weights, stop_at_first_fire=stop_at_first_fire)
+    groups = as_groups(*sort_spikes(codes))
     ref, ref_tally = reference_run_layer(groups, layer, weights, stop_at_first_fire=stop_at_first_fire)
     assert got.potentials == ref.potentials
     assert got.fire_times == ref.fire_times
@@ -316,7 +316,7 @@ _PRIMES = [n for n in range(100, 700) if all(n % d for d in range(2, isqrt(n) + 
 def large_layers(draw):
     """A layer of either mode whose n x out_dim gathered event matrix reaches
     the blocked prefix scan, with its weights, spike times and input order
-    drawn from one seed, and the sorted event queue of that input train."""
+    drawn from one seed, and the codes of that input train."""
     out_dim = draw(st.integers(48, 160))
     low = -(-BLOCKED_SCAN_CELLS // out_dim)
     n = draw(st.sampled_from([p for p in _PRIMES if p >= low]) | st.integers(low, 2 * low))
@@ -336,7 +336,7 @@ def large_layers(draw):
     times = [None] * in_dim
     for i in gen.permutation(in_dim)[:n].tolist():
         times[i] = int(gen.integers(t_max))
-    return sort_spikes(spike_train(times, t_max).codes, t_max), layer, weights
+    return spike_train(times, t_max).codes, layer, weights
 
 
 @settings(PROPERTY, max_examples=12)
@@ -363,8 +363,8 @@ def _blocked_edge_case(kind, binary):
         rows = np.where(rows < 0, -1, 1)
     if kind == "one_column_fires":
         rows[out_dim // 3] = magnitude  # the only column that reaches n * magnitude
-    queue = sort_spikes(spike_train(times.tolist(), t_max).codes, t_max)
-    events, _, group_ends = queue
+    codes = spike_train(times.tolist(), t_max).codes
+    events, _, group_ends = sort_spikes(codes)
     # Each neuron's highest potential at a group end, had it never frozen.
     peaks = np.sort(rows.T[events].cumsum(axis=0)[group_ends].max(axis=0))
     threshold = {
@@ -375,7 +375,7 @@ def _blocked_edge_case(kind, binary):
         "one_event_per_group": int(peaks[out_dim // 2]),
     }[kind]
     weights = BinaryWeights.from_rows(rows.tolist()) if binary else Fixed16Weights(rows=rows)
-    return queue, LayerConfig(n, out_dim, 256, threshold), weights
+    return codes, LayerConfig(n, out_dim, 256, threshold), weights
 
 
 @pytest.mark.parametrize("stop_at_first_fire", [False, True])
@@ -392,10 +392,11 @@ def _blocked_edge_case(kind, binary):
 )
 def test_blocked_scan_edge_cases_equal_the_reference(kind, binary, stop_at_first_fire):
     case = _blocked_edge_case(kind, binary)
-    (events, group_times, group_ends), layer, weights = case
+    codes, layer, weights = case
+    events, group_times, group_ends = sort_spikes(codes)
     assert len(events) * layer.out_dim >= BLOCKED_SCAN_CELLS
     _assert_run_layer_matches_reference(case, stop_at_first_fire)
-    fire_codes = run_layer(events, group_times, group_ends, layer, weights)[0].fire_codes
+    fire_codes = run_layer(codes, layer, weights)[0].fire_codes
     fired = np.count_nonzero(fire_codes >= 0)
     assert {
         "all_fire_in_group_0": (fire_codes == group_times[0]).all(),
@@ -477,7 +478,7 @@ def test_spike_train_accepts_exactly_what_the_reference_accepts(data, t_max):
 def test_sorter_arrays_flatten_to_the_reference_sort(data, t_max):
     times = data.draw(st.lists(st.none() | st.integers(0, t_max - 1), max_size=80))
     train = spike_train(times, t_max)
-    events, group_times, group_ends = sort_spikes(train.codes, t_max)
+    events, group_times, group_ends = sort_spikes(train.codes)
     groups = as_groups(events, group_times, group_ends)
     assert [(i, t) for t, indices in groups for i in indices] == reference_sort(train)
     assert all(indices for _, indices in groups)  # only timesteps that carry events

@@ -9,7 +9,7 @@ def _train(times, t_max=16):
 
 def _groups(train):
     """The sorter's queue for train as (time, indices) groups."""
-    return as_groups(*sort_spikes(train.codes, train.t_max))
+    return as_groups(*sort_spikes(train.codes))
 
 
 def _events(groups):
@@ -25,7 +25,7 @@ def test_stable_tie_break_by_index():
 
 def test_queue_arrays():
     train = _train([5, 2, NO_SPIKE, 2])
-    events, group_times, group_ends = sort_spikes(train.codes, train.t_max)
+    events, group_times, group_ends = sort_spikes(train.codes)
     assert events.tolist() == [1, 3, 0]
     assert group_times.tolist() == [2, 5]
     assert group_ends.tolist() == [1, 2]

@@ -65,7 +65,7 @@ MUTANTS = (
         ((
             "controller.py",
             "            if not isinstance(command.pixels, (bytes, bytearray)):\n"
-            '                raise TypeError(f"a frame is pixel bytes, got {type(command.pixels).__name__}")\n',
+            '                raise TypeError(f"{_PAYLOAD_RULE[LoadInput]}, got {type(command.pixels).__name__}")\n',
             "",
         ),),
     ),
@@ -108,6 +108,16 @@ MUTANTS = (
         "run_script runs nothing before a malformed command",
         ("tests/test_controller.py",),
         (("controller.py", "commands, failed = exc.commands, exc", "commands, failed = [], exc"),),
+    ),
+    Mutant(
+        "deserialize_model drops its bytes check",
+        ("tests/test_controller.py",),
+        ((
+            "model.py",
+            "    if not isinstance(data, (bytes, bytearray)):\n"
+            '        raise TypeError(f"a flash image is bytes, got {type(data).__name__}")\n',
+            "",
+        ),),
     ),
     Mutant(
         "LayerTally.total sums all but the last tally",
@@ -177,6 +187,16 @@ MUTANTS = (
         "the oracle sums no time table rows",
         ("tests/test_oracle.py",),
         (("oracle.py", "    np.add.accumulate(contributions, axis=0, out=contributions)", "    pass"),),
+    ),
+    Mutant(
+        "run_layer drops its length check",
+        ("tests/test_oracle.py",),
+        ((
+            "core.py",
+            "    if len(codes) != layer.in_dim:\n"
+            '        raise DimensionMismatch(f"train length {len(codes)} != layer in_dim {layer.in_dim}")\n',
+            "",
+        ),),
     ),
     Mutant(
         "early stop one group after the first that fires",
