@@ -22,7 +22,7 @@ import struct
 import sys
 from typing import Optional, Sequence
 
-from .controller import Controller, LoadInput, LoadModel, Run, parse_uart_frame
+from .controller import Controller, LoadInput, LoadModel, Run
 from .core import first_divergence
 from .errors import (
     CorruptDataset,
@@ -146,14 +146,13 @@ def run_batch(
         for frame in frames[start : start + CHECK_PHASE]:
             try:
                 controller.handle(LoadInput(pixels=frame))
-                _, uart = controller.handle(Run())
+                controller.handle(Run())
             except SpikeSocError as exc:
                 failed = exc
                 break
-            runs.append((controller.last_result, uart))
+            runs.append(controller.last_result)
         reference = decoded(model) if oracle and runs else None
-        for idx, (result, uart) in enumerate(runs, start):
-            parsed = parse_uart_frame(uart)
+        for idx, result in enumerate(runs, start):
             if oracle:
                 divergence = first_divergence(
                     result, dense_infer(reference, frames[idx]), output_layer=not early_stop
@@ -172,7 +171,7 @@ def run_batch(
                     "label": labels[idx],
                     "pred": result.predicted,
                     "decision_time": result.decision_time,
-                    "cycles": parsed["total_cycles"],
+                    "cycles": result.cycles.total_cycles,
                 }
             )
         if failed is not None:

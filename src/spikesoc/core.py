@@ -18,23 +18,23 @@ layer's gathered event columns, read at each group end for the fire test
 and, per neuron, at the group it fires in (or, with early stop, the first
 group that fires anything).
 
-The prefix sum runs in the narrowest accumulator that is exact for the
-layer: no prefix of n events passes n times the largest |weight|, so it is
-int16 while that bound fits (every binary layer of up to 32767 events),
-else int32. A layer has at most 65535 inputs (the flash record's u16
-in_dim) and its queue, sorted from its codes, holds at most one event per
-input, so no prefix passes 65535 * 2^15 < 2^31: int32 is exact for every
-layer. np.cumsum along the event axis is a scalar loop, about 2.3 ns per
-cell, while adding one whole row slice into another costs about 0.07 ns per
-cell. So a large layer is scanned in blocks of rows by row-slice adds,
-within every block at once, then over the block totals and the tail; only
-the rows read get their block's offset, and only the columns that fire are
-searched for a first crossing. Below BLOCKED_SCAN_CELLS gathered cells
-(every acceptance-corpus layer) one cumsum and argmax are faster. There a
-numpy call's fixed cost outweighs its data, so an early-stopped layer finds
-its stop group by one argmax over the row-major fire test, and a neuron
-that never crosses stops at the last group because that row of the fire
-test is set.
+No prefix of n events passes n times the largest |weight|. A layer has at
+most 65535 inputs (the flash record's u16 in_dim) and its queue, sorted from
+its codes, holds at most one event per input, so no prefix passes
+65535 * 2^15 < 2^31: int32 is exact for every layer, and the one cumsum runs
+in int32. Only the blocked scan sums in the narrowest exact accumulator,
+int16 while n times the largest |weight| fits (every binary layer of up to
+32767 events), else int32. np.cumsum along the event axis is a scalar loop,
+about 2.3 ns per cell, while adding one whole row slice into another costs
+about 0.07 ns per cell. So a large layer is scanned in blocks of rows by
+row-slice adds, within every block at once, then over the block totals and
+the tail; only the rows read get their block's offset, and only the columns
+that fire are searched for a first crossing. Below BLOCKED_SCAN_CELLS
+gathered cells (every acceptance-corpus layer) one cumsum and argmax are
+faster. There a numpy call's fixed cost outweighs its data, so an
+early-stopped layer finds its stop group by one argmax over the row-major
+fire test, and a neuron that never crosses stops at the last group because
+that row of the fire test is set.
 
 Non-informative events are skipped, never processed: events into a layer
 whose neurons have all fired, and events behind the output layer's
@@ -60,7 +60,7 @@ import numpy as np
 
 from .decoder import decode
 from .encoder import encode_ttfs
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidSpikeCode
 from .model import (
     INT16_MAX,
     LayerConfig,
@@ -139,13 +139,16 @@ def run_layer(
     *,
     stop_at_first_fire: bool = False,
 ) -> tuple[NeuronState, LayerTally]:
-    """Run one layer on its int16 input codes, -1 for no spike, as
-    dense_layer_sweep takes them; sort_spikes queues them by time. Each event
-    of a group adds its weight column into every unfired neuron; then one
-    fire check scans the neurons in ascending index order. Groups after every
-    neuron has fired are skipped, and with stop_at_first_fire the layer stops
-    after the first group that fires anything.
+    """Run one layer on its int16 input codes, -1 for no spike, as dense_layer_sweep
+    takes them (codes that are not a 1-D integer array raise InvalidSpikeCode);
+    sort_spikes queues them by time. Each event of a group adds its weight column into
+    every unfired neuron; then one fire check scans the neurons in ascending index
+    order. Groups after every neuron has fired are skipped, and with
+    stop_at_first_fire the layer stops after the first group that fires anything.
     """
+    if not isinstance(codes, np.ndarray) or codes.ndim != 1 or codes.dtype.kind not in "iu":
+        got = f"{codes.ndim}-D {codes.dtype}" if isinstance(codes, np.ndarray) else type(codes).__name__
+        raise InvalidSpikeCode(f"codes must be a 1-D integer array, got {got}")
     if len(codes) != layer.in_dim:
         raise DimensionMismatch(f"train length {len(codes)} != layer in_dim {layer.in_dim}")
     if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
@@ -263,7 +266,7 @@ def run_network(
     With early_stop the output layer stops once a decision exists; hidden
     layers always run to completion (their later spikes still matter).
     """
-    input_train = encode_ttfs(frame, model.t_max, expected_dim=model.input_dim)
+    input_train = encode_ttfs(frame, model.t_max)
     codes = input_train.codes
     last_layer = len(model.layers) - 1
     layer_states = []

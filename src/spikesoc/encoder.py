@@ -8,32 +8,23 @@ timing information and emit no spike at all.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .model import SpikeTrain, check_t_max
 
 
-def encode_ttfs(
-    frame: bytes,
-    t_max: int,
-    *,
-    expected_dim: Optional[int] = None,
-) -> SpikeTrain:
+def encode_ttfs(frame: bytes, t_max: int) -> SpikeTrain:
     """Map 8-bit intensities to first-spike times inside a t_max window.
 
-    t_max must be a power of two in [1, 256]. At t_max = 256 the time is
-    the exact 8-bit complement (255 - pixel); smaller windows right-shift
-    the intensity first so the inverted code still fits. A frame is the
-    SoC's pixel bytes, `bytes` or `bytearray`; anything else raises TypeError.
+    t_max must be a power of two in [1, 256]. At t_max = 256 the time is the exact
+    8-bit complement (255 - pixel); smaller windows right-shift the intensity first so
+    the inverted code still fits. A frame is the SoC's pixel bytes, `bytes` or
+    `bytearray` (anything else raises TypeError), of any length: the first layer checks it.
     """
     check_t_max(t_max)
     if not isinstance(frame, (bytes, bytearray)):
         raise TypeError(f"a frame is pixel bytes, got {type(frame).__name__}")
-    if expected_dim is not None and len(frame) != expected_dim:
-        raise DimensionMismatch(f"frame holds {len(frame)} pixels, expected {expected_dim}")
     codes = _code_table(t_max)[np.frombuffer(frame, np.uint8)]
     return SpikeTrain(codes, t_max)
 

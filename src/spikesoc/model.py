@@ -202,10 +202,6 @@ class Fixed16Weights(_CellMatrix):
     def __post_init__(self):
         object.__setattr__(self, "rows", _cell_array(self.rows, "<i2"))
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Fixed16Weights":
-        return cls(rows=rows)
-
     @property
     def in_dim(self) -> int:
         return self.rows.shape[1]

@@ -79,9 +79,12 @@ def dense_layer_sweep(
     none frozen; then each neuron fires at the first row where it is at or
     above the effective threshold, and keeps the potential of that row (of
     the last row if it never fires). Timesteps with no events have no row, so
-    they are not checked, as in the event-driven datapath. A code below -1
-    raises InvalidSpikeCode naming the first one, as run_layer does.
+    they are not checked, as in the event-driven datapath. Codes that are not a
+    1-D integer array, or a code below -1, raise InvalidSpikeCode as in run_layer.
     """
+    if not isinstance(codes, np.ndarray) or codes.ndim != 1 or codes.dtype.kind not in "iu":
+        got = f"{codes.ndim}-D {codes.dtype}" if isinstance(codes, np.ndarray) else type(codes).__name__
+        raise InvalidSpikeCode(f"codes must be a 1-D integer array, got {got}")
     if len(codes) != layer.in_dim:
         raise DimensionMismatch(f"train length {len(codes)} != layer in_dim {layer.in_dim}")
     if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
@@ -112,7 +115,7 @@ def dense_layer_sweep(
 
 def dense_infer(model: NetworkModel, frame: bytes) -> InferenceResult:
     """Whole-network dense sweep with the same decode rule as the datapath."""
-    input_train = encode_ttfs(frame, model.t_max, expected_dim=model.input_dim)
+    input_train = encode_ttfs(frame, model.t_max)
     codes = input_train.codes
     layer_states = []
     for cfg, weights in model.layers:

@@ -69,7 +69,7 @@ def random_fixed_weights(rng, in_dim, out_dim, magnitude=None):
     if magnitude is None:
         magnitude = rng.choice((8, 128, 1024))
     cells = np.array(_draws_below(rng, 2 * magnitude + 1, in_dim * out_dim)) - magnitude  # rng.randint(-m, m) each
-    return Fixed16Weights.from_rows(cells.reshape(out_dim, in_dim))
+    return Fixed16Weights(cells.reshape(out_dim, in_dim))
 
 
 def random_layer(rng, in_dim, out_dim, mode):
@@ -122,7 +122,7 @@ def one_hot_output_model(out_dim):
     return NetworkModel(
         mode=WeightMode.FIXED16,
         t_max=256,
-        layers=[(LayerConfig(1, out_dim, 256, 1), Fixed16Weights.from_rows(rows))],
+        layers=[(LayerConfig(1, out_dim, 256, 1), Fixed16Weights(rows))],
     )
 
 
@@ -179,8 +179,8 @@ def zero_pixels_spike_last():
     own module, so patching those two names reaches both paths. Yields the
     all-spike encoder, which takes encode_ttfs's arguments."""
 
-    def encode(frame, t_max, *, expected_dim=None):
-        codes = encode_ttfs(frame, t_max, expected_dim=expected_dim).codes.copy()
+    def encode(frame, t_max):
+        codes = encode_ttfs(frame, t_max).codes.copy()
         codes[np.frombuffer(frame, np.uint8) == 0] = t_max - 1
         return SpikeTrain(codes, t_max)
 

@@ -82,7 +82,7 @@ def test_inference_entry_points_take_no_encoding_switch():
     # skip-safety checks compare against lives in tests/helpers.py.
     assert _bare_signature(spikesoc.run_network) == "(model, frame, *, early_stop=True)"
     assert _bare_signature(spikesoc.dense_infer) == "(model, frame)"
-    assert _bare_signature(encode_ttfs) == "(frame, t_max, *, expected_dim=None)"
+    assert _bare_signature(encode_ttfs) == "(frame, t_max)"
 
 
 def test_both_layer_paths_take_a_layers_codes():
@@ -90,3 +90,9 @@ def test_both_layer_paths_take_a_layers_codes():
     assert _bare_signature(run_layer) == "(codes, layer, weights, *, stop_at_first_fire=False)"
     assert _bare_signature(dense_layer_sweep) == "(codes, layer, weights)"
     assert _bare_signature(sort_spikes) == "(codes)"
+
+
+def test_fixed16_weights_are_built_by_their_constructor():
+    # Fixed16Weights(rows) takes the rows as they are; only binary rows need a packer.
+    assert not hasattr(spikesoc.Fixed16Weights, "from_rows")
+    assert hasattr(spikesoc.BinaryWeights, "from_rows")

@@ -8,10 +8,14 @@ import pytest
 
 from spikesoc import (
     BinaryWeights,
+    Controller,
     InferenceResult,
     LayerConfig,
+    LoadInput,
+    LoadModel,
     NO_SPIKE,
     NetworkModel,
+    Run,
     WeightMode,
     serialize_model,
 )
@@ -183,6 +187,26 @@ class TestRunBatch:
         report = run_batch(*paths, t_max=64)
         for s in report["per_sample"]:
             assert s["decision_time"] is None or s["decision_time"] < 64
+
+    @pytest.mark.parametrize("flags", [[], ["--no-early-stop"], ["--t-max", "16"]])
+    def test_each_sample_record_is_what_its_uart_frame_says(self, tmp_path, flags):
+        """run_batch reads a sample's pred, decision_time and cycles from its result;
+        they are the fields of the UART frame a controller emits for that sample."""
+        rng = make_rng(109)
+        model = random_model(rng, max_layers=2, max_dim=24, t_max=256)
+        paths = _write_dataset(tmp_path, rng, model, 12)
+        json_path = tmp_path / "report.json"
+        assert main([*map(str, paths), *flags, "--report-json", str(json_path)]) == 0
+        records = json.loads(json_path.read_text())["per_sample"]
+        image = image_with_t_max(model, 16) if "--t-max" in flags else serialize_model(model)
+        soc = Controller(early_stop="--no-early-stop" not in flags)
+        soc.handle(LoadModel(image))
+        for record, frame in zip(records, load_idx_images(paths[1]), strict=True):
+            soc.handle(LoadInput(frame))
+            uart = controller.parse_uart_frame(soc.handle(Run())[1])
+            assert uart["sample_index"] == record["index"]
+            fields = (uart["predicted"], uart["decision_time"], uart["total_cycles"])
+            assert (record["pred"], record["decision_time"], record["cycles"]) == fields
 
 
 class TestMainExitCodes:

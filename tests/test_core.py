@@ -74,21 +74,21 @@ class TestAccumulateBinary:
 class TestAccumulateFixed16:
     def test_single_event_weight_300(self):
         cfg = LayerConfig(1, 1, threshold=10**6)
-        w = Fixed16Weights.from_rows([[300]])
+        w = Fixed16Weights([[300]])
         state, tally = run_layer(as_codes([(0, [0])], 1), cfg, w)
         assert state.potentials == [300]
         assert tally.multiplications == 1
 
     def test_twos_complement_extremes(self):
         cfg = LayerConfig(2, 1, threshold=10**6)
-        w = Fixed16Weights.from_rows([[-32768, 32767]])
+        w = Fixed16Weights([[-32768, 32767]])
         state, _ = run_layer(_one_event_per_timestep([0, 1], 2), cfg, w)
         assert state.potentials == [-1]
 
     def test_matches_dense_accumulation_128x10(self):
         rng = make_rng(52)
         rows = [[rng.randint(-2000, 2000) for _ in range(128)] for _ in range(10)]
-        w = Fixed16Weights.from_rows(rows)
+        w = Fixed16Weights(rows)
         cfg = LayerConfig(128, 10, threshold=10**8)
         arrived = rng.sample(range(128), 96)  # each input spikes at most once
         state, _ = run_layer(_one_event_per_timestep(arrived, 128), cfg, w)
@@ -129,7 +129,7 @@ class TestAccumulatorWidth:
     @pytest.mark.parametrize("weight, potential", [(-32768, -2147450880), (32767, 2147385345)])
     def test_widest_flashable_fixed16_layer_agrees_everywhere(self, weight, potential):
         n = 0xFFFF  # the largest in_dim a flash layer record holds
-        layer = (LayerConfig(n, 1, threshold=2**31 - 1), Fixed16Weights.from_rows([[weight] * n]))
+        layer = (LayerConfig(n, 1, threshold=2**31 - 1), Fixed16Weights([[weight] * n]))
         model = NetworkModel(mode=WeightMode.FIXED16, t_max=256, layers=[layer])
         [(cfg, w)] = deserialize_model(serialize_model(model)).layers
         train = SpikeTrain(np.arange(n) % 256, 256)  # every input spikes once
@@ -143,7 +143,7 @@ class TestAccumulatorWidth:
         # Every input spikes at time 0: one group of 65535 events, each
         # adding -32768, the lowest sum a layer's one prefix can reach.
         cfg = LayerConfig(0xFFFF, 1, threshold=0)
-        w = Fixed16Weights.from_rows([[-32768] * 0xFFFF])
+        w = Fixed16Weights([[-32768] * 0xFFFF])
         state, _ = run_layer(np.zeros(0xFFFF, np.int16), cfg, w)
         assert state.potentials == [-2147450880]
 

@@ -72,8 +72,14 @@ def test_output_length_matches_input():
 
 
 def test_dimension_check():
-    with pytest.raises(DimensionMismatch):
-        encode_ttfs(bytes([1, 2, 3]), 256, expected_dim=4)
+    """The encoder takes a frame of any length; the first layer rejects a wrong
+    one, with one message on the datapath and the dense reference."""
+    model = one_hot_output_model(2)  # one input
+    with pytest.raises(DimensionMismatch) as datapath:
+        run_network(model, bytes([1, 2, 3]))
+    with pytest.raises(DimensionMismatch) as dense:
+        dense_infer(model, bytes([1, 2, 3]))
+    assert str(datapath.value) == str(dense.value) == "train length 3 != layer in_dim 1"
 
 
 def test_non_power_of_two_window_rejected():

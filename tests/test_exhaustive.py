@@ -105,7 +105,7 @@ def test_every_small_fixed16_layer_agrees():
     for in_dim in (1, 2):
         trains = list(_trains(in_dim))
         for row in itertools.product(FIXED16_CELLS, repeat=in_dim):
-            weights = Fixed16Weights.from_rows([list(row)])
+            weights = Fixed16Weights([list(row)])
             # Each reachable potential p, and p + 1 just out of reach.
             thresholds = sorted({p + d for p in (0, *row, sum(row)) for d in (0, 1)})
             for threshold in thresholds:

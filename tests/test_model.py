@@ -142,7 +142,7 @@ class TestWeightMatrices:
         for in_dim, out_dim in ((16, 1), (784, 128), (64, 7)):
             rows = [[1] * in_dim for _ in range(out_dim)]
             b = BinaryWeights.from_rows(rows)
-            f = Fixed16Weights.from_rows(rows)
+            f = Fixed16Weights(rows)
             assert b.cells.nbytes == (in_dim * out_dim) // 8
             assert f.cells.nbytes == in_dim * out_dim * 2
             assert f.cells.nbytes / b.cells.nbytes == 16.0
@@ -164,7 +164,7 @@ class TestWeightMatrices:
     def test_fixed_column_matches_rows(self):
         rng = make_rng(15)
         rows = [[rng.randint(-32768, 32767) for _ in range(9)] for _ in range(4)]
-        w = Fixed16Weights.from_rows(rows)
+        w = Fixed16Weights(rows)
         for i in range(9):
             assert list(w.columns[i]) == [rows[j][i] for j in range(4)]
         assert w.matrix().dtype == np.int64
@@ -188,8 +188,8 @@ class TestWeightMatrices:
     def test_fixed_rejects_out_of_range(self):
         for rows in ([[40000]], [[1.5, 2]], [[-32769]]):
             with pytest.raises(ValueError):
-                Fixed16Weights.from_rows(rows)
-        w = Fixed16Weights.from_rows([[1, 2]])
+                Fixed16Weights(rows)
+        w = Fixed16Weights([[1, 2]])
         with pytest.raises(ValueError):
             w.rows[0, 0] = 3
 
@@ -455,7 +455,7 @@ class TestNetworkModel:
             NetworkModel(mode=WeightMode.BINARY, t_max=64, layers=layers)
 
     def test_mode_kind_mismatch_rejected(self):
-        layers = [(LayerConfig(4, 1), Fixed16Weights.from_rows([[1] * 4]))]
+        layers = [(LayerConfig(4, 1), Fixed16Weights([[1] * 4]))]
         with pytest.raises(ValueError):
             NetworkModel(mode=WeightMode.BINARY, t_max=64, layers=layers)
 

@@ -115,7 +115,7 @@ def test_dimension_check():
         # Input 5 spikes into a layer of 2 inputs.
         (LayerConfig(2, 1, 256, 2), as_codes([(0, [5])], 6), BinaryWeights.from_rows([[1, 1]])),
         # Codes name no input below 0; the nearest case is a train with no slots.
-        (LayerConfig(2, 1, 256, 100), as_codes([], 0), Fixed16Weights.from_rows([[5, 7]])),
+        (LayerConfig(2, 1, 256, 100), as_codes([], 0), Fixed16Weights([[5, 7]])),
     ]:
         with pytest.raises(DimensionMismatch, match="train length|weight shape") as dense:
             dense_layer_sweep(codes, cfg, weights)
@@ -138,6 +138,30 @@ def test_codes_below_no_spike_raise_one_typed_error_on_both_paths(codes, named):
         dense_layer_sweep(codes, layer, weights)
     assert str(datapath.value) == str(dense.value)
     assert isinstance(dense.value, SpikeSocError) and not isinstance(dense.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "codes, got",
+    [
+        (np.array([True, False, True]), "1-D bool"),
+        (np.array([0.0, 1.0, 2.0]), "1-D float64"),
+        (np.zeros((3, 3), np.int16), "2-D int16"),
+        ([0, 1, 2], "list"),
+        (np.array(1, np.int16), "0-D int16"),
+    ],
+    ids=["bool", "float64", "3x3 int16", "list", "0-d int16"],
+)
+def test_codes_that_are_not_an_integer_array_raise_one_typed_error_on_both_paths(codes, got):
+    """A layer's codes are a 1-D integer array. Anything else, even of the
+    layer's length, is rejected before the length check with one message on
+    both paths, so a bool array is not read as codes 0 and 1."""
+    layer, weights = LayerConfig(3, 2), BinaryWeights.from_rows([[1, 1, 1], [1, -1, 1]])
+    message = f"codes must be a 1-D integer array, got {got}"
+    with pytest.raises(InvalidSpikeCode) as datapath:
+        run_layer(codes, layer, weights)
+    with pytest.raises(InvalidSpikeCode) as dense:
+        dense_layer_sweep(codes, layer, weights)
+    assert str(datapath.value) == str(dense.value) == message
 
 
 def test_independent_of_the_datapath_column_cache(monkeypatch):
@@ -184,7 +208,7 @@ def test_no_train_is_built_between_layers(monkeypatch):
     for _ in range(60):
         model = random_model(rng)
         frame = random_frame(rng, model.input_dim)
-        trains[frame, model.t_max] = encode_ttfs(frame, model.t_max, expected_dim=model.input_dim)
+        trains[frame, model.t_max] = encode_ttfs(frame, model.t_max)
         cases.append((model, frame, run_network(model, frame, early_stop=False).layer_states))
 
     def forbidden(*args, **kwargs):
@@ -193,7 +217,7 @@ def test_no_train_is_built_between_layers(monkeypatch):
     monkeypatch.setattr(SpikeTrain, "__init__", forbidden)
     monkeypatch.setattr(SpikeTrain, "__post_init__", forbidden)
     for module in (oracle, core):
-        monkeypatch.setattr(module, "encode_ttfs", lambda frame, t_max, **_: trains[frame, t_max])
+        monkeypatch.setattr(module, "encode_ttfs", lambda frame, t_max: trains[frame, t_max])
     for model, frame, expected in cases:
         dense_codes = event_codes = trains[frame, model.t_max].codes
         for (cfg, weights), state in zip(model.layers, expected, strict=True):
@@ -211,7 +235,7 @@ def test_nonpositive_threshold_fires_at_the_first_spike_not_at_time_zero(mode, t
     """With an effective threshold <= 0 every potential already meets it at
     time 0, but no neuron may fire before a timestep that carries a spike."""
     rows = [[1, 1, -1], [-1, 1, -1], [1, 1, 1]]
-    weights = (BinaryWeights if mode is WeightMode.BINARY else Fixed16Weights).from_rows(rows)
+    weights = BinaryWeights.from_rows(rows) if mode is WeightMode.BINARY else Fixed16Weights(rows)
     layer = LayerConfig(3, 3, 256, threshold)
     model = NetworkModel(mode=mode, t_max=8, layers=[(layer, weights)])
     frame = bytes([0, 128, 64])  # t_max 8 reads pixel >> 5: silent, times 3 and 5
@@ -286,7 +310,7 @@ def test_exact_beyond_float32_integers(fill):
     model = NetworkModel(
         mode=WeightMode.FIXED16,
         t_max=256,
-        layers=[(LayerConfig(in_dim, out_dim, 256, sorted(sums)[2]), Fixed16Weights.from_rows(rows))],
+        layers=[(LayerConfig(in_dim, out_dim, 256, sorted(sums)[2]), Fixed16Weights(rows))],
     )
     frame = bytes([255]) * in_dim  # every input spikes at t = 0
     dense = dense_infer(model, frame)
@@ -328,7 +352,7 @@ def test_equivalence_with_extreme_fixed_weights():
             layers=[
                 (
                     LayerConfig(in_dim, out_dim, 256, rng.randint(-40000, 40000)),
-                    Fixed16Weights.from_rows(rows),
+                    Fixed16Weights(rows),
                 )
             ],
         )

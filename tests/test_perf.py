@@ -136,7 +136,7 @@ class TestLayerTallyTotal:
 def _ones_model(*dims):
     """A fixed16 model of the given layer widths whose weights are all 1."""
     layers = [
-        (LayerConfig(n_in, n_out), Fixed16Weights.from_rows([[1] * n_in] * n_out))
+        (LayerConfig(n_in, n_out), Fixed16Weights([[1] * n_in] * n_out))
         for n_in, n_out in zip(dims, dims[1:])
     ]
     return NetworkModel(mode=WeightMode.FIXED16, t_max=16, layers=layers)

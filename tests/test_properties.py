@@ -282,7 +282,7 @@ def small_layers(draw):
     cells = st.sampled_from((-1, 1)) if binary else st.integers(-magnitude, magnitude)
     row = st.lists(cells, min_size=in_dim, max_size=in_dim)
     rows = draw(st.lists(row, min_size=out_dim, max_size=out_dim))
-    weights = (BinaryWeights if binary else Fixed16Weights).from_rows(rows)
+    weights = BinaryWeights.from_rows(rows) if binary else Fixed16Weights(rows)
     threshold = draw(st.integers(-2 * magnitude, in_dim * magnitude // 2 + 1))
     layer = LayerConfig(in_dim, out_dim, draw(st.sampled_from((256, 128, 512, 1))), threshold)
     t_max = draw(st.sampled_from((1, 4, 16)))

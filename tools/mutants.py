@@ -156,6 +156,11 @@ MUTANTS = (
         (("cli.py", "dense_infer(reference, frames[idx])", "dense_infer(decoded(model), frames[idx])"),),
     ),
     Mutant(
+        "run_batch reports a sample's neuron cycles as its cycles",
+        ("tests/test_cli.py",),
+        (("cli.py", '"cycles": result.cycles.total_cycles', '"cycles": result.cycles.neuron_cycles'),),
+    ),
+    Mutant(
         "LayerConfig keeps a field that is not an integer",
         ("tests/test_model.py",),
         (("model.py", "object.__setattr__(self, name, operator.index(value))", "object.__setattr__(self, name, value)"),),
@@ -187,6 +192,15 @@ MUTANTS = (
         "the oracle sums no time table rows",
         ("tests/test_oracle.py",),
         (("oracle.py", "    np.add.accumulate(contributions, axis=0, out=contributions)", "    pass"),),
+    ),
+    Mutant(
+        "run_layer accepts codes that are not a 1-D integer array",
+        ("tests/test_oracle.py",),
+        ((
+            "core.py",
+            '    if not isinstance(codes, np.ndarray) or codes.ndim != 1 or codes.dtype.kind not in "iu":\n',
+            "    if False:\n",
+        ),),
     ),
     Mutant(
         "run_layer drops its length check",
