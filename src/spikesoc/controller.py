@@ -124,7 +124,9 @@ def format_uart_frame(sample_index: int, result: InferenceResult) -> bytes:
 
 
 def parse_uart_frame(frame: bytes) -> dict:
-    """Validate and unpack one result frame; raises CorruptFrame on damage."""
+    """Validate and unpack one result frame, bytes or bytearray; raises CorruptFrame on damage."""
+    if not isinstance(frame, (bytes, bytearray)):
+        raise TypeError(f"a UART frame is bytes, got {type(frame).__name__}")
     if len(frame) != UART_FRAME_LEN:
         raise CorruptFrame(f"frame is {len(frame)} bytes, expected {UART_FRAME_LEN}")
     if frame[0] != UART_MARKER:
@@ -159,8 +161,10 @@ def encode_command(command: Command) -> bytes:
 
 
 def parse_command_stream(stream: bytes) -> list:
-    """Split a byte-tagged stream into command objects. A malformed command raises
-    ProtocolViolation with its `tag` byte and the `commands` parsed before it."""
+    """Split a byte-tagged stream, bytes or bytearray, into command objects. A malformed
+    command raises ProtocolViolation with its `tag` byte and the `commands` parsed before it."""
+    if not isinstance(stream, (bytes, bytearray)):
+        raise TypeError(f"a command stream is bytes, got {type(stream).__name__}")
     commands = []
     offset = 0
     n = len(stream)

@@ -60,7 +60,6 @@ import numpy as np
 
 from .decoder import decode
 from .encoder import encode_ttfs
-from .errors import DimensionMismatch, InvalidSpikeCode
 from .model import (
     INT16_MAX,
     LayerConfig,
@@ -68,6 +67,7 @@ from .model import (
     SpikeTrain,
     WeightMatrix,
     WeightMode,
+    check_layer_input,
     slot_values,
 )
 from .perf import CycleReport, LayerTally, RunTrace, estimate_cycles
@@ -139,20 +139,13 @@ def run_layer(
     *,
     stop_at_first_fire: bool = False,
 ) -> tuple[NeuronState, LayerTally]:
-    """Run one layer on its int16 input codes, -1 for no spike, as dense_layer_sweep
-    takes them (codes that are not a 1-D integer array raise InvalidSpikeCode);
-    sort_spikes queues them by time. Each event of a group adds its weight column into
-    every unfired neuron; then one fire check scans the neurons in ascending index
-    order. Groups after every neuron has fired are skipped, and with
-    stop_at_first_fire the layer stops after the first group that fires anything.
+    """Run one layer on its input codes, -1 for no spike, as dense_layer_sweep takes
+    them: check_layer_input checks them and sort_spikes queues them by time. Each event
+    of a group adds its weight column into every unfired neuron; then one fire check
+    scans the neurons in ascending index order. Groups after every neuron has fired are
+    skipped, and with stop_at_first_fire the layer stops after the first group that fires.
     """
-    if not isinstance(codes, np.ndarray) or codes.ndim != 1 or codes.dtype.kind not in "iu":
-        got = f"{codes.ndim}-D {codes.dtype}" if isinstance(codes, np.ndarray) else type(codes).__name__
-        raise InvalidSpikeCode(f"codes must be a 1-D integer array, got {got}")
-    if len(codes) != layer.in_dim:
-        raise DimensionMismatch(f"train length {len(codes)} != layer in_dim {layer.in_dim}")
-    if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
-        raise DimensionMismatch("weight shape disagrees with layer config")
+    check_layer_input(codes, layer, weights)
     events, group_times, group_ends = sort_spikes(codes)
     if not len(events):
         state = NeuronState([0] * layer.out_dim, np.full(layer.out_dim, -1, np.int16))

@@ -47,13 +47,7 @@ class DimensionMismatch(SpikeSocError):
 
 
 class InvalidSpikeCode(SpikeSocError):
-    """A layer was handed a spike code below -1, the no-spike code."""
-
-    @classmethod
-    def first_in(cls, codes) -> "InvalidSpikeCode":
-        """The error naming the first input of the integer array codes below -1."""
-        i = int((codes < -1).argmax())
-        return cls(f"input {i} has spike code {codes[i]}, below -1 (no spike)")
+    """A layer's codes are not a 1-D integer array, or one is outside [-1, 255]."""
 
 
 class ProtocolViolation(SpikeSocError):

@@ -38,7 +38,9 @@ import numpy as np
 from .errors import (
     CorruptImage,
     CorruptWeightWord,
+    DimensionMismatch,
     InconsistentDims,
+    InvalidSpikeCode,
     InvalidWeight,
     NotAModelImage,
     TruncatedImage,
@@ -73,6 +75,26 @@ def check_t_max(t_max: int) -> None:
     and the encoder's inversion is a plain right shift."""
     if not (1 <= t_max <= 256 and not t_max & (t_max - 1)):
         raise ValueError(f"t_max {t_max} is not a power of two in [1, 256]")
+
+
+def _check_codes_array(codes, error: type[Exception]) -> None:
+    """Raise error unless codes are a 1-D integer np.ndarray, the one form of spike codes."""
+    if not isinstance(codes, np.ndarray) or codes.ndim != 1 or codes.dtype.kind not in "iu":
+        got = f"{codes.ndim}-D {codes.dtype}" if isinstance(codes, np.ndarray) else type(codes).__name__
+        raise error(f"codes must be a 1-D integer array, got {got}")
+
+
+def check_layer_input(codes, layer: LayerConfig, weights) -> None:
+    """A layer's input as run_layer and dense_layer_sweep check it first: weights of its
+    shape and a 1-D integer array of in_dim codes, each -1 (no spike) or a time in [0, 255]."""
+    _check_codes_array(codes, InvalidSpikeCode)
+    if len(codes) != layer.in_dim:
+        raise DimensionMismatch(f"train length {len(codes)} != layer in_dim {layer.in_dim}")
+    if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
+        raise DimensionMismatch("weight shape disagrees with layer config")
+    if codes[codes.argmin()] < -1 or codes[codes.argmax()] > 255:  # argmin and argmax: see SpikeTrain
+        i = int(((codes < -1) | (codes > 255)).argmax())
+        raise InvalidSpikeCode(f"input {i} has spike code {codes[i]}, outside [-1, 255]")
 
 
 def words_per_row(in_dim: int) -> int:
@@ -288,8 +310,7 @@ class SpikeTrain:
     def __post_init__(self):
         check_t_max(self.t_max)
         codes = self.codes
-        if codes.ndim != 1 or codes.dtype.kind not in "iu":
-            raise ValueError(f"codes must be a 1-D integer array, got {codes.ndim}-D {codes.dtype}")
+        _check_codes_array(codes, ValueError)
         # argmin and argmax, not min and max: on a short train a reduction costs 4x as much
         if codes.size and (codes[codes.argmin()] < -1 or codes[codes.argmax()] >= self.t_max):
             i = int(((codes < -1) | (codes >= self.t_max)).argmax())

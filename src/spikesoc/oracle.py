@@ -4,10 +4,11 @@ Ground truth for equivalence checks: reads every synapse of every spiking
 input, with no sorting, no event skipping and no early termination. It
 shares the convention constants with the event-driven datapath (the >=
 comparison, the threshold fold, firing only at timesteps that carried at
-least one event) through the same LayerConfig record, and the weights' one
-decoder `matrix()` (pinned by the packing tests), but none of its code paths.
-Its layers keep the datapath's contract: int16 fire codes in (the input
-train's codes, then each layer's), a NeuronState out, no SpikeTrain between.
+least one event) through the same LayerConfig record, the input rule of
+`check_layer_input` and the weights' one decoder `matrix()` (pinned by the
+packing tests), but none of its code paths. Its layers keep the datapath's
+contract: int16 fire codes in (the input train's codes, then each layer's),
+a NeuronState out, no SpikeTrain between.
 Each layer is two int64 passes over a table with one row per timestep that
 carries spikes, in time order, exact with no range argument. The rows are
 counted, not sorted: `bincount` marks the timesteps that carry spikes and a
@@ -38,8 +39,7 @@ import numpy as np
 from .core import InferenceResult, NeuronState
 from .decoder import decode
 from .encoder import encode_ttfs
-from .errors import DimensionMismatch, InvalidSpikeCode
-from .model import LayerConfig, NetworkModel, WeightMatrix, WeightMode
+from .model import LayerConfig, NetworkModel, WeightMatrix, WeightMode, check_layer_input
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,18 +79,9 @@ def dense_layer_sweep(
     none frozen; then each neuron fires at the first row where it is at or
     above the effective threshold, and keeps the potential of that row (of
     the last row if it never fires). Timesteps with no events have no row, so
-    they are not checked, as in the event-driven datapath. Codes that are not a
-    1-D integer array, or a code below -1, raise InvalidSpikeCode as in run_layer.
+    they are not checked, as in the event-driven datapath. Input is checked as in run_layer.
     """
-    if not isinstance(codes, np.ndarray) or codes.ndim != 1 or codes.dtype.kind not in "iu":
-        got = f"{codes.ndim}-D {codes.dtype}" if isinstance(codes, np.ndarray) else type(codes).__name__
-        raise InvalidSpikeCode(f"codes must be a 1-D integer array, got {got}")
-    if len(codes) != layer.in_dim:
-        raise DimensionMismatch(f"train length {len(codes)} != layer in_dim {layer.in_dim}")
-    if weights.in_dim != layer.in_dim or weights.out_dim != layer.out_dim:
-        raise DimensionMismatch("weight shape disagrees with layer config")
-    if codes[codes.argmin()] < -1:
-        raise InvalidSpikeCode.first_in(codes)
+    check_layer_input(codes, layer, weights)
     spiking = np.flatnonzero(codes >= 0)
     if not len(spiking):  # argmax over no rows would raise
         return NeuronState([0] * layer.out_dim, np.full(layer.out_dim, -1, dtype=np.int16))

@@ -103,6 +103,12 @@ class TestIdxFiles:
         with pytest.raises(CorruptDataset):
             load_idx_images(path)
 
+    def test_a_frame_of_the_wrong_length_is_not_written(self, tmp_path):
+        path = tmp_path / "images.idx"
+        with pytest.raises(ValueError, match=r"^frame 1 holds 3 bytes, expected 4$"):
+            write_idx_images(path, [bytes(4), bytes(3), bytes(4)], 2, 2)
+        assert not path.exists()
+
     def test_random_idx_roundtrips_byte_exact(self, tmp_path):
         rng = make_rng(101)
         for k in range(20):
@@ -339,19 +345,27 @@ class TestMainExitCodes:
         rc = main([str(tmp_path / "no-model.bin"), str(images_path), str(labels_path)])
         assert rc == 2
 
-    # 1e306 MHz and the largest float are finite, but their rates in Hz are not.
-    @pytest.mark.parametrize("clock", ["0", "-163", "nan", "inf", "1e306", repr(sys.float_info.max)])
-    def test_bad_clock_exit_2_before_any_sample(self, tmp_path, capsys, monkeypatch, clock):
+    @staticmethod
+    def _exits_2_before_any_sample(tmp_path, capsys, monkeypatch, flag, value):
         rng = make_rng(120)
         model = random_model(rng, max_layers=1, max_dim=8)
         paths = _write_dataset(tmp_path, rng, model, 2)
         json_path = tmp_path / "report.json"
         monkeypatch.setattr("spikesoc.cli.run_batch", lambda *a, **k: pytest.fail("a sample ran"))
         with pytest.raises(SystemExit) as exc:
-            main([*map(str, paths), "--clock-mhz", clock, "--report-json", str(json_path)])
+            main([*map(str, paths), flag, value, "--report-json", str(json_path)])
         assert exc.value.code == 2
-        assert "--clock-mhz" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert not json_path.exists()
+
+    # 1e306 MHz and the largest float are finite, but their rates in Hz are not.
+    @pytest.mark.parametrize("clock", ["0", "-163", "nan", "inf", "1e306", repr(sys.float_info.max)])
+    def test_bad_clock_exit_2_before_any_sample(self, tmp_path, capsys, monkeypatch, clock):
+        self._exits_2_before_any_sample(tmp_path, capsys, monkeypatch, "--clock-mhz", clock)
+
+    @pytest.mark.parametrize("t_max", ["3", "0", "512"])
+    def test_bad_t_max_exit_2_before_any_sample(self, tmp_path, capsys, monkeypatch, t_max):
+        self._exits_2_before_any_sample(tmp_path, capsys, monkeypatch, "--t-max", t_max)
 
     def test_fastest_accepted_clock_prints_finite_figures(self, tmp_path, capsys):
         rng = make_rng(121)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,31 @@ def test_a_flash_image_that_is_not_bytes_raises_type_error(image, load):
     load(IMAGE)  # the same image as bytes loads
     with pytest.raises(TypeError, match=rf"^a flash image is bytes, got {type(image).__name__}$"):
         load(image)
+
+
+STREAM = b"".join(map(encode_command, [LoadModel(IMAGE), LoadInput(bytes([200] * 16)), Run()]))
+
+
+@pytest.mark.parametrize(
+    "form",
+    [list, tuple, lambda data: np.frombuffer(data, np.uint8), lambda data: data.decode("latin-1"), memoryview],
+    ids=["list", "tuple", "uint8", "str", "memoryview"],
+)
+@pytest.mark.parametrize(
+    "parse, data, what",
+    [
+        (parse_command_stream, STREAM, "a command stream"),
+        (lambda stream: Controller().run_script(stream), STREAM, "a command stream"),
+        (parse_uart_frame, Controller().run_script(STREAM)[0], "a UART frame"),
+    ],
+    ids=["parse_command_stream", "run_script", "parse_uart_frame"],
+)
+def test_a_stream_or_frame_that_is_not_bytes_raises_type_error(form, parse, data, what):
+    """The stream and UART parsers take bytes or bytearray, as the command encoder and
+    the flash image reader do; a list is not read as a stream of tag bytes."""
+    assert parse(bytearray(data)) == parse(data)
+    with pytest.raises(TypeError, match=rf"^{what} is bytes, got {type(form(data)).__name__}$"):
+        parse(form(data))
 
 
 def _result(predicted, decision_time, total_cycles):
@@ -314,6 +340,16 @@ class TestCommandStream:
     def test_encoding_a_non_command_is_a_type_error(self, not_a_command):
         with pytest.raises(TypeError, match="not a command"):
             encode_command(not_a_command)
+
+    @pytest.mark.parametrize("not_a_command", [None, "x", b"\x03", Run])
+    def test_handling_a_non_command_is_a_type_error_that_changes_nothing(self, not_a_command):
+        c = Controller()
+        c.handle(LoadModel(IMAGE))
+        c.handle(LoadInput(bytes([200] * 16)))
+        before = _snapshot(c)
+        with pytest.raises(TypeError, match=rf"^not a command: {re.escape(repr(not_a_command))}$"):
+            c.handle(not_a_command)
+        assert _snapshot(c) == before
 
     @pytest.mark.parametrize("prefix", [b"", b"\x03"], ids=["first", "after-run"])
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -192,6 +193,13 @@ class TestWeightMatrices:
         w = Fixed16Weights([[1, 2]])
         with pytest.raises(ValueError):
             w.rows[0, 0] = 3
+
+    @pytest.mark.parametrize(
+        "rows, shape", [([], "(0,)"), ([1, 2], "(2,)"), ([[]], "(1, 0)")], ids=["no rows", "1-D", "empty row"]
+    )
+    def test_fixed_rejects_cells_that_are_not_a_non_empty_matrix(self, rows, shape):
+        with pytest.raises(ValueError, match=rf"^weight matrix must be 2-D and non-empty, got shape {re.escape(shape)}$"):
+            Fixed16Weights(rows)
 
     def test_binary_rejects_out_of_range(self):
         for words in ([(0x10000,)], [(-1,)], [(1.5,)]):
@@ -452,6 +460,16 @@ class TestNetworkModel:
             (LayerConfig(2, 1), BinaryWeights.from_rows([[1] * 2])),
         ]
         with pytest.raises(InconsistentDims):
+            NetworkModel(mode=WeightMode.BINARY, t_max=64, layers=layers)
+
+    @pytest.mark.parametrize(
+        "cfg, rows",
+        [((4, 2), [[1] * 4]), ((4, 1), [[1] * 5]), ((4, 1), [[1] * 3, [1] * 3])],
+        ids=["one neuron short", "one input over", "both off"],
+    )
+    def test_weights_of_another_shape_than_their_config_rejected(self, cfg, rows):
+        layers = [(LayerConfig(*cfg), BinaryWeights.from_rows(rows))]
+        with pytest.raises(ValueError, match="^layer 0 weight shape disagrees with its config$"):
             NetworkModel(mode=WeightMode.BINARY, t_max=64, layers=layers)
 
     def test_mode_kind_mismatch_rejected(self):

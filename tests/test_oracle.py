@@ -125,19 +125,54 @@ def test_dimension_check():
 
 
 @pytest.mark.parametrize(
-    "codes, named", [([-2, 3], "input 0 has spike code -2,"), ([3, -1, -7, -2], "input 2 has spike code -7,")]
+    "codes, dtype, named",
+    [
+        ([-2, 3], np.int16, "input 0 has spike code -2,"),
+        ([3, -1, -7, -2], np.int16, "input 2 has spike code -7,"),
+        ([0, 256, -1], np.int16, "input 1 has spike code 256,"),
+        ([70000, 3], np.int32, "input 0 has spike code 70000,"),
+        ([5, -1, 4_000_000], np.int64, "input 2 has spike code 4000000,"),
+        ([1 << 63, 0], np.uint64, "input 0 has spike code 9223372036854775808,"),
+        ([0, 255, (1 << 64) - 1], np.uint64, "input 2 has spike code 18446744073709551615,"),
+    ],
+    ids=["int16_-2", "int16_-7_after_-1", "int16_256", "int32_70000", "int64_4000000", "uint64_2**63", "uint64_2**64-1"],
 )
-def test_codes_below_no_spike_raise_one_typed_error_on_both_paths(codes, named):
-    """A hand-fed code below -1 is no spike time: run_layer, through its
-    sorter, and the oracle's sweep both reject it with the same message."""
-    codes = np.array(codes, np.int16)
-    layer, weights = LayerConfig(len(codes), 1), BinaryWeights.from_rows([[1] * len(codes)])
-    with pytest.raises(InvalidSpikeCode, match=named) as datapath:
-        run_layer(codes, layer, weights)
-    with pytest.raises(InvalidSpikeCode, match=named) as dense:
-        dense_layer_sweep(codes, layer, weights)
-    assert str(datapath.value) == str(dense.value)
+def test_codes_outside_a_byte_raise_one_typed_error_on_both_paths(codes, dtype, named):
+    """A layer's codes are one byte each: -1 for no spike or a time in [0, 255].
+    A hand-fed code outside, of any integer dtype, is rejected by run_layer and
+    the oracle's sweep with the same message, naming the first such input, and
+    before anything is sized by the code (a bincount up to 4_000_000 would take 64 MB)."""
+    codes = np.array(codes, dtype)
+    layer, weights = LayerConfig(len(codes), 2), BinaryWeights.from_rows([[1] * len(codes)] * 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidSpikeCode, match=named) as datapath:
+            run_layer(codes, layer, weights)
+        with pytest.raises(InvalidSpikeCode, match=named) as dense:
+            dense_layer_sweep(codes, layer, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(datapath.value) == str(dense.value) == f"{named} outside [-1, 255]"
     assert isinstance(dense.value, SpikeSocError) and not isinstance(dense.value, ValueError)
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
+)
+def test_codes_in_a_byte_run_alike_in_any_integer_dtype(dtype):
+    """Both paths accept every code in [-1, 255] that an integer dtype holds, the
+    edges -1, 0 and 255 included, and give the state of the same codes in int16."""
+    rng = make_rng(75)
+    info = np.iinfo(dtype)
+    for _ in range(30):
+        n = rng.randint(1, 40)
+        values = [min(max(rng.choice([-1, 0, 255, rng.randint(-1, 255)]), info.min), info.max) for _ in range(n)]
+        layer, weights = random_layer(rng, n, rng.randint(1, 12), rng.choice(list(WeightMode)))
+        codes, narrow = np.array(values, dtype), np.array(values, np.int16)
+        assert run_layer(codes, layer, weights) == run_layer(narrow, layer, weights)
+        assert dense_layer_sweep(codes, layer, weights) == dense_layer_sweep(narrow, layer, weights)
 
 
 @pytest.mark.parametrize(

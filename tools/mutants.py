@@ -193,11 +193,12 @@ MUTANTS = (
         ("tests/test_oracle.py",),
         (("oracle.py", "    np.add.accumulate(contributions, axis=0, out=contributions)", "    pass"),),
     ),
+    # The next three break check_layer_input, and so both layer paths.
     Mutant(
         "run_layer accepts codes that are not a 1-D integer array",
         ("tests/test_oracle.py",),
         ((
-            "core.py",
+            "model.py",
             '    if not isinstance(codes, np.ndarray) or codes.ndim != 1 or codes.dtype.kind not in "iu":\n',
             "    if False:\n",
         ),),
@@ -206,11 +207,16 @@ MUTANTS = (
         "run_layer drops its length check",
         ("tests/test_oracle.py",),
         ((
-            "core.py",
+            "model.py",
             "    if len(codes) != layer.in_dim:\n"
             '        raise DimensionMismatch(f"train length {len(codes)} != layer in_dim {layer.in_dim}")\n',
             "",
         ),),
+    ),
+    Mutant(
+        "a layer accepts spike codes above 255",
+        ("tests/test_oracle.py",),
+        (("model.py", "codes[codes.argmin()] < -1 or codes[codes.argmax()] > 255:", "codes[codes.argmin()] < -1:"),),
     ),
     Mutant(
         "early stop one group after the first that fires",
