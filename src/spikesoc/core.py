@@ -24,9 +24,14 @@ its codes, holds at most one event per input, so no prefix passes
 65535 * 2^15 < 2^31: int32 is exact for every layer, and the one cumsum runs
 in int32. Only the blocked scan sums in the narrowest exact accumulator,
 int16 while n times the largest |weight| fits (every binary layer of up to
-32767 events), else int32. np.cumsum along the event axis is a scalar loop,
-about 2.3 ns per cell, while adding one whole row slice into another costs
-about 0.07 ns per cell. So a large layer is scanned in blocks of rows by
+32767 events), else int32. Inside a block of b rows no sum passes b times
+the largest |weight|, so while that is at most 127 (a binary block of up
+to 127 rows) the block is gathered and summed from binary's one-byte
+columns in int8, and only the block offsets and the rows read are in the
+accumulator; numpy's int8 adds wrap silently, so that bound is the only
+guard. np.cumsum along the event axis is a scalar loop, about 2.3 ns per
+cell, while adding one whole row slice into another costs about 0.07 ns
+per cell. So a large layer is scanned in blocks of rows by
 row-slice adds, within every block at once, then over the block totals and
 the tail; only the rows read get their block's offset, and only the columns
 that fire are searched for a first crossing. Below BLOCKED_SCAN_CELLS
@@ -61,6 +66,7 @@ import numpy as np
 from .decoder import decode
 from .encoder import encode_ttfs
 from .model import (
+    INT8_MAX,
     INT16_MAX,
     LayerConfig,
     NetworkModel,
@@ -80,10 +86,13 @@ from .sorter import sort_spikes
 BLOCKED_SCAN_CELLS = 1 << 15
 
 
-def _prefix_rows(columns: np.ndarray, events: np.ndarray, rows: np.ndarray, acc, blocked: bool):
-    """Rows `rows` of columns[events].cumsum(axis=0), summed in dtype acc (int32 at
-    least unless blocked) that the caller has checked can hold every prefix. Blocked,
-    each row read is its within-block or tail sum plus the sum of the blocks before."""
+def _prefix_rows(weights: WeightMatrix, events: np.ndarray, rows: np.ndarray, acc, blocked: bool):
+    """Rows `rows` of weights.columns[events].cumsum(axis=0), summed in dtype acc
+    that the caller has checked can hold every prefix: int32 at least unless blocked.
+    Blocked, each row read is its within-block or tail sum plus the sum of the blocks
+    before; a block of b rows is summed in int8 while b * max_abs <= INT8_MAX, which
+    no in-block or tail sum passes (numpy's int8 adds wrap silently past it)."""
+    columns = weights.columns
     n, width = len(events), columns.shape[1]
     if not blocked:
         # In int32: numpy's int16 accumulate runs up to 2x slower here.
@@ -97,7 +106,9 @@ def _prefix_rows(columns: np.ndarray, events: np.ndarray, rows: np.ndarray, acc,
     # step adds whole contiguous (blocks, width) slices; strided slices of one
     # buffer would make numpy copy them first, as their extents overlap.
     order = np.concatenate([events[:full].reshape(blocks, b).T.ravel(), events[full:]])
-    flat = columns[order].astype(acc, copy=False)
+    flat = columns[order]
+    if b * weights.max_abs > INT8_MAX:  # else binary's int8 columns, a byte per cell, sum as they are
+        flat = flat.astype(acc, copy=False)
     scan = flat[:full].reshape(b, blocks, width)
     for r in range(1, b):
         scan[r] += scan[r - 1]
@@ -106,7 +117,8 @@ def _prefix_rows(columns: np.ndarray, events: np.ndarray, rows: np.ndarray, acc,
         np.add(offsets[k], scan[-1, k], out=offsets[k + 1])
     for r in range(full + 1, n):  # the tail, fewer than b rows, summed from zero
         flat[r] += flat[r - 1]
-    return flat[np.where(rows < full, (rows % b) * blocks + rows // b, rows)] + offsets[rows // b]
+    block = rows // b
+    return flat[np.where(rows < full, (rows % b) * blocks + block, rows)] + offsets[block]
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +167,7 @@ def run_layer(
     acc = np.int16 if len(events) * weights.max_abs <= INT16_MAX else np.int32
     blocked = len(events) * layer.out_dim >= BLOCKED_SCAN_CELLS
     # ends[g, j]: neuron j's potential after group g, had it never frozen.
-    ends = _prefix_rows(weights.columns, events, group_ends, acc, blocked)
+    ends = _prefix_rows(weights, events, group_ends, acc, blocked)
     threshold = layer.effective_threshold(weights.mode)
     last = len(group_ends) - 1
     if stop_at_first_fire:  # every neuron stops at the first group that fires anything

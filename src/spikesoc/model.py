@@ -56,6 +56,7 @@ FLASH_VERSION = 1
 FLASH_HEADER = struct.Struct("<HBBH")  # after the magic: version, mode, layer count, t_max
 FLASH_LAYER = struct.Struct("<HHHi")  # in_dim, out_dim, alpha_raw, threshold
 
+INT8_MAX = (1 << 7) - 1
 INT16_MAX = (1 << 15) - 1
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
@@ -149,9 +150,11 @@ class _CellMatrix:
 
     @cached_property
     def columns(self) -> np.ndarray:
-        """`matrix().T` as a read-only C-ordered (in_dim, out_dim) int16 array:
-        columns[i][j] is the weight from presynaptic i to neuron j."""
-        columns = self._narrow().T.astype(np.int16, order="C")  # no int64 temporary
+        """`matrix().T` as a read-only C-ordered (in_dim, out_dim) array of the weights'
+        narrowest dtype, int8 binary (a byte per weight) or int16 fixed16: columns[i][j] is
+        the weight from presynaptic i to neuron j. The blocked scan sums b of its rows in
+        int8 while b * max_abs <= INT8_MAX, and widens them to its accumulator otherwise."""
+        columns = self._narrow().T.copy()
         columns.flags.writeable = False
         return columns
 

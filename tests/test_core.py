@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 
@@ -224,10 +226,25 @@ class TestRunLayer:
             ends = np.array([*cuts, in_dim]) - 1
             for blocked in (False, True):
                 rows_a, rows_b = (
-                    _prefix_rows(w.columns, np.concatenate(g), ends, np.int16, blocked)
+                    _prefix_rows(w, np.concatenate(g), ends, np.int16, blocked)
                     for g in (groups, shuffled)
                 )
                 assert np.array_equal(rows_a, rows_b)
+
+    @pytest.mark.parametrize("n, out_dim, b", [(4064, 2032, 127), (4096, 2048, 128)], ids=["b=127", "b=128"])
+    def test_blocked_scan_sums_in_int8_only_while_a_block_fits(self, n, out_dim, b):
+        """All-+1 weights and one group: every block's running sum reaches its
+        height b, which int8 holds at 127 and wraps at 128 with no warning, so
+        a block of 128 rows must be summed in the layer's wider accumulator."""
+        assert min(n, isqrt(n * out_dim // 512)) == b  # the blocked scan's rows per block
+        cfg = LayerConfig(n, out_dim, 256, threshold=n)
+        w = BinaryWeights(n, np.full((out_dim, n // 16), 0xFFFF, "<u2"))
+        codes = np.zeros(n, np.int16)
+        state, tally = run_layer(codes, cfg, w)
+        assert state.potentials == [n] * out_dim and state.fire_times == [0] * out_dim
+        assert state == dense_layer_sweep(codes, cfg, w)
+        ref_state, ref_tally = reference_run_layer(as_groups(*sort_spikes(codes)), cfg, w)
+        assert state == ref_state and tally == ref_tally
 
     def test_stop_at_first_fire_equals_truncation_at_decision_time(self):
         rng = make_rng(54)

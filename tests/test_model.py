@@ -172,13 +172,16 @@ class TestWeightMatrices:
         assert w.matrix().tolist() == rows
         assert w.matrix().T.flags.c_contiguous
 
-    def test_columns_are_one_read_only_int16_array(self):
+    def test_columns_are_one_read_only_array_of_the_narrow_dtype(self):
         rng = make_rng(16)
         matrices = [random_binary_weights(rng, in_dim, 6) for in_dim in (1, 15, 16, 17)]
         matrices.append(random_fixed_weights(rng, 9, 4, magnitude=32767))
         for w in matrices:
             columns = w.columns
-            assert type(columns) is np.ndarray and columns.dtype == np.int16
+            binary = w.mode is WeightMode.BINARY
+            assert type(columns) is np.ndarray and columns.dtype == (np.int8 if binary else np.int16)
+            if binary:  # one byte per weight
+                assert columns.nbytes == w.in_dim * w.out_dim
             assert columns.shape == (w.in_dim, w.out_dim)
             assert columns.flags.c_contiguous and not columns.flags.writeable
             assert np.array_equal(columns, w.matrix().T)
@@ -231,7 +234,8 @@ class TestDecodeLayout:
             assert matrix.dtype == np.int64 and matrix.flags.f_contiguous
             assert np.array_equal(matrix, 2 * bits.astype(np.int64) - 1)
             columns = w.columns
-            assert columns.dtype == np.int16 and columns.shape == (in_dim, out_dim)
+            assert columns.dtype == np.int8 and columns.shape == (in_dim, out_dim)
+            assert columns.nbytes == in_dim * out_dim
             assert columns.flags.c_contiguous and not columns.flags.writeable
             assert np.array_equal(columns, matrix.T)
 

@@ -243,9 +243,14 @@ MUTANTS = (
         (("core.py", "    for k in range(blocks):", "    for k in range(1, blocks):"),),
     ),
     Mutant(
+        "the blocked scan sums blocks in int8 whatever their height",
+        ("tests/test_core.py",),
+        (("core.py", "if b * weights.max_abs > INT8_MAX:", "if weights.max_abs > INT8_MAX:"),),
+    ),
+    Mutant(
         "a transposed blocked-scan row map",
         ("tests/test_core.py",),
-        (("core.py", "(rows % b) * blocks + rows // b", "(rows // b) * blocks + rows % b"),),
+        (("core.py", "(rows % b) * blocks + block", "block * blocks + rows % b"),),
     ),
     Mutant(
         "a neuron that never crosses stops at group 0",
